@@ -10,13 +10,15 @@ Runs the workload-catalog batch evaluator
   now-populated store (new ``ArtifactCache`` instance, in-process
   pattern memo cleared) — every expensive stage loads from disk;
 
-All three runs use the full cold-path engine stack
-(``static_trace='auto'``, ``interp='auto'``): kernels proved STATIC
-have their traces synthesized analytically, and the data-dependent rest
-executes on the lane-vectorized interpreter.  A fourth run —
+All three runs use the full cold-path engine chain: kernels proved
+STATIC have their traces synthesized analytically, and the
+data-dependent rest executes on the lane-vectorized interpreter.  A
+fourth run —
 
-- ``interp``  : uncached with ``static_trace='never'`` and
-  ``interp='scalar'`` — the original work-item-at-a-time cold path;
+- ``interp``  : uncached scalar reference — every analysis profiles
+  through ``KernelExecutor(...).run`` and hands the launch to
+  ``analyze_kernel(..., launch=...)``, the original
+  work-item-at-a-time cold path;
 
 measures what the trace engines buy together.  The catalog is then
 split into its **static** and **dynamic** subsets and each is timed in
@@ -40,6 +42,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import platform
 import shutil
@@ -50,12 +53,17 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+import repro.evaluation.harness as harness                 # noqa: E402
+from repro.analysis.kernel_info import (                   # noqa: E402
+    DEFAULT_PROFILE_GROUPS,
+)
 from repro.cache import ArtifactCache                      # noqa: E402
 from repro.devices import VIRTEX7                          # noqa: E402
 from repro.evaluation import (                             # noqa: E402
     default_suite_workloads,
     run_suite,
 )
+from repro.interp import KernelExecutor                    # noqa: E402
 
 OUT = Path(__file__).resolve().parent.parent / "BENCH_suite_cache.json"
 
@@ -67,14 +75,36 @@ def _fresh_process_state() -> None:
     model_memory._PATTERN_CACHE.clear()
 
 
-def _run(workloads, jobs, designs, cache, static_trace="auto",
-         interp="auto"):
+@contextlib.contextmanager
+def _scalar_reference():
+    """Route the suite's kernel analyses through the scalar interpreter:
+    a ``KernelExecutor`` launch handed to ``analyze_kernel(...,
+    launch=...)``.  Forked suite workers inherit the binding."""
+    original = harness.analyze_kernel
+
+    def analyze(fn, buffers, scalars, ndrange, device,
+                profile_groups=DEFAULT_PROFILE_GROUPS, cache=None):
+        launch = KernelExecutor(fn, buffers, scalars).run(
+            ndrange, max_groups=max(profile_groups, 1))
+        return original(fn, buffers, scalars, ndrange, device,
+                        launch=launch)
+
+    harness.analyze_kernel = analyze
+    try:
+        yield
+    finally:
+        harness.analyze_kernel = original
+
+
+def _run(workloads, jobs, designs, cache, reference=False):
+    """One timed suite run; *reference* profiles every kernel with the
+    scalar interpreter instead of the engine chain."""
     _fresh_process_state()
-    t0 = time.perf_counter()
-    result = run_suite(workloads, VIRTEX7, jobs=jobs, cache=cache,
-                       designs_per_kernel=designs,
-                       static_trace=static_trace, interp=interp)
-    return result, time.perf_counter() - t0
+    with _scalar_reference() if reference else contextlib.nullcontext():
+        t0 = time.perf_counter()
+        result = run_suite(workloads, VIRTEX7, jobs=jobs, cache=cache,
+                           designs_per_kernel=designs)
+        return result, time.perf_counter() - t0
 
 
 def _split_subsets(workloads):
@@ -112,10 +142,10 @@ def main() -> int:
         # 0. Scalar-interpreter-only cold path: the original baseline
         #    (no synthesis, no lane vectorization).
         interp, t_interp = _run(workloads, jobs, args.designs, None,
-                                static_trace="never", interp="scalar")
+                                reference=True)
         print(f"interp   : {t_interp:7.2f}s "
               f"({len(interp.predictions)} predictions, "
-              f"static_trace=never, interp=scalar)")
+              f"scalar reference)")
 
         # 1. No cache at all: the reference behaviour and timings.
         uncached, t_uncached = _run(workloads, jobs, args.designs, None)
@@ -157,8 +187,7 @@ def main() -> int:
         # keeps one engine's win from diluting the other's ratio.
         static_wl, dynamic_wl = _split_subsets(workloads)
         s_interp, t_s_interp = _run(static_wl, jobs, args.designs, None,
-                                    static_trace="never",
-                                    interp="scalar")
+                                    reference=True)
         s_auto, t_s_auto = _run(static_wl, jobs, args.designs, None)
         assert s_interp.rows() == s_auto.rows()
         static_speedup = (t_s_interp / t_s_auto if t_s_auto > 0
@@ -168,11 +197,8 @@ def main() -> int:
               f"({t_s_interp:.2f}s -> {t_s_auto:.2f}s)")
 
         d_scalar, t_d_scalar = _run(dynamic_wl, jobs, args.designs,
-                                    None, static_trace="never",
-                                    interp="scalar")
-        d_vec, t_d_vec = _run(dynamic_wl, jobs, args.designs, None,
-                              static_trace="never",
-                              interp="vectorized")
+                                    None, reference=True)
+        d_vec, t_d_vec = _run(dynamic_wl, jobs, args.designs, None)
         assert d_scalar.rows() == d_vec.rows(), \
             "vectorized predictions diverged from scalar on the " \
             "dynamic subset"

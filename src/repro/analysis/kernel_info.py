@@ -3,8 +3,8 @@ Analysis" box).
 
 :func:`analyze_kernel` runs the whole front half of FlexCL:
 
-1. profile a few work-groups with the interpreter (dynamic trip counts
-   and memory traces — "the profiling overhead is very small ... because
+1. profile a few work-groups with the fastest trace engine the kernel
+   admits (dynamic trip counts and memory traces — "the profiling overhead is very small ... because
    only a few work-groups are profiled in practice");
 2. discover loops and attach trip counts (static counts win);
 3. build the simplified CDFG artefacts: per-block DFGs and the
@@ -42,27 +42,12 @@ from repro.latency.optable import OpLatencyTable
 #: shape varies with a short row period (guarded stencils).
 DEFAULT_PROFILE_GROUPS = 4
 
-#: ``static_trace`` modes accepted by :func:`analyze_kernel`.
-STATIC_TRACE_MODES = ("auto", "always", "never")
-
-#: ``interp`` modes accepted by :func:`analyze_kernel` — the dynamic
-#: (non-synthesized) trace producer.  ``"auto"`` vectorizes non-pipe
-#: kernels and falls back to the scalar interpreter on
-#: :class:`~repro.interp.vexec.VectorizationError`; ``"vectorized"``
-#: demands lane vectorization; ``"scalar"`` always interprets per
-#: work-item.
-INTERP_MODES = ("auto", "vectorized", "scalar")
-
-
-class StaticTraceUnavailable(RuntimeError):
-    """Raised by ``static_trace='always'`` when the kernel's access
-    summary is IRREGULAR (or synthesis fails at runtime)."""
-
 
 class StaticTraceMismatch(AssertionError):
-    """Raised by ``verify=True`` when a synthesized trace disagrees
-    with the interpreter — always a bug in the summary engine or the
-    synthesizer, never expected in normal operation."""
+    """Raised by ``verify=True`` when a synthesized or vectorized trace
+    disagrees with the scalar interpreter — always a bug in the summary
+    engine, the synthesizer, or the vectorized executor, never expected
+    in normal operation."""
 
 
 # Per-function memoization for work the explorer repeats across
@@ -162,9 +147,6 @@ class KernelInfo:
     #: bytes of __local memory declared by the kernel (per CU)
     local_mem_bytes: int = 0
     barriers_per_wi: int = 0
-    #: True when the traces came from the static synthesizer rather
-    #: than the profiling interpreter
-    static_trace_used: bool = False
     #: which engine produced the traces: ``"synth"`` (static
     #: synthesizer), ``"vectorized"`` (lane-vectorized interpreter),
     #: or ``"scalar"`` (per-work-item interpreter)
@@ -204,218 +186,150 @@ def analysis_fingerprint(fn: Function, buffers: Dict[str, Buffer],
                          scalars: Dict[str, object], ndrange: NDRange,
                          device, table: OpLatencyTable,
                          profile_groups: int,
-                         summary_fingerprint: Optional[str] = None,
-                         trace_engine: Optional[tuple] = None) -> str:
+                         summary_fingerprint: str) -> str:
     """Content hash of one analysis run's inputs (the persistent cache
     key): kernel IR, buffer contents, scalars, NDRange, the full device
-    configuration, the op-latency table, and the profiling depth.
-
-    When the traces are synthesized statically, the summary engine's
-    version and fingerprint join the key (pass *summary_fingerprint*),
-    so a summary-engine change invalidates only synthesized entries.
-    Likewise *trace_engine* (e.g. ``("vexec", VEXEC_ENGINE_VERSION)``)
-    keys vectorized-interpreter entries separately from scalar ones."""
+    configuration, the op-latency table, and the profiling depth, plus
+    the access summary's fingerprint and the versions of the summary
+    and vectorized engines — bumping either version makes every older
+    entry unreachable, whichever engine produced it."""
     from repro.cache import analysis_key, digest
+    from repro.interp.vexec import VEXEC_ENGINE_VERSION
+    from repro.lint.summary.engine import SUMMARY_ENGINE_VERSION
     table_part = digest(sorted((cls.name, lat) for cls, lat
                                in table.latencies.items()), table.scale)
-    extra: tuple = (profile_groups, table_part)
-    if summary_fingerprint is not None:
-        from repro.lint.summary.engine import SUMMARY_ENGINE_VERSION
-        extra = extra + ("static", SUMMARY_ENGINE_VERSION,
-                         summary_fingerprint)
-    if trace_engine is not None:
-        extra = extra + tuple(trace_engine)
-    return analysis_key(fn, buffers, scalars, ndrange, device, extra)
+    return analysis_key(fn, buffers, scalars, ndrange, device,
+                        (profile_groups, table_part,
+                         SUMMARY_ENGINE_VERSION, summary_fingerprint,
+                         VEXEC_ENGINE_VERSION))
 
 
 def analyze_kernel(fn: Function, buffers: Dict[str, Buffer],
                    scalars: Dict[str, object], ndrange: NDRange,
                    device, table: Optional[OpLatencyTable] = None,
                    profile_groups: int = DEFAULT_PROFILE_GROUPS,
-                   cache=None, static_trace: str = "auto",
-                   verify: bool = False,
-                   launch: Optional[LaunchResult] = None,
-                   interp: str = "auto") -> KernelInfo:
+                   cache=None, verify: bool = False,
+                   launch: Optional[LaunchResult] = None) -> KernelInfo:
     """Run FlexCL kernel analysis.  *buffers* are consumed (the profiling
     run mutates them); pass fresh copies if the caller needs the data.
 
-    *static_trace* selects the trace producer: ``"auto"`` (default)
-    synthesizes the profile analytically when the access summary proves
-    the kernel STATIC and interprets otherwise; ``"never"`` always
-    interprets; ``"always"`` demands synthesis and raises
-    :class:`StaticTraceUnavailable` when the kernel is IRREGULAR.
-    *verify* additionally interprets and cross-checks every synthesized
-    trace address-for-address (:class:`StaticTraceMismatch` on any
+    The kernel picks its trace engine: when the access summary proves
+    it STATIC the profile is synthesized analytically
+    (:class:`repro.interp.synth.TraceSynthesizer`); otherwise, or when
+    synthesis raises :class:`~repro.interp.synth.SynthesisError`, the
+    lane-vectorized interpreter
+    (:class:`repro.interp.vexec.VectorizedExecutor`) runs it, and on
+    :class:`~repro.interp.vexec.VectorizationError` the scalar
+    :class:`KernelExecutor` does.  All three produce bit-identical
+    launches and traces; :attr:`KernelInfo.trace_source` records which
+    one ran.  *verify* additionally interprets with the scalar executor
+    and cross-checks a synthesized or vectorized profile
+    address-for-address (:class:`StaticTraceMismatch` on any
     disagreement).
-
-    *interp* selects the dynamic trace producer used when synthesis is
-    off or unavailable: ``"auto"`` (default) runs the lane-vectorized
-    interpreter (:class:`repro.interp.vexec.VectorizedExecutor`) and
-    falls back to the scalar :class:`KernelExecutor` on
-    :class:`~repro.interp.vexec.VectorizationError`; ``"vectorized"``
-    demands vectorization (the error propagates); ``"scalar"`` always
-    uses the per-work-item interpreter.  All three produce bit-identical
-    launches and traces; with ``verify=True`` a vectorized profile is
-    additionally cross-checked against the scalar interpreter.
 
     With a :class:`repro.cache.ArtifactCache` as *cache*, the analysis
     is content-addressed: a prior run with the same kernel, inputs, and
     device (in any process) is loaded from disk instead of re-profiled,
     and a cache hit leaves *buffers* untouched.  The result is
-    bit-identical either way — synthesized and interpreted analyses
-    produce identical traces, but are cached under distinct keys.
+    bit-identical either way.
 
-    Pipe kernels cannot be profiled standalone (a blocking FIFO op only
-    makes progress when the peer kernel is live): co-execute the whole
-    program with :class:`repro.interp.ProgramExecutor` and pass each
-    stage's :class:`LaunchResult` as *launch*.  The profiling step is
-    then skipped, and the persistent cache is bypassed (the launch came
-    from outside this function's hashed inputs).
+    *launch* takes a pre-recorded :class:`LaunchResult` instead of
+    profiling.  Pipe kernels need it: they cannot be profiled standalone
+    (a blocking FIFO op only makes progress when the peer kernel is
+    live), so co-execute the whole program with
+    :class:`repro.interp.ProgramExecutor` and pass each stage's launch.
+    A ``KernelExecutor(...).run(...)`` result gives the scalar
+    reference analysis.  The persistent cache is bypassed (the launch
+    came from outside this function's hashed inputs).
     """
-    if static_trace not in STATIC_TRACE_MODES:
-        raise ValueError(f"static_trace must be one of "
-                         f"{STATIC_TRACE_MODES}, got {static_trace!r}")
-    if interp not in INTERP_MODES:
-        raise ValueError(f"interp must be one of {INTERP_MODES}, "
-                         f"got {interp!r}")
     if table is None:
         table = OpLatencyTable.for_device(device)
 
     if launch is not None:
-        return _analyze_from_launch(fn, ndrange, device, table, launch)
+        if isinstance(launch.traces, list):
+            launch.traces = pack_traces(launch.traces,
+                                        ndrange.work_group_size)
+        return _build_info(fn, ndrange, device, table, launch,
+                           fingerprint=None, summary=None,
+                           trace_source="scalar")
 
-    summary = None
-    if static_trace != "never":
-        from repro.lint.summary import VERDICT_STATIC, summarize_kernel
-        summary = summarize_kernel(fn)
-        if static_trace == "always" and summary.verdict != VERDICT_STATIC:
-            why = "; ".join(f"{r.code} at {r.where}"
-                            for r in summary.reasons[:4])
-            raise StaticTraceUnavailable(
-                f"kernel {fn.name} is {summary.verdict}: {why}")
-        if summary.verdict != VERDICT_STATIC:
-            summary_static = False
-        else:
-            summary_static = True
-    else:
-        summary_static = False
-
+    from repro.lint.summary import VERDICT_STATIC, summarize_kernel
+    summary = summarize_kernel(fn)
     # Hash the inputs before profiling mutates the buffers; the key
     # doubles as the KernelInfo fingerprint the sub-model caches use.
-    launch = None
-    static_used = False
-    fingerprint = None
-    if summary_static:
-        fingerprint = analysis_fingerprint(
-            fn, buffers, scalars, ndrange, device, table, profile_groups,
-            summary_fingerprint=summary.fingerprint)
-        if cache is not None:
-            found, cached = cache.get("analysis", fingerprint)
-            if found and isinstance(cached, KernelInfo):
-                return cached
-        # Stable site ids shared with the trace records.
-        for i, inst in enumerate(fn.instructions()):
-            inst.site_id = i  # type: ignore[attr-defined]
-        from repro.interp.synth import SynthesisError
-        try:
-            synthesizer = _synthesizer_for(fn, buffers, scalars)
-            launch = synthesizer.run(ndrange,
-                                     max_groups=max(profile_groups, 1))
-            static_used = True
-        except SynthesisError as exc:
-            # The summary over-promised (or the launch hits a runtime
-            # condition the executor would also fault on): fall back to
-            # interpretation, which reproduces the real error behaviour.
-            if static_trace == "always":
-                raise StaticTraceUnavailable(
-                    f"synthesis failed for {fn.name}: {exc}") from exc
-            launch = None
-        if launch is not None and verify:
-            _verify_against_interpreter(fn, buffers, scalars, ndrange,
-                                        profile_groups, launch)
-
-    trace_source = "synth" if static_used else "scalar"
-    if launch is None:
-        if interp != "scalar":
-            from repro.interp.vexec import (
-                VEXEC_ENGINE_VERSION,
-                VectorizationError,
-                VectorizedExecutor,
-            )
-            fp_vec = analysis_fingerprint(
-                fn, buffers, scalars, ndrange, device, table,
-                profile_groups,
-                trace_engine=("vexec", VEXEC_ENGINE_VERSION))
-            if cache is not None:
-                found, cached = cache.get("analysis", fp_vec)
-                if found and isinstance(cached, KernelInfo):
-                    return cached
-            for i, inst in enumerate(fn.instructions()):
-                inst.site_id = i  # type: ignore[attr-defined]
-            snapshot = ({name: b.data.copy() for name, b in buffers.items()}
-                        if verify else None)
-            try:
-                executor = VectorizedExecutor(fn, buffers, scalars)
-                launch = executor.run(ndrange,
-                                      max_groups=max(profile_groups, 1))
-                fingerprint = fp_vec
-                trace_source = "vectorized"
-            except VectorizationError:
-                # The kernel (or this launch) left the vectorizable
-                # subset; the buffers were restored, so scalar
-                # interpretation reproduces canonical behaviour.
-                if interp == "vectorized":
-                    raise
-                launch = None
-            if launch is not None and verify:
-                for name, buf in buffers.items():
-                    buf.data[...] = snapshot[name]
-                _verify_against_interpreter(fn, buffers, scalars, ndrange,
-                                            profile_groups, launch)
-
-    if launch is None:
-        fingerprint = analysis_fingerprint(fn, buffers, scalars, ndrange,
-                                           device, table, profile_groups)
-        if cache is not None:
-            found, cached = cache.get("analysis", fingerprint)
-            if found and isinstance(cached, KernelInfo):
-                return cached
-        for i, inst in enumerate(fn.instructions()):
-            inst.site_id = i  # type: ignore[attr-defined]
-        executor = KernelExecutor(fn, buffers, scalars)
-        launch = executor.run(ndrange, max_groups=max(profile_groups, 1))
-        # Pack interpreter traces into the columnar form so analysis
-        # and cache serialisation stay on the fast path either way.
-        launch.traces = pack_traces(launch.traces,
-                                    ndrange.work_group_size)
-
-    info = _build_info(fn, ndrange, device, table, launch,
-                       fingerprint, static_used, summary,
-                       trace_source=trace_source)
+    fingerprint = analysis_fingerprint(fn, buffers, scalars, ndrange,
+                                       device, table, profile_groups,
+                                       summary.fingerprint)
+    if cache is not None:
+        found, cached = cache.get("analysis", fingerprint)
+        if found and isinstance(cached, KernelInfo):
+            return cached
+    launch, trace_source = _profile(
+        fn, buffers, scalars, ndrange, max(profile_groups, 1),
+        summary.verdict == VERDICT_STATIC, verify)
+    info = _build_info(fn, ndrange, device, table, launch, fingerprint,
+                       summary, trace_source)
     if cache is not None:
         cache.put("analysis", fingerprint, info)
     return info
 
 
-def _analyze_from_launch(fn: Function, ndrange: NDRange, device,
-                         table: OpLatencyTable,
-                         launch: LaunchResult) -> KernelInfo:
-    """Build a :class:`KernelInfo` from a pre-recorded launch (program
-    co-execution).  No profiling, no persistent cache."""
-    for i, inst in enumerate(fn.instructions()):
-        inst.site_id = i  # type: ignore[attr-defined]
-    if isinstance(launch.traces, list):
-        launch.traces = pack_traces(launch.traces,
-                                    ndrange.work_group_size)
-    return _build_info(fn, ndrange, device, table, launch,
-                       fingerprint=None, static_used=False, summary=None,
-                       trace_source="scalar")
+def _profile(fn: Function, buffers: Dict[str, Buffer],
+             scalars: Dict[str, object], ndrange: NDRange,
+             max_groups: int, static: bool, verify: bool):
+    """Profile *max_groups* work-groups with the first engine that
+    accepts the kernel; returns ``(launch, trace_source)``."""
+    if static:
+        from repro.interp.synth import SynthesisError
+        try:
+            launch = _synthesizer_for(fn, buffers, scalars).run(
+                ndrange, max_groups=max_groups)
+        except SynthesisError:
+            # The summary over-promised (or the launch hits a runtime
+            # condition the executor would also fault on): fall back to
+            # execution, which reproduces the real error behaviour.
+            pass
+        else:
+            if verify:
+                _verify_against_interpreter(fn, buffers, scalars,
+                                            ndrange, max_groups, launch)
+            return launch, "synth"
+
+    from repro.interp.vexec import VectorizationError, VectorizedExecutor
+    snapshot = ({name: b.data.copy() for name, b in buffers.items()}
+                if verify else None)
+    try:
+        launch = VectorizedExecutor(fn, buffers, scalars).run(
+            ndrange, max_groups=max_groups)
+    except VectorizationError:
+        # The kernel (or this launch) left the vectorizable subset; the
+        # buffers were restored, so scalar interpretation reproduces
+        # canonical behaviour.
+        pass
+    else:
+        if verify:
+            for name, buf in buffers.items():
+                buf.data[...] = snapshot[name]
+            _verify_against_interpreter(fn, buffers, scalars, ndrange,
+                                        max_groups, launch)
+        return launch, "vectorized"
+
+    launch = KernelExecutor(fn, buffers, scalars).run(
+        ndrange, max_groups=max_groups)
+    # Pack interpreter traces into the columnar form so analysis and
+    # cache serialisation stay on the fast path either way.
+    launch.traces = pack_traces(launch.traces, ndrange.work_group_size)
+    return launch, "scalar"
 
 
 def _build_info(fn: Function, ndrange: NDRange, device,
                 table: OpLatencyTable, launch: LaunchResult,
-                fingerprint: Optional[str], static_used: bool,
-                summary, trace_source: str = "scalar") -> KernelInfo:
+                fingerprint: Optional[str], summary,
+                trace_source: str) -> KernelInfo:
+    # Stable site ids shared with the trace records (the engines number
+    # sites in the same instruction order).
+    for i, inst in enumerate(fn.instructions()):
+        inst.site_id = i  # type: ignore[attr-defined]
     loop_nest = find_loops(fn)
     items = max(launch.work_items_executed, 1)
     block_weights = {name: count / items
@@ -443,7 +357,6 @@ def _build_info(fn: Function, ndrange: NDRange, device,
             table.dsp_cost(node.inst) for node in function_dfg.nodes)),
         local_mem_bytes=_local_mem_bytes(fn),
         barriers_per_wi=launch.barriers_per_item,
-        static_trace_used=static_used,
         trace_source=trace_source,
         summary_verdict=(summary.verdict if summary is not None
                          else None),
@@ -476,27 +389,28 @@ def _pipe_traffic(fn: Function,
 
 
 def _verify_against_interpreter(fn, buffers, scalars, ndrange,
-                                profile_groups, launch) -> None:
-    """Cross-check a synthesized launch against the interpreter,
-    address-for-address.  Raises :class:`StaticTraceMismatch`."""
+                                max_groups, launch) -> None:
+    """Cross-check a synthesized or vectorized launch against the scalar
+    interpreter, address-for-address.  Raises
+    :class:`StaticTraceMismatch`."""
     executor = KernelExecutor(fn, buffers, scalars)
-    ref = executor.run(ndrange, max_groups=max(profile_groups, 1))
+    ref = executor.run(ndrange, max_groups=max_groups)
     if len(ref.traces) != len(launch.traces):
         raise StaticTraceMismatch(
-            f"{fn.name}: {len(launch.traces)} synthesized work-item "
+            f"{fn.name}: {len(launch.traces)} profiled work-item "
             f"traces vs {len(ref.traces)} interpreted")
     for wi in range(len(ref.traces)):
         if list(launch.traces[wi]) != list(ref.traces[wi]):
             raise StaticTraceMismatch(
                 f"{fn.name}: work-item {wi} trace differs between "
-                f"synthesis and interpretation")
+                f"the fast engine and interpretation")
     for field_name in ("groups_executed", "work_items_executed",
                        "block_counts", "trip_counts",
                        "barriers_per_item"):
         if getattr(ref, field_name) != getattr(launch, field_name):
             raise StaticTraceMismatch(
-                f"{fn.name}: {field_name} differs between synthesis "
-                f"and interpretation")
+                f"{fn.name}: {field_name} differs between the fast "
+                f"engine and interpretation")
 
 
 def _add_recurrence_edges(graph: DataFlowGraph,

@@ -31,7 +31,7 @@ from typing import Dict
 #: profiling interpreter records different traces, the PE scheduler
 #: changes its output): old entries become unreachable, not wrong.
 SCHEMA_VERSIONS: Dict[str, int] = {
-    "analysis": 4,   # pickled KernelInfo (+ trace_source provenance)
+    "analysis": 5,   # pickled KernelInfo; one key for every trace engine
     "pe": 1,         # PEModelResult rows spilled from repro.model.memo
     "memory": 1,     # MemoryModelResult rows spilled from repro.model.memo
     "table1": 1,     # per-device PatternLatencyTable (Table 1)

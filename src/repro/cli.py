@@ -61,8 +61,6 @@ class CLIError(Exception):
 _SPEC_FIELD_FLAGS = {
     "'kernel'": "--kernel NAME",
     "'global_size'": "--global-size",
-    "'static_trace'": "--static-trace",
-    "'interp'": "--interp",
     "'args'": "--arg",
 }
 
@@ -153,10 +151,7 @@ def _analyze_wg(fn, device, args, overrides, wg: int, cache=None):
     buffers, scalars = _build_buffers(fn, args.global_size, overrides)
     return analyze_kernel(fn, buffers, scalars,
                           NDRange(args.global_size, wg), device,
-                          cache=cache,
-                          static_trace=getattr(args, "static_trace",
-                                               "auto"),
-                          interp=getattr(args, "interp", "auto"))
+                          cache=cache)
 
 
 def _analyze(args, wg: Optional[int] = None, cache=None):
@@ -295,8 +290,6 @@ def _kernel_spec(args) -> dict:
     :mod:`repro.serve.api`, so ``--json`` output is byte-identical to
     the served response)."""
     spec = {"kernel": args.kernel, "device": args.device,
-            "static_trace": args.static_trace,
-            "interp": getattr(args, "interp", "auto"),
             "args": _spec_args(args)}
     if getattr(args, "workload", None):
         if args.source:
@@ -572,9 +565,7 @@ def cmd_suite(args) -> int:
     if args.json:
         from repro.serve import api as serve_api
         spec = {"suite": args.suite, "limit": args.limit,
-                "designs": args.designs, "device": args.device,
-                "static_trace": args.static_trace,
-                "interp": args.interp}
+                "designs": args.designs, "device": args.device}
         try:
             payload = serve_api.suite_payload(spec,
                                               cache=_open_cache(args))
@@ -591,8 +582,6 @@ def cmd_suite(args) -> int:
         return 2
     result = run_suite(catalog, device, jobs=args.jobs, cache=cache,
                        designs_per_kernel=args.designs,
-                       static_trace=args.static_trace,
-                       interp=args.interp,
                        collect_features=bool(args.export_features))
     if args.export_features:
         from repro.surrogate import export_features
@@ -833,24 +822,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--no-cache", action="store_true",
                        help="disable the persistent cache for this run")
 
-    def add_static_trace_arg(p):
-        p.add_argument("--static-trace", default="auto",
-                       choices=["auto", "always", "never"],
-                       help="trace producer: synthesize analytically "
-                            "when the access summary proves the kernel "
-                            "STATIC (auto, default), require synthesis "
-                            "(always), or always interpret (never)")
-
-    def add_interp_arg(p):
-        p.add_argument("--interp", default="auto",
-                       choices=["auto", "vectorized", "scalar"],
-                       help="dynamic trace producer when synthesis is "
-                            "off or unavailable: lane-vectorized "
-                            "work-group execution with scalar fallback "
-                            "(auto, default), require vectorization "
-                            "(vectorized), or per-work-item "
-                            "interpretation (scalar)")
-
     def add_kernel_args(p):
         p.add_argument("source", nargs="?",
                        help="OpenCL .cl source file (or use --workload)")
@@ -870,8 +841,6 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=["virtex7", "ku060"])
         p.add_argument("--arg", action="append", metavar="NAME=VALUE",
                        help="override a scalar kernel argument")
-        add_static_trace_arg(p)
-        add_interp_arg(p)
         add_cache_args(p)
 
     def add_json_arg(p):
@@ -991,8 +960,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "feature vector + cycles as NDJSON training "
                         "data (see docs/SURROGATE.md)")
     add_json_arg(p)
-    add_static_trace_arg(p)
-    add_interp_arg(p)
     add_cache_args(p)
     p.set_defaults(func=cmd_suite)
 

@@ -18,21 +18,15 @@ from repro.workloads.base import Workload
 
 def make_analyzer(workload: Workload, device,
                   profile_groups: Optional[int] = None,
-                  cache=None, static_trace: str = "auto",
-                  interp: str = "auto"
-                  ) -> Callable[[int], Optional[KernelInfo]]:
+                  cache=None) -> Callable[[int], Optional[KernelInfo]]:
     """Returns a cached ``analyze(wg_size) -> KernelInfo`` for one
     workload.  Returns None for work-group sizes the kernel cannot run
     at (analysis raising is treated as 'this configuration does not
     build').  With a persistent *cache*
     (:class:`repro.cache.ArtifactCache`), analyses are additionally
-    content-addressed on disk and shared across processes.
-    *static_trace* and *interp* are forwarded to
-    :func:`~repro.analysis.analyze_kernel`: kernels the access-summary
-    engine proves STATIC get synthesized traces (the kernel function is
-    compiled once and the summary is memoized on it, so a DSE sweep
-    pays the proof once for all work-group sizes), and the rest are
-    profiled by the lane-vectorized or scalar interpreter."""
+    content-addressed on disk and shared across processes.  The kernel
+    function is compiled once and its access summary is memoized on it,
+    so a DSE sweep pays the proof once for all work-group sizes."""
     memo: Dict[int, Optional[KernelInfo]] = {}
 
     def analyze(wg_size: int) -> Optional[KernelInfo]:
@@ -44,8 +38,7 @@ def make_analyzer(workload: Workload, device,
                     device,
                     profile_groups=(profile_groups
                                     or DEFAULT_PROFILE_GROUPS),
-                    cache=cache, static_trace=static_trace,
-                    interp=interp)
+                    cache=cache)
             except Exception:
                 memo[wg_size] = None
         return memo[wg_size]

@@ -83,13 +83,10 @@ class SuiteResult:
 
 def _evaluate_workload(workload: Workload, device, cache,
                        designs_per_kernel: int,
-                       static_trace: str = "auto",
-                       interp: str = "auto",
                        collect_features: bool = False
                        ) -> List[SuitePrediction]:
     """Analyse one workload and predict its sampled design points."""
-    analyzer = make_analyzer(workload, device, cache=cache,
-                             static_trace=static_trace, interp=interp)
+    analyzer = make_analyzer(workload, device, cache=cache)
     space = DesignSpace.default_for(workload.global_size)
     designs = sample_designs(workload, device, space,
                              designs_per_kernel, analyzer)
@@ -122,11 +119,10 @@ def _run_suite_shard(indices: List[int]
                      ) -> Tuple[List[Tuple[int, List[SuitePrediction]]],
                                 StoreStats]:
     (workloads, device, cache, designs_per_kernel,
-     static_trace, interp, collect_features) = _SUITE_STATE
+     collect_features) = _SUITE_STATE
     before = cache.stats.copy() if cache is not None else StoreStats()
     out = [(i, _evaluate_workload(workloads[i], device, cache,
-                                  designs_per_kernel, static_trace,
-                                  interp, collect_features))
+                                  designs_per_kernel, collect_features))
            for i in indices]
     after = cache.stats.copy() if cache is not None else StoreStats()
     return out, after - before
@@ -135,8 +131,6 @@ def _run_suite_shard(indices: List[int]
 def run_suite(workloads: Sequence[Workload], device,
               jobs=None, cache=None,
               designs_per_kernel: int = 8,
-              static_trace: str = "auto",
-              interp: str = "auto",
               collect_features: bool = False) -> SuiteResult:
     """Predict *designs_per_kernel* sampled design points for every
     workload in *workloads* on *device*.
@@ -167,7 +161,7 @@ def run_suite(workloads: Sequence[Workload], device,
         shards = [list(range(s, len(workloads), n_jobs))
                   for s in range(n_jobs)]
         _SUITE_STATE = (workloads, device, cache, designs_per_kernel,
-                        static_trace, interp, collect_features)
+                        collect_features)
         try:
             ctx = multiprocessing.get_context("fork")
             with concurrent.futures.ProcessPoolExecutor(
@@ -191,8 +185,7 @@ def run_suite(workloads: Sequence[Workload], device,
         for workload in workloads:
             result.predictions.extend(
                 _evaluate_workload(workload, device, cache,
-                                   designs_per_kernel, static_trace,
-                                   interp, collect_features))
+                                   designs_per_kernel, collect_features))
         if before is not None:
             result.store_stats = cache.stats - before
 

@@ -106,8 +106,8 @@ from repro.ir.instructions import (
 from repro.ir.types import AddressSpace, ArrayType, PointerType
 from repro.ir.values import Argument, Constant, Register, Value
 
-#: bump to invalidate persistently cached analyses produced by this
-#: engine (mirrors SUMMARY_ENGINE_VERSION for synthesized entries)
+#: bump to invalidate persistently cached analyses (the version joins
+#: every analysis cache key, like SUMMARY_ENGINE_VERSION)
 VEXEC_ENGINE_VERSION = 1
 
 

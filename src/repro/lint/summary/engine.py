@@ -51,9 +51,9 @@ from repro.lint.summary.model import (
     VERDICT_STATIC,
 )
 
-#: Bump when verdict or summary semantics change: the fingerprint joins
-#: the analysis cache key whenever a synthesized trace is used, so old
-#: cache entries become unreachable rather than wrong.
+#: Bump when verdict or summary semantics change: the version joins
+#: every analysis cache key, so old cache entries become unreachable
+#: rather than wrong.
 SUMMARY_ENGINE_VERSION = 1
 
 _TRACED_SPACES = (AddressSpace.GLOBAL, AddressSpace.LOCAL,

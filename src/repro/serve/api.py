@@ -22,7 +22,7 @@ Request shapes (all fields beyond the required ones have defaults):
     {"source": "<OpenCL C>", "kernel": "saxpy", "global_size": 4096,
      "wg": 64, "pe": 1, "cu": 1, "vector": 1, "mode": "pipeline",
      "pipeline": true, "wg_pipeline": false, "device": "virtex7",
-     "static_trace": "auto", "args": {"alpha": 2.0}, "simulate": false}
+     "args": {"alpha": 2.0}, "simulate": false}
     {"workload": "rodinia/nw/kernel1", "wg": 16}     # catalog form
 
 ``predict-graph``::
@@ -32,8 +32,9 @@ Request shapes (all fields beyond the required ones have defaults):
 
 ``suite``::
 
-    {"suite": "rodinia", "limit": 4, "designs": 8,
-     "static_trace": "auto", "device": "virtex7"}
+    {"suite": "rodinia", "limit": 4, "designs": 8, "device": "virtex7"}
+
+Unknown fields are ignored.
 """
 
 from __future__ import annotations
@@ -51,8 +52,6 @@ from repro.cache import (
 )
 
 #: design parameters shared by the predict spec and the CLI flags
-STATIC_TRACE_MODES = ("auto", "always", "never")
-INTERP_MODES = ("auto", "vectorized", "scalar")
 COMM_MODES = ("pipeline", "barrier")
 REALIZATION_MODES = ("dram", "pipe", "both")
 #: /predict answer tiers: the exact analytical model, or the learned
@@ -132,9 +131,6 @@ def _kernel_fields(spec) -> Dict[str, object]:
         "source": source, "workload": workload,
         "kernel": spec.get("kernel") or None,
         "device": _device_name(spec),
-        "static_trace": _choice(spec, "static_trace", "auto",
-                                STATIC_TRACE_MODES),
-        "interp": _choice(spec, "interp", "auto", INTERP_MODES),
     }
     if source is not None:
         if not spec.get("global_size"):
@@ -221,9 +217,6 @@ def normalize_suite_spec(spec: dict) -> dict:
         "limit": _as_int(spec, "limit", 0),
         "designs": _as_int(spec, "designs", 8),
         "device": _device_name(spec),
-        "static_trace": _choice(spec, "static_trace", "auto",
-                                STATIC_TRACE_MODES),
-        "interp": _choice(spec, "interp", "auto", INTERP_MODES),
     }
     if out["limit"] < 0:
         raise ApiError("'limit' must be >= 0")
@@ -436,8 +429,7 @@ def predict_payload(spec: dict, cache=None,
                                     spec["args"])
     info = analyze_kernel(fn, buffers, scalars,
                           NDRange(global_size, spec["wg"]), device,
-                          cache=cache, static_trace=spec["static_trace"],
-                          interp=spec["interp"])
+                          cache=cache)
     reason = check_feasibility(info, design, device)
     if reason is not None:
         payload["feasible"] = False
@@ -445,12 +437,10 @@ def predict_payload(spec: dict, cache=None,
         return payload
 
     payload["feasible"] = True
-    if info.summary_verdict is not None:
-        payload["traces"] = {
-            "provenance": TRACE_PROVENANCE.get(
-                getattr(info, "trace_source", "scalar"), "interpreted"),
-            "summary": info.summary_verdict,
-        }
+    payload["traces"] = {
+        "provenance": TRACE_PROVENANCE[info.trace_source],
+        "summary": info.summary_verdict,
+    }
     prediction = FlexCL(device, cache=cache).predict(info, design)
     area = estimate_area(info, design)
     payload["prediction"] = {
@@ -546,7 +536,6 @@ def instant_predict_payload(spec: dict, cache=None,
 
     info_slot = ("info", spec["workload"] or function_fingerprint(fn),
                  device.name, global_size, spec["wg"],
-                 spec["static_trace"], spec["interp"],
                  tuple(sorted(spec["args"].items())))
     info = memo.get(info_slot)
     if info is None:
@@ -554,9 +543,7 @@ def instant_predict_payload(spec: dict, cache=None,
                                         spec["args"])
         info = analyze_kernel(fn, buffers, scalars,
                               NDRange(global_size, spec["wg"]), device,
-                              cache=cache,
-                              static_trace=spec["static_trace"],
-                              interp=spec["interp"])
+                              cache=cache)
         memo[info_slot] = info
 
     reason = check_feasibility(info, design, device)
@@ -603,9 +590,7 @@ def make_spec_analyzer(spec: dict, fn, workload, device, cache=None
                                                 spec["args"])
                 memo[wg] = analyze_kernel(
                     fn, buffers, scalars, NDRange(global_size, wg),
-                    device, cache=cache,
-                    static_trace=spec["static_trace"],
-                    interp=spec["interp"])
+                    device, cache=cache)
             except Exception:
                 memo[wg] = None
         return memo[wg]
@@ -856,9 +841,7 @@ def suite_shard_rows(spec: dict, cache=None,
     out: List[Tuple[int, List[dict]]] = []
     for i in indices:
         preds = _evaluate_workload(catalog[i], device, cache,
-                                   spec["designs"],
-                                   spec["static_trace"],
-                                   spec["interp"])
+                                   spec["designs"])
         out.append((i, [{"workload": p.workload, "design": p.design,
                          "cycles": p.cycles,
                          "trace_source": p.trace_source}
@@ -916,7 +899,6 @@ def request_key(endpoint: str, spec: dict,
             device_fingerprint(device_by_name(spec["device"])),
             _spec_global_size(spec, workload),
             spec_design(spec).signature(),
-            spec["static_trace"], spec["interp"],
             sorted(spec["args"].items()),
             spec["simulate"], spec["tier"],
             spec["workload"] or "")
@@ -928,7 +910,6 @@ def request_key(endpoint: str, spec: dict,
             "serve-explore", function_fingerprint(fn),
             device_fingerprint(device_by_name(spec["device"])),
             _spec_global_size(spec, workload), spec["top"],
-            spec["static_trace"], spec["interp"],
             sorted(spec["args"].items()),
             spec["prefilter"], spec["top_k"],
             spec["workload"] or "")
@@ -945,8 +926,7 @@ def request_key(endpoint: str, spec: dict,
         from repro.devices import device_by_name
         return digest(
             "serve-suite", spec["suite"], spec["limit"],
-            spec["designs"], spec["static_trace"], spec["interp"],
-            device_fingerprint(device_by_name(spec["device"])))
+            spec["designs"], device_fingerprint(device_by_name(spec["device"])))
     raise ApiError(f"unknown endpoint {endpoint!r}")
 
 

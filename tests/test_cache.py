@@ -140,6 +140,92 @@ class TestInvalidation:
             FlexCL(VIRTEX7).predict(info_warm, design).cycles
 
 
+class _CountingStore:
+    """A dict-backed stand-in for :class:`ArtifactCache` that counts
+    lookups and writes per layer."""
+
+    def __init__(self):
+        self.entries = {}
+        self.gets = {}
+        self.puts = {}
+
+    def get(self, layer, key):
+        self.gets[layer] = self.gets.get(layer, 0) + 1
+        if (layer, key) in self.entries:
+            return True, self.entries[layer, key]
+        return False, None
+
+    def put(self, layer, key, value):
+        self.puts[layer] = self.puts.get(layer, 0) + 1
+        self.entries[layer, key] = value
+
+
+def _analyze_workload(name, cache=None):
+    from repro.workloads import registry
+    w = registry.get_workload(*name.split("/"))
+    return analyze_kernel(w.function(), w.make_buffers(),
+                          dict(w.scalars), w.ndrange(), VIRTEX7,
+                          cache=cache)
+
+
+class TestAnalysisKeySoundness:
+    """Each analysis is keyed once, and the key covers every engine the
+    kernel's traces could come from."""
+
+    STATIC = "polybench/atax/atax"
+    DYNAMIC = "rodinia/bfs/bfs_1"
+
+    @pytest.mark.parametrize("module, name", [
+        ("repro.lint.summary.engine", "SUMMARY_ENGINE_VERSION"),
+        ("repro.interp.vexec", "VEXEC_ENGINE_VERSION"),
+    ])
+    def test_engine_version_bump_moves_every_key(self, module, name,
+                                                 monkeypatch):
+        import importlib
+        before = {w: _analyze_workload(w).fingerprint
+                  for w in (self.STATIC, self.DYNAMIC)}
+        owner = importlib.import_module(module)
+        monkeypatch.setattr(owner, name, getattr(owner, name) + 1)
+        for w, key in before.items():
+            assert _analyze_workload(w).fingerprint != key, w
+
+    @pytest.mark.parametrize("workload", [STATIC, DYNAMIC])
+    def test_one_get_and_one_put_per_analysis(self, workload):
+        store = _CountingStore()
+        _analyze_workload(workload, cache=store)
+        assert store.gets == {"analysis": 1}
+        assert store.puts == {"analysis": 1}
+        _analyze_workload(workload, cache=store)
+        assert store.gets == {"analysis": 2}
+        assert store.puts == {"analysis": 1}
+
+    def test_synthesis_failure_still_keys_once(self, monkeypatch):
+        from repro.interp.synth import SynthesisError, TraceSynthesizer
+
+        def refuse(self, *args, **kwargs):
+            raise SynthesisError("forced")
+
+        monkeypatch.setattr(TraceSynthesizer, "run", refuse)
+        store = _CountingStore()
+        info = _analyze_workload(self.STATIC, cache=store)
+        assert info.trace_source == "vectorized"
+        assert store.gets == {"analysis": 1}
+        assert store.puts == {"analysis": 1}
+
+    def test_vectorization_failure_still_keys_once(self, monkeypatch):
+        from repro.interp import VectorizationError, VectorizedExecutor
+
+        def refuse(self, *args, **kwargs):
+            raise VectorizationError("forced")
+
+        monkeypatch.setattr(VectorizedExecutor, "run", refuse)
+        store = _CountingStore()
+        info = _analyze_workload(self.DYNAMIC, cache=store)
+        assert info.trace_source == "scalar"
+        assert store.gets == {"analysis": 1}
+        assert store.puts == {"analysis": 1}
+
+
 class TestCorruptionTolerance:
     def _entry(self, cache):
         entries = list(cache.entries())

@@ -276,21 +276,37 @@ class TestStaticTraceFlag:
         assert "traces   : synthesized (summary: static)" \
             in capsys.readouterr().out
 
-    def test_predict_never_interprets(self, saxpy_file, capsys):
-        rc = main(["predict", saxpy_file, "--global-size", "256",
-                   "--static-trace", "never"])
+    GATHER = """
+    __kernel void gather(__global int *idx, __global float *out) {
+        out[get_global_id(0)] = idx[idx[get_global_id(0)]];
+    }"""
+
+    def test_predict_never_interprets(self, tmp_path, capsys):
+        """An irregular kernel is never synthesized: the chain hands it
+        to the vectorized interpreter."""
+        path = tmp_path / "gather.cl"
+        path.write_text(self.GATHER)
+        rc = main(["predict", str(path), "--global-size", "64"])
         assert rc == 0
-        assert "synthesized" not in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "synthesized" not in out
+        assert "traces   : vectorized (summary: irregular)" in out
 
     def test_predict_always_fails_on_irregular(self, tmp_path, capsys):
+        """The kernel picks its trace engine: the retired engine flags
+        are unrecognized arguments on every subcommand."""
         path = tmp_path / "gather.cl"
-        path.write_text("""
-        __kernel void gather(__global int *idx, __global float *out) {
-            out[get_global_id(0)] = idx[idx[get_global_id(0)]];
-        }""")
-        with pytest.raises(Exception):
-            main(["predict", str(path), "--global-size", "64",
-                  "--static-trace", "always"])
+        path.write_text(self.GATHER)
+        kernel = [str(path), "--global-size", "64"]
+        for command in (["predict"] + kernel, ["explore"] + kernel,
+                        ["suite"]):
+            for flag in (["--static-trace", "always"],
+                         ["--interp", "scalar"]):
+                with pytest.raises(SystemExit) as exc:
+                    main(command + flag)
+                assert exc.value.code == 2
+                assert "unrecognized arguments" \
+                    in capsys.readouterr().err
 
 
 class TestVersion:

@@ -154,7 +154,8 @@ class TestDramEquivalence:
 
 
 class TestModelEquivalence:
-    def test_prediction_identical_static_vs_interpreted(self):
+    def test_prediction_identical_static_vs_interpreted(
+            self, scalar_reference):
         from repro.analysis import analyze_kernel
         from repro.devices import KU060
         from repro.model import FlexCL
@@ -165,8 +166,12 @@ class TestModelEquivalence:
         space = DesignSpace.default_for(w.global_size)
         for d in space.designs()[:4]:
             ndrange = w.ndrange(local_size=d.work_group_size)
-            a, b = (model.predict(
-                analyze_kernel(fn, w.make_buffers(), dict(w.scalars),
-                               ndrange, KU060, static_trace=mode),
-                d).cycles for mode in ("never", "always"))
+            static = analyze_kernel(fn, w.make_buffers(), dict(w.scalars),
+                                    ndrange, KU060)
+            assert static.trace_source == "synth"
+            interpreted = scalar_reference(fn, w.make_buffers(),
+                                           dict(w.scalars), ndrange,
+                                           KU060)
+            a, b = (model.predict(info, d).cycles
+                    for info in (interpreted, static))
             assert a == b

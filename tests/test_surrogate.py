@@ -21,6 +21,7 @@ import sys
 import numpy as np
 import pytest
 
+from repro.analysis.kernel_info import DEFAULT_PROFILE_GROUPS
 from repro.cache import open_cache
 from repro.devices import device_by_name
 from repro.dse import Design, DesignSpace
@@ -67,9 +68,8 @@ def _workload(name):
     raise KeyError(name)
 
 
-def _analyze_workload(name, wg=16, cache=None, **kwargs):
-    analyzer = make_analyzer(_workload(name), DEVICE, cache=cache,
-                             **kwargs)
+def _analyze_workload(name, wg=16, cache=None):
+    analyzer = make_analyzer(_workload(name), DEVICE, cache=cache)
     info = analyzer(wg)
     assert info is not None
     return info
@@ -105,20 +105,30 @@ class TestFeatureDeterminism:
         for row, design in zip(X, designs):
             assert np.array_equal(row, feature_vector(info, design))
 
-    def test_identical_across_trace_engines(self):
+    def test_identical_across_trace_engines(self, scalar_reference):
         """Features use only engine-independent analysis facts, so a
         synthesized, a vectorized, and a scalar analysis of the same
         kernel produce bit-identical vectors."""
+        from repro.analysis import analyze_kernel
+        from repro.interp import VectorizedExecutor
+
         design = Design(work_group_size=16)
-        vectors = {}
-        for label, kwargs in (
-                ("synth", dict(static_trace="always")),
-                ("vectorized", dict(static_trace="never",
-                                    interp="vectorized")),
-                ("scalar", dict(static_trace="never", interp="scalar"))):
-            info = _analyze_workload(STATIC_WORKLOAD, **kwargs)
-            vectors[label] = feature_vector(info, design)
-        assert info.trace_source == "scalar"
+        w = _workload(STATIC_WORKLOAD)
+        vectorized = VectorizedExecutor(
+            w.function(), w.make_buffers(), dict(w.scalars)).run(
+                w.ndrange(16), max_groups=DEFAULT_PROFILE_GROUPS)
+        infos = {
+            "synth": _analyze_workload(STATIC_WORKLOAD),
+            "vectorized": analyze_kernel(
+                w.function(), {}, {}, w.ndrange(16), DEVICE,
+                launch=vectorized),
+            "scalar": scalar_reference(
+                w.function(), w.make_buffers(), dict(w.scalars),
+                w.ndrange(16), DEVICE),
+        }
+        assert infos["synth"].trace_source == "synth"
+        vectors = {label: feature_vector(info, design)
+                   for label, info in infos.items()}
         assert np.array_equal(vectors["synth"], vectors["vectorized"])
         assert np.array_equal(vectors["synth"], vectors["scalar"])
 

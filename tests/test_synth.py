@@ -1,12 +1,11 @@
 """Tests for the static trace synthesizer: bit-identical launch results
 against the profiling interpreter on hand-written kernels, plus the
-analyze_kernel wiring (modes, verify, fallback, cache keys)."""
+analyze_kernel wiring (engine choice, verify, fallback, cache keys)."""
 
 import numpy as np
 import pytest
 
 from repro.analysis import analyze_kernel
-from repro.analysis.kernel_info import StaticTraceUnavailable
 from repro.devices import VIRTEX7
 from repro.frontend import compile_opencl
 from repro.interp import Buffer, KernelExecutor, NDRange
@@ -208,37 +207,53 @@ class TestAnalyzeKernelWiring:
         return analyze_kernel(fn, buffers, scalars, NDRange(256, 64),
                               VIRTEX7, **kw)
 
+    def reference(self, src, scalar_reference):
+        fn = build(src)
+        buffers, scalars = make_buffers(fn)
+        return scalar_reference(fn, buffers, scalars, NDRange(256, 64),
+                                VIRTEX7)
+
     def test_auto_uses_synthesis_for_static(self):
-        info = self.analyze(self.SRC, static_trace="auto", verify=True)
-        assert info.static_trace_used
+        info = self.analyze(self.SRC, verify=True)
+        assert info.trace_source == "synth"
         assert info.summary_verdict == "static"
 
     def test_auto_falls_back_for_irregular(self):
-        info = self.analyze(self.IRR, static_trace="auto")
-        assert not info.static_trace_used
+        info = self.analyze(self.IRR, verify=True)
+        assert info.trace_source == "vectorized"
         assert info.summary_verdict == "irregular"
 
-    def test_never_interprets(self):
-        info = self.analyze(self.SRC, static_trace="never")
-        assert not info.static_trace_used
+    def test_never_interprets(self, scalar_reference):
+        """The scalar reference: a KernelExecutor launch passed in."""
+        info = self.reference(self.SRC, scalar_reference)
+        assert info.trace_source == "scalar"
         assert info.summary_verdict is None
 
-    def test_always_raises_on_irregular(self):
-        with pytest.raises(StaticTraceUnavailable):
-            self.analyze(self.IRR, static_trace="always")
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError):
-            self.analyze(self.SRC, static_trace="sometimes")
-
-    def test_static_and_interp_fingerprints_differ(self):
-        a = self.analyze(self.SRC, static_trace="never")
-        b = self.analyze(self.SRC, static_trace="auto")
+    def test_static_and_interp_fingerprints_differ(self,
+                                                   scalar_reference):
+        """A passed-in launch bypasses the cache: it has no key."""
+        a = self.reference(self.SRC, scalar_reference)
+        b = self.analyze(self.SRC)
+        assert a.fingerprint is None
         assert a.fingerprint != b.fingerprint
 
-    def test_identical_analysis_products(self):
-        a = self.analyze(self.SRC, static_trace="never")
-        b = self.analyze(self.SRC, static_trace="auto")
+    def test_synthesis_failure_keeps_the_key(self, monkeypatch):
+        """One cache key per analysis, whichever engine answers."""
+        synthesized = self.analyze(self.SRC)
+
+        def refuse(self, *args, **kwargs):
+            raise SynthesisError("forced")
+
+        monkeypatch.setattr(TraceSynthesizer, "run", refuse)
+        fallback = self.analyze(self.SRC)
+        assert synthesized.trace_source == "synth"
+        assert fallback.trace_source == "vectorized"
+        assert fallback.fingerprint == synthesized.fingerprint
+
+    def test_identical_analysis_products(self, scalar_reference):
+        a = self.reference(self.SRC, scalar_reference)
+        b = self.analyze(self.SRC)
+        assert b.trace_source == "synth"
         assert a.block_weights == b.block_weights
         assert a.barriers_per_wi == b.barriers_per_wi
         assert a.traces.sites.keys() == b.traces.sites.keys()
@@ -248,11 +263,11 @@ class TestAnalyzeKernelWiring:
     def test_cache_roundtrip_preserves_static_entry(self, tmp_path):
         from repro.cache import open_cache
         cache = open_cache(str(tmp_path / "c"))
-        first = self.analyze(self.SRC, static_trace="auto", cache=cache)
-        assert first.static_trace_used
-        again = self.analyze(self.SRC, static_trace="auto", cache=cache)
+        first = self.analyze(self.SRC, cache=cache)
+        assert first.trace_source == "synth"
+        again = self.analyze(self.SRC, cache=cache)
         assert again.fingerprint == first.fingerprint
-        assert again.static_trace_used
+        assert again.trace_source == "synth"
         # cached entry materialises the same traces
         assert list(again.traces.global_traces[0]) \
             == list(first.traces.global_traces[0])

@@ -168,20 +168,10 @@ class TestDivergence:
         def buffers():
             return {"a": Buffer("a", np.array([1, 0, 1, 0], np.int32))}
 
-        info = analyze_kernel(fn, buffers(), {}, NDRange(4, 4), VIRTEX7,
-                              static_trace="never", interp="auto")
+        info = analyze_kernel(fn, buffers(), {}, NDRange(4, 4), VIRTEX7)
         assert info.trace_source == "scalar"
         with pytest.raises(VectorizationError):
-            analyze_kernel(fn, buffers(), {}, NDRange(4, 4), VIRTEX7,
-                           static_trace="never", interp="vectorized")
-
-    def test_interp_mode_is_validated(self):
-        from repro.analysis import analyze_kernel
-        from repro.devices import VIRTEX7
-
-        with pytest.raises(ValueError, match="interp must be one of"):
-            analyze_kernel(None, {}, {}, NDRange(4, 4), VIRTEX7,
-                           interp="never")
+            VectorizedExecutor(fn, buffers(), {}).run(NDRange(4, 4))
 
 
 class TestStatePool:
@@ -242,13 +232,18 @@ class TestProvenanceSurface:
             assert row["trace_source"] in ("synth", "vectorized",
                                            "scalar")
 
-    def test_predict_payload_reports_vectorized_provenance(self):
+    def test_predict_payload_reports_vectorized_provenance(
+            self, monkeypatch):
         from repro.serve import api
 
-        spec = {"workload": "rodinia/bfs/bfs_1", "interp": "vectorized"}
+        spec = {"workload": "rodinia/bfs/bfs_1"}
         payload = api.predict_payload(api.normalize_predict_spec(spec))
         assert payload["traces"]["provenance"] == "vectorized"
-        scalar = api.predict_payload(api.normalize_predict_spec(
-            {"workload": "rodinia/bfs/bfs_1", "interp": "scalar"}))
+
+        def refuse(self, *args, **kwargs):
+            raise VectorizationError("forced")
+
+        monkeypatch.setattr(VectorizedExecutor, "run", refuse)
+        scalar = api.predict_payload(api.normalize_predict_spec(spec))
         assert scalar["traces"]["provenance"] == "interpreted"
         assert scalar["prediction"] == payload["prediction"]

@@ -78,25 +78,25 @@ def test_vectorized_launch_matches_interpreter(workload):
 @pytest.mark.parametrize(
     "workload", [w for w in ALL if w.qualified_name in DYNAMIC],
     ids=sorted(DYNAMIC))
-def test_dynamic_kernel_predictions_are_engine_independent(workload):
-    """End-to-end: analyses through interp='vectorized' and
-    interp='scalar' yield identical FlexCL predictions, and the
-    vectorized analysis is attributed to the vectorized engine."""
+def test_dynamic_kernel_predictions_are_engine_independent(
+        workload, scalar_reference):
+    """End-to-end: the automatic chain (which vectorizes every dynamic
+    kernel) and the scalar reference analysis yield identical FlexCL
+    predictions, and the analysis is attributed to the vectorized
+    engine."""
     from repro.analysis import analyze_kernel
     from repro.devices import VIRTEX7
     from repro.dse.space import Design
     from repro.model import FlexCL
 
-    infos = {}
-    for mode in ("vectorized", "scalar"):
-        infos[mode] = analyze_kernel(
-            workload.function(), workload.make_buffers(),
-            dict(workload.scalars), workload.ndrange(), VIRTEX7,
-            interp=mode)
-    v, s = infos["vectorized"], infos["scalar"]
+    v = analyze_kernel(workload.function(), workload.make_buffers(),
+                       dict(workload.scalars), workload.ndrange(),
+                       VIRTEX7)
+    s = scalar_reference(workload.function(), workload.make_buffers(),
+                         dict(workload.scalars), workload.ndrange(),
+                         VIRTEX7)
     assert v.trace_source == "vectorized"
     assert s.trace_source == "scalar"
-    assert v.fingerprint != s.fingerprint      # distinct cache keys
     assert v.block_weights == s.block_weights
     assert v.barriers_per_wi == s.barriers_per_wi
     assert v.traces.global_reads_per_wi == s.traces.global_reads_per_wi
