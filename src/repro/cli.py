@@ -154,13 +154,6 @@ def _analyze_wg(fn, device, args, overrides, wg: int, cache=None):
                           cache=cache)
 
 
-def _analyze(args, wg: Optional[int] = None, cache=None):
-    fn, device, overrides = _frontend(args)
-    info = _analyze_wg(fn, device, args, overrides, wg or args.wg,
-                       cache=cache)
-    return fn, info, device
-
-
 def _print_diagnostics(fn, source: str) -> None:
     """Lint *fn* and print any findings under a ``diagnostics:`` header."""
     from repro.lint import lint_function
@@ -323,11 +316,12 @@ def _predict_spec(args) -> dict:
 
 def cmd_predict(args) -> int:
     """Run the `predict` subcommand: model one design point."""
+    from repro.cache.hot import HotCache
     from repro.serve import api as serve_api
 
     spec = _predict_spec(args)
     cache = _open_cache(args)
-    module_memo: Dict[str, object] = {}
+    module_memo = HotCache()
     try:
         payload = serve_api.predict_payload(spec, cache=cache,
                                             module_memo=module_memo)
@@ -444,7 +438,8 @@ def _explore_via_api(args) -> int:
     spec["top_k"] = args.top_k
     cache = _open_cache(args)
     try:
-        payload = serve_api.explore_payload(spec, cache=cache)
+        payload = serve_api.explore_payload(spec, cache=cache,
+                                            jobs=args.jobs)
     except serve_api.ApiError as exc:
         raise _cli_error(exc) from None
     if args.json:
@@ -568,7 +563,8 @@ def cmd_suite(args) -> int:
                 "designs": args.designs, "device": args.device}
         try:
             payload = serve_api.suite_payload(spec,
-                                              cache=_open_cache(args))
+                                              cache=_open_cache(args),
+                                              jobs=args.jobs)
         except serve_api.ApiError as exc:
             raise _cli_error(exc) from None
         print(serve_api.canonical_json(payload))
@@ -884,7 +880,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", "-j", type=_jobs_arg, default=None,
                    metavar="N",
                    help="worker processes for the sweep "
-                        "('auto' = one per core; default: serial)")
+                        "('auto' = one per core; default: serial); "
+                        "--prefilter surrogate always runs serially")
     p.set_defaults(func=cmd_explore)
 
     p = sub.add_parser("predict-graph",

@@ -15,7 +15,9 @@ reads memory and skips float arithmetic), this interpreter evaluates
 and loop trips — so it covers the kernels the access-summary engine
 classifies IRREGULAR.
 
-Scheduling reuses the synthesizer's lane-PC scheme: each lane carries
+Both engines subclass :class:`~repro.interp.lanes.LaneEngine`, which
+holds their shared binding, compilation and memory machinery.
+Scheduling uses the same lane-PC scheme as synthesis: each lane carries
 the index of its current block in a fixed DFS-preorder block ordering;
 each step executes the minimum-index block for the lanes parked on it.
 Divergent lanes run blocks in separate steps and naturally reconverge
@@ -31,7 +33,7 @@ raise :class:`VectorizationError`.
 Bit-identity with the scalar executor (proven by the 67-kernel
 differential sweep in ``tests/test_vexec_sweep.py``):
 
-- integer semantics are the synthesizer's proven ``int64``-image
+- integer semantics are the lane core's proven ``int64``-image
   arithmetic (``_mask_val``/``_u64``); float add/sub/mul/div are IEEE
   double in both engines; transcendental builtins evaluate per-lane
   through the *same* ``math``-module functions the scalar executor
@@ -64,7 +66,7 @@ behavior — values, traces, and error messages — from pristine inputs.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -76,34 +78,37 @@ from repro.interp.executor import (
     NDRange,
     finalize_trip_counts,
 )
-from repro.interp.memory import Buffer, GlobalMemory
-from repro.interp.synth import (
+from repro.interp.lanes import (
+    _CONST,
+    _LOC,
+    _PK_GLOBAL,
+    _PK_LOCAL,
+    _PK_READ,
+    _PK_WRITE,
+    _PRIV,
+    LaneEngine,
     _i64,
     _is_u64,
     _mask_scalar,
     _mask_val,
     _u64,
-    promote_slots,
 )
-from repro.ir.function import BasicBlock, Function
+from repro.interp.memory import Buffer
+from repro.ir.function import Function
 from repro.ir.instructions import (
     Alloca,
-    Barrier,
     BinaryOp,
-    Branch,
     Call,
     Cast,
     CompareOp,
-    CondBranch,
     GetElementPtr,
     Load,
     PipeRead,
     PipeWrite,
-    Return,
     Select,
     Store,
 )
-from repro.ir.types import AddressSpace, ArrayType, PointerType
+from repro.ir.types import AddressSpace, PointerType
 from repro.ir.values import Argument, Constant, Register, Value
 
 #: bump to invalidate persistently cached analyses (the version joins
@@ -114,20 +119,6 @@ VEXEC_ENGINE_VERSION = 1
 class VectorizationError(Exception):
     """The kernel (or this launch) left the vectorizable subset."""
 
-
-#: runtime address-space codes (match repro.interp.synth)
-_PRIV, _GLOB, _LOC, _CONST = 0, 1, 2, 3
-
-_SPACE_CODE = {
-    AddressSpace.PRIVATE: _PRIV,
-    AddressSpace.GLOBAL: _GLOB,
-    AddressSpace.LOCAL: _LOC,
-    AddressSpace.CONSTANT: _CONST,
-}
-
-#: packed-trace codes (repro.analysis.packed)
-_PK_READ, _PK_WRITE = 0, 1
-_PK_GLOBAL, _PK_LOCAL = 0, 1
 
 #: atomics whose unobserved effects commute (any interleaving yields
 #: the same final memory)
@@ -155,29 +146,7 @@ _LANEWISE_2 = {
 }
 
 
-class _VSegment:
-    """A run of instructions with no internal barrier.  ``cost`` counts
-    every instruction in the run (the scalar step budget counts skipped
-    ops too); ``barrier`` marks a run ending at a barrier."""
-
-    __slots__ = ("ops", "cost", "barrier")
-
-    def __init__(self) -> None:
-        self.ops: List[Callable] = []
-        self.cost = 0
-        self.barrier = False
-
-
-class _VBlock:
-    __slots__ = ("name", "segments", "term")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.segments: List[_VSegment] = []
-        self.term: Optional[Tuple] = None
-
-
-class VectorizedExecutor:
+class VectorizedExecutor(LaneEngine):
     """Executes one kernel over host buffers, one work-group of lanes
     at a time.  Parameters mirror :class:`KernelExecutor`: the lowered
     function, buffers by pointer-argument name, scalars by name.
@@ -189,70 +158,24 @@ class VectorizedExecutor:
     already packed columnar.
     """
 
-    DEFAULT_MAX_STEPS = 5_000_000
-    MAX_PHASES = 10_000
+    error_type = VectorizationError
 
     def __init__(self, fn: Function, buffers: Dict[str, Buffer],
                  scalars: Dict[str, object],
                  max_steps: Optional[int] = None) -> None:
-        self.fn = fn
-        self.max_steps = max_steps or self.DEFAULT_MAX_STEPS
         for inst in fn.instructions():
             if isinstance(inst, (PipeRead, PipeWrite)):
                 raise VectorizationError(
                     f"kernel {fn.name!r} uses pipes: pipe kernels need "
                     f"FIFO co-execution, not lane vectorization")
-
-        # Bind buffers exactly as the executor does (same GlobalMemory
-        # allocator, same insertion order => identical base addresses).
-        self.memory = GlobalMemory()
         self.buffers = buffers
-        for buf in buffers.values():
-            self.memory.bind(buf)
-        blist = list(buffers.values())
-        self._bufs = blist
-        self._bases = np.array([b.base for b in blist], np.int64)
-        self._spans = np.array([max(b.nbytes, 1) for b in blist], np.int64)
-        self._raw = np.array([b.nbytes for b in blist], np.int64)
-        self._elem = np.array([b.elem_size for b in blist], np.int64)
-        self._flat = [b.data.reshape(-1) for b in blist]
-        self._buf_names: Tuple[str, ...] = tuple(b.name for b in blist)
-        self._local_buf_index = len(self._buf_names)
-        self._gl_hot: Optional[Tuple[int, int, int, int]] = None
-
-        self._arg_addr: Dict[int, Tuple[int, int]] = {}
-        self._arg_scalar: Dict[int, object] = {}
-        for arg in fn.args:
-            if isinstance(arg.type, PointerType):
-                if arg.name not in buffers:
-                    raise ExecutionError(
-                        f"no buffer supplied for pointer argument "
-                        f"{arg.name!r}")
-                self._arg_addr[id(arg)] = (
-                    buffers[arg.name].base, _SPACE_CODE[arg.type.space])
-            else:
-                if arg.name not in scalars:
-                    raise ExecutionError(
-                        f"no value supplied for scalar argument "
-                        f"{arg.name!r}")
-                v = scalars[arg.name]
-                self._arg_scalar[id(arg)] = (
-                    float(v) if arg.type.is_float else int(v))
-
-        self._site_of: Dict[int, int] = {
-            id(inst): i for i, inst in enumerate(fn.instructions())}
+        self._bufs = list(buffers.values())
+        self._flat = [b.data.reshape(-1) for b in self._bufs]
         #: register ids read by at least one instruction (atomics whose
         #: old value is never observed admit commutative reordering)
         self._used_regs = {
             id(v) for inst in fn.instructions() for v in inst.operands
             if isinstance(v, Register)}
-
-        blocks = list(fn.reachable_blocks())
-        self._blocks = blocks
-        self._order = {id(b): i for i, b in enumerate(blocks)}
-        self._done = len(blocks)
-
-        self._fwd, self._skip, self._promoted = promote_slots(blocks)
 
         # Worst-case local arena: every local alloca 8-aligned past 64.
         cap = 64
@@ -261,32 +184,22 @@ class VectorizedExecutor:
                 cap += max(inst.allocated.bytes, 1) + 8
         self._local_cap = cap
 
-        # Per-launch / per-group state, rebound by run()/_run_group.
-        self._nlanes = 0
-        self._nd: Optional[NDRange] = None
-        self._cur_lid: List[np.ndarray] = []
-        self._cur_gid: Tuple[int, ...] = ()
-        self._cur_ggid: List[np.ndarray] = []
+        # Per-group state, rebound by _run_group.
         self.regs_i: Dict[int, np.ndarray] = {}
         self.regs_f: Dict[int, np.ndarray] = {}
-        self.rspace: Dict[int, object] = {}
-        self._priv: Dict[int, list] = {}
-        self._pslots: Dict[int, list] = {}
-        self._priv_next: Optional[np.ndarray] = None
         self._local_i: Optional[np.ndarray] = None
         self._local_f: Optional[np.ndarray] = None
-        self._local_next = 64
-        self._local_allocas: Dict[int, int] = {}
-        self._events: List[Tuple] = []
-        self._record = True
         #: global/local element addresses touched by atomics this phase
         self._atomic_all: set = set()
         #: subset whose interleaving is observable (used old value or
         #: non-commutative op): no other atomic may overlap them
         self._atomic_strict: set = set()
-        self._lid_cache: Dict[Tuple[int, ...], List[np.ndarray]] = {}
+        super().__init__(fn, buffers, scalars, max_steps)
 
-        self._code: List[_VBlock] = [self._compile_block(b) for b in blocks]
+    def _missing_argument(self, what: str, kind: str,
+                          name: str) -> Exception:
+        return ExecutionError(
+            f"no {what} supplied for {kind} argument {name!r}")
 
     # -- run ---------------------------------------------------------------
 
@@ -301,10 +214,7 @@ class VectorizedExecutor:
         self._nd = ndrange
         self._record = record
         wg = ndrange.work_group_size
-        group_list = list(ndrange.group_ids())
-        if max_groups is not None:
-            group_list = group_list[:max_groups]
-        gids = [tuple(reversed(rev)) for rev in group_list]
+        gids = self._group_ids(ndrange, max_groups)
         snapshots = [b.data.copy() for b in self._bufs]
         packed = []
         try:
@@ -321,25 +231,15 @@ class VectorizedExecutor:
             self.fn, result.block_counts, result.work_items_executed))
         return result
 
-    def _local_id_arrays(self, ndrange: NDRange) -> List[np.ndarray]:
-        arrays = self._lid_cache.get(ndrange.local_size)
-        if arrays is None:
-            lids = [tuple(reversed(rev)) for rev in
-                    np.ndindex(*reversed(ndrange.local_size))]
-            arrays = [np.array([t[d] for t in lids], np.int64)
-                      for d in range(ndrange.dims)]
-            self._lid_cache[ndrange.local_size] = arrays
-        return arrays
-
     def _run_group(self, gid: Tuple[int, ...], ndrange: NDRange,
                    result: LaunchResult):
         n = ndrange.work_group_size
         self._nlanes = n
         dims = ndrange.dims
-        self._cur_lid = self._local_id_arrays(ndrange)
-        self._cur_gid = gid
-        self._cur_ggid = [gid[d] * ndrange.local_size[d] + self._cur_lid[d]
-                          for d in range(dims)]
+        self._lid = self._local_id_arrays(ndrange)
+        self._gid = [np.full(n, gid[d], np.int64) for d in range(dims)]
+        self._ggid = [gid[d] * ndrange.local_size[d] + self._lid[d]
+                      for d in range(dims)]
         self.regs_i = {}
         self.regs_f = {}
         self.rspace = {}
@@ -436,44 +336,12 @@ class VectorizedExecutor:
     def _pack_group(self, wg: int):
         from repro.analysis.packed import PackedGroup
 
-        events = self._events
-        total = sum(len(ev[5]) for ev in events)
-        site = np.empty(total, np.int32)
-        kind = np.empty(total, np.uint8)
-        nbytes = np.empty(total, np.int32)
-        space = np.empty(total, np.uint8)
-        buf = np.empty(total, np.int16)
-        lane = np.empty(total, np.int32)
-        addr = np.empty(total, np.int64)
-        pos = 0
-        for s, k, nb, sp, b, lanes, addrs in events:
-            m = len(lanes)
-            end = pos + m
-            site[pos:end] = s
-            kind[pos:end] = k
-            nbytes[pos:end] = nb
-            space[pos:end] = sp
-            buf[pos:end] = b
-            lane[pos:end] = lanes
-            addr[pos:end] = addrs
-            pos = end
-        # Stable sort by lane: per-lane program order is preserved.
-        order = np.argsort(lane, kind="stable")
-        names = self._buf_names + ("__local",)
-        return PackedGroup(site[order], kind[order], nbytes[order],
-                           space[order], buf[order], lane[order],
-                           addr[order], names, wg)
+        site, kind, nbytes, space, buf, lane, addr = self._sorted_events()
+        return PackedGroup(site, kind, nbytes, space, buf,
+                           lane.astype(np.int32), addr,
+                           self._buf_names + ("__local",), wg)
 
     # -- operand access ----------------------------------------------------
-
-    def _resolve(self, v: Value) -> Value:
-        hops = 0
-        while isinstance(v, Register) and id(v) in self._fwd:
-            v = self._fwd[id(v)]
-            hops += 1
-            if hops > len(self._fwd):
-                raise VectorizationError("forwarding cycle")
-        return v
 
     @staticmethod
     def _is_float_value(v: Value) -> bool:
@@ -495,25 +363,15 @@ class VectorizedExecutor:
             return lambda idx: value
         if isinstance(v, Register):
             rid = id(v)
-            regs = self.regs_f if self._is_float_value(v) else None
-
-            def get_register(idx, _v=v):
-                bank = regs if regs is not None else self.regs_i
-                arr = (self.regs_f if bank is None else bank).get(rid)
-                if arr is None:
-                    raise ExecutionError(
-                        f"use of undefined register {_v}")
-                return arr[idx]
-
             if self._is_float_value(v):
-                def get_register(idx, _v=v):  # noqa: F811
+                def get_register(idx, _v=v):
                     arr = self.regs_f.get(rid)
                     if arr is None:
                         raise ExecutionError(
                             f"use of undefined register {_v}")
                     return arr[idx]
             else:
-                def get_register(idx, _v=v):  # noqa: F811
+                def get_register(idx, _v=v):
                     arr = self.regs_i.get(rid)
                     if arr is None:
                         raise ExecutionError(
@@ -537,22 +395,6 @@ class VectorizedExecutor:
             return np.asarray(val, np.float64)
         return get_float
 
-    def _space_getter(self, v: Value) -> Callable:
-        v = self._resolve(v)
-        if isinstance(v, Argument) and id(v) in self._arg_addr:
-            code = self._arg_addr[id(v)][1]
-            return lambda idx: code
-        if isinstance(v, Register):
-            rid = id(v)
-
-            def get_space(idx):
-                s = self.rspace.get(rid)
-                if s is None:
-                    raise VectorizationError("pointer with unknown space")
-                return s[idx] if isinstance(s, np.ndarray) else s
-            return get_space
-        raise VectorizationError(f"no address space for {v!r}")
-
     def _setter(self, result: Register) -> Callable:
         rid = id(result)
         if self._is_float_value(result):
@@ -571,77 +413,12 @@ class VectorizedExecutor:
                 arr[idx] = val
         return set_register
 
-    def _set_space(self, rid: int, idx, val) -> None:
-        cur = self.rspace.get(rid)
-        scalar = not isinstance(val, np.ndarray)
-        if scalar and not isinstance(cur, np.ndarray) \
-                and (cur is None or cur == val):
-            self.rspace[rid] = int(val)
-            return
-        if not isinstance(cur, np.ndarray):
-            arr = np.full(self._nlanes, -1 if cur is None else int(cur),
-                          np.int64)
-        else:
-            arr = cur
-        arr[idx] = val
-        self.rspace[rid] = arr
-
-    def _split(self, idx, sp, addr):
-        """Partition lanes by runtime address space: yields
-        ``(code, lanes, addrs)``."""
-        if not isinstance(sp, np.ndarray):
-            yield int(sp), idx, addr
-            return
-        for code in np.unique(sp):
-            sel = sp == code
-            a = addr[sel] if isinstance(addr, np.ndarray) else addr
-            yield int(code), idx[sel], a
-
-    # -- memory helpers ----------------------------------------------------
-
-    def _emit(self, site, kind, nbytes, space, buf, lanes, addrs) -> None:
-        if not self._record:
-            return
-        a = np.asarray(addrs, np.int64)
-        if a.ndim == 0:
-            a = np.full(len(lanes), int(a), np.int64)
-        self._events.append((site, kind, nbytes, space, buf, lanes, a))
-
-    def _global_locate(self, addrs, nbytes: int):
-        """Bounds/alignment-check global addresses; returns
-        ``(buffer index | index array, addr array)``.  Failures raise
-        the scalar executor's own ``IndexError``."""
-        a = np.asarray(addrs, np.int64)
-        scalar = a.ndim == 0
-        hot = self._gl_hot
-        if hot is not None:
-            hb, base, end, elem = hot
-            ok = ((a >= base) & (a + nbytes <= end)
-                  & ((a - base) % elem == 0))
-            if bool(np.all(ok)):
-                return hb, a
-        bi = np.searchsorted(self._bases, a, side="right") - 1
-        bic = np.maximum(bi, 0)
-        off = a - self._bases[bic]
-        ok = ((bi >= 0) & (off < self._spans[bic])
-              & (off % self._elem[bic] == 0)
-              & (off + nbytes <= self._raw[bic]))
-        if not bool(np.all(ok)):
-            bad = int(np.atleast_1d(a)[np.flatnonzero(~np.atleast_1d(ok))[0]])
-            # Reproduces the executor's exact IndexError message.
-            self.memory.load(bad, nbytes)
-            raise IndexError(f"global address 0x{bad:x} rejected")
-        if scalar:
-            b = int(bi)
-        else:
-            lo, hi = int(bi.min()), int(bi.max())
-            if lo != hi:
-                return bi.astype(np.int16), a
-            b = lo
-        self._gl_hot = (b, int(self._bases[b]),
-                        int(self._bases[b] + self._raw[b]),
-                        int(self._elem[b]))
-        return b, a
+    def _global_fault(self, addrs: np.ndarray, ok: np.ndarray,
+                      nbytes: int) -> None:
+        bad = int(np.atleast_1d(addrs)[np.flatnonzero(~np.atleast_1d(ok))[0]])
+        # Reproduces the executor's exact IndexError message.
+        self.memory.load(bad, nbytes)
+        raise IndexError(f"global address 0x{bad:x} rejected")
 
     def _guard_plain_global(self, addrs) -> None:
         """A plain access to an address an atomic touched this phase
@@ -726,52 +503,6 @@ class VectorizedExecutor:
 
     # -- private slots -----------------------------------------------------
 
-    def _priv_entry(self, addr: int) -> list:
-        ent = self._priv.get(addr)
-        if ent is None:
-            ent = [None, None, np.zeros(self._nlanes, bool), None]
-            self._priv[addr] = ent
-        return ent
-
-    def _priv_store(self, lanes, addrs, vals, spc, is_float) -> None:
-        a = np.asarray(addrs, np.int64)
-        if a.ndim == 0 or a.min() == a.max():
-            addr = int(a) if a.ndim == 0 else int(a[0])
-            self._priv_store_at(addr, lanes, vals, spc, is_float)
-            return
-        for addr in np.unique(a):
-            sel = a == addr
-            v = vals[sel] if isinstance(vals, np.ndarray) else vals
-            s = spc[sel] if isinstance(spc, np.ndarray) else spc
-            self._priv_store_at(int(addr), lanes[sel], v, s, is_float)
-
-    def _priv_store_at(self, addr, lanes, vals, spc, is_float) -> None:
-        ent = self._priv_entry(addr)
-        slot = 1 if is_float else 0
-        arr = ent[slot]
-        if arr is None:
-            arr = np.zeros(self._nlanes,
-                           np.float64 if is_float else np.int64)
-            ent[slot] = arr
-        arr[lanes] = vals
-        ent[2][lanes] = True
-        if spc is not None:
-            if ent[3] is None:
-                ent[3] = np.full(self._nlanes, -1, np.int64)
-            ent[3][lanes] = spc
-
-    def _priv_load(self, lanes, addrs, set_value, rid_space,
-                   is_float) -> None:
-        a = np.asarray(addrs, np.int64)
-        if a.ndim == 0 or a.min() == a.max():
-            self._priv_load_at(int(a) if a.ndim == 0 else int(a[0]),
-                               lanes, set_value, rid_space, is_float)
-            return
-        for addr in np.unique(a):
-            sel = a == addr
-            self._priv_load_at(int(addr), lanes[sel], set_value,
-                               rid_space, is_float)
-
     def _priv_load_at(self, addr, lanes, set_value, rid_space,
                       is_float) -> None:
         ent = self._priv.get(addr)
@@ -805,45 +536,6 @@ class VectorizedExecutor:
 
     # -- compilation -------------------------------------------------------
 
-    def _compile_block(self, block: BasicBlock) -> _VBlock:
-        code = _VBlock(block.name)
-        seg = _VSegment()
-        for inst in block.instructions:
-            if isinstance(inst, Barrier):
-                seg.cost += 1
-                seg.barrier = True
-                code.segments.append(seg)
-                seg = _VSegment()
-                continue
-            if isinstance(inst, Return):
-                seg.cost += 1
-                code.term = ("ret",)
-                break
-            if isinstance(inst, Branch):
-                seg.cost += 1
-                target = self._order.get(id(inst.target))
-                if target is None:
-                    raise VectorizationError("branch to unreachable block")
-                code.term = ("br", target)
-                break
-            if isinstance(inst, CondBranch):
-                seg.cost += 1
-                then_i = self._order.get(id(inst.then_block))
-                else_i = self._order.get(id(inst.else_block))
-                if then_i is None or else_i is None:
-                    raise VectorizationError("branch to unreachable block")
-                code.term = ("cbr", self._getter(inst.cond),
-                             then_i, else_i)
-                break
-            seg.cost += 1
-            op = self._compile(inst)
-            if op is not None:
-                seg.ops.append(op)
-        if code.term is None:
-            raise VectorizationError(f"no terminator in {block.name}")
-        code.segments.append(seg)
-        return code
-
     def _compile(self, inst) -> Optional[Callable]:
         if id(inst) in self._skip:
             return None
@@ -866,38 +558,6 @@ class VectorizedExecutor:
         if isinstance(inst, Call):
             return self._c_call(inst)
         raise VectorizationError(f"cannot vectorize {inst!r}")
-
-    def _c_alloca(self, inst: Alloca) -> Callable:
-        nbytes = max(inst.allocated.bytes, 1)
-        rid = id(inst.result)
-        if inst.space != AddressSpace.LOCAL and rid in self._promoted:
-            def op(idx):
-                ent = self._pslots.get(rid)
-                if ent is not None:
-                    ent[2][idx] = False
-                    ent[4] = False
-            return op
-        set_ = self._setter(inst.result)
-        if inst.space == AddressSpace.LOCAL:
-            key = id(inst)
-
-            def op(idx):
-                addr = self._local_allocas.get(key)
-                if addr is None:
-                    nxt = -(-self._local_next // 8) * 8
-                    addr = nxt
-                    self._local_next = nxt + nbytes
-                    self._local_allocas[key] = addr
-                set_(idx, addr)
-                self._set_space(rid, idx, _LOC)
-        else:
-            def op(idx):
-                nxt = self._priv_next
-                aligned = -(-nxt[idx] // 8) * 8
-                set_(idx, aligned)
-                nxt[idx] = aligned + nbytes
-                self._set_space(rid, idx, _PRIV)
-        return op
 
     # -- arithmetic --------------------------------------------------------
 
@@ -1006,23 +666,6 @@ class VectorizedExecutor:
                     set_(idx, _mask_val(r, bits, signed))
         else:
             raise VectorizationError(f"unknown binop {opcode!r}")
-        return op
-
-    def _c_compare(self, inst: CompareOp) -> Callable:
-        import operator as _op
-        fn = {"eq": _op.eq, "ne": _op.ne, "lt": _op.lt,
-              "le": _op.le, "gt": _op.gt, "ge": _op.ge}.get(inst.pred)
-        if fn is None:
-            raise VectorizationError(f"unknown compare {inst.pred!r}")
-        ga, gb = self._getter(inst.lhs), self._getter(inst.rhs)
-        set_ = self._setter(inst.result)
-        u64 = _is_u64(inst.lhs.type) or _is_u64(inst.rhs.type)
-
-        def op(idx):
-            a, b = ga(idx), gb(idx)
-            if u64:
-                a, b = _u64(np.asarray(a)), _u64(np.asarray(b))
-            set_(idx, np.asarray(fn(a, b), np.int64))
         return op
 
     def _c_cast(self, inst: Cast) -> Callable:
@@ -1137,23 +780,6 @@ class VectorizedExecutor:
                     self._set_space(rid, idx, a)
         return op
 
-    def _c_gep(self, inst: GetElementPtr) -> Callable:
-        get_base = self._getter(inst.base)
-        get_index = self._getter(inst.index)
-        gsp = self._space_getter(inst.base)
-        elem = inst.base.type.pointee  # type: ignore[union-attr]
-        if isinstance(elem, ArrayType):
-            elem = elem.element
-        scale = max(elem.bytes, 1)
-        set_ = self._setter(inst.result)
-        rid = id(inst.result)
-
-        def op(idx):
-            set_(idx, np.asarray(get_base(idx))
-                 + np.asarray(get_index(idx)) * scale)
-            self._set_space(rid, idx, gsp(idx))
-        return op
-
     # -- memory ------------------------------------------------------------
 
     def _c_load(self, inst: Load) -> Callable:
@@ -1246,37 +872,6 @@ class VectorizedExecutor:
                 self._set_space(rid_space, idx, ent[3][idx])
         return op
 
-    def _c_promoted_store(self, inst: Store) -> Callable:
-        sid = id(inst.pointer)
-        is_float = self._is_float_value(self._resolve(inst.value))
-        gv = self._getter(inst.value)
-        vsp = (self._space_getter(inst.value)
-               if isinstance(self._resolve(inst.value).type, PointerType)
-               else None)
-        slot = 1 if is_float else 0
-
-        def op(idx):
-            ent = self._pslots.get(sid)
-            if ent is None:
-                ent = [None, None, np.zeros(self._nlanes, bool),
-                       None, False]
-                self._pslots[sid] = ent
-            arr = ent[slot]
-            if arr is None:
-                arr = np.zeros(self._nlanes,
-                               np.float64 if is_float else np.int64)
-                ent[slot] = arr
-            arr[idx] = gv(idx)
-            if not ent[4]:
-                ent[2][idx] = True
-                if len(idx) == self._nlanes:
-                    ent[4] = True
-            if vsp is not None:
-                if ent[3] is None:
-                    ent[3] = np.full(self._nlanes, -1, np.int64)
-                ent[3][idx] = vsp(idx)
-        return op
-
     # -- calls -------------------------------------------------------------
 
     def _c_call(self, inst: Call) -> Optional[Callable]:
@@ -1295,41 +890,6 @@ class VectorizedExecutor:
                     return self._c_geometry_dyn(name, inst)
             return self._c_geometry(name, d, self._setter(inst.result))
         return self._c_math(name, inst)
-
-    def _c_geometry(self, name: str, d: int, set_) -> Callable:
-        if name == "get_local_id":
-            def op(idx):
-                nd = self._nd
-                set_(idx, self._cur_lid[d][idx] if d < nd.dims else 0)
-        elif name == "get_group_id":
-            def op(idx):
-                nd = self._nd
-                set_(idx, self._cur_gid[d] if d < nd.dims else 0)
-        elif name == "get_global_id":
-            def op(idx):
-                nd = self._nd
-                set_(idx, self._cur_ggid[d][idx] if d < nd.dims else 0)
-        elif name == "get_global_size":
-            def op(idx):
-                nd = self._nd
-                set_(idx, nd.global_size[d] if d < nd.dims else 1)
-        elif name == "get_local_size":
-            def op(idx):
-                nd = self._nd
-                set_(idx, nd.local_size[d] if d < nd.dims else 1)
-        elif name == "get_num_groups":
-            def op(idx):
-                nd = self._nd
-                set_(idx, nd.num_groups[d] if d < nd.dims else 1)
-        elif name == "get_global_offset":
-            def op(idx):
-                set_(idx, 0)
-        elif name == "get_work_dim":
-            def op(idx):
-                set_(idx, self._nd.dims)
-        else:
-            raise VectorizationError(f"unknown geometry builtin {name!r}")
-        return op
 
     def _c_geometry_dyn(self, name: str, inst: Call) -> Callable:
         """Geometry builtin with a runtime dimension operand: evaluate

@@ -50,6 +50,7 @@ from repro.cache import (
     function_fingerprint,
     open_cache,
 )
+from repro.cache.hot import HotCache
 
 #: design parameters shared by the predict spec and the CLI flags
 COMM_MODES = ("pipeline", "barrier")
@@ -242,12 +243,13 @@ def resolve_workload(name: str):
         raise ApiError(f"no catalog workload {name!r}") from None
 
 
-def resolve_kernel(spec: dict, module_memo: Optional[dict] = None):
+def resolve_kernel(spec: dict, module_memo: Optional[HotCache] = None):
     """The IR function a predict/explore spec names.
 
     Returns ``(fn, workload)`` where *workload* is None for inline
-    source.  *module_memo* (digest(source) -> Module) lets a
-    long-running caller skip recompiling repeated sources.
+    source.  *module_memo* (a :class:`~repro.cache.hot.HotCache`
+    holding digest(source) -> Module under the ``module`` layer) lets
+    a long-running caller skip recompiling repeated sources.
     """
     from repro.frontend import compile_opencl
 
@@ -259,14 +261,15 @@ def resolve_kernel(spec: dict, module_memo: Optional[dict] = None):
     memo_key = None
     if module_memo is not None:
         memo_key = digest("src", source)
-        module = module_memo.get(memo_key)
+        _, module = module_memo.get("module", memo_key)
     if module is None:
         try:
             module = compile_opencl(source)
         except Exception as exc:
             raise ApiError(f"cannot compile source: {exc}") from None
         if module_memo is not None:
-            module_memo[memo_key] = module
+            module_memo.put("module", memo_key, module,
+                            write_through=False)
     if spec["kernel"]:
         try:
             return module.get(spec["kernel"]), None
@@ -388,8 +391,8 @@ def spec_design(spec):
 
 
 def predict_payload(spec: dict, cache=None,
-                    module_memo: Optional[dict] = None,
-                    instant_memo: Optional[dict] = None) -> dict:
+                    module_memo: Optional[HotCache] = None,
+                    instant_memo: Optional[HotCache] = None) -> dict:
     """Model one design point; the payload behind ``predict --json``
     and ``POST /predict``.  ``"tier": "instant"`` routes to the learned
     surrogate (:func:`instant_predict_payload`) instead of the exact
@@ -487,17 +490,17 @@ def _require_surrogate(cache, device):
 
 
 def instant_predict_payload(spec: dict, cache=None,
-                            module_memo: Optional[dict] = None,
-                            instant_memo: Optional[dict] = None) -> dict:
+                            module_memo: Optional[HotCache] = None,
+                            instant_memo: Optional[HotCache] = None) -> dict:
     """Approximate /predict answer from the learned surrogate.
 
     Mirrors the exact payload's skeleton (kernel/device/design/
     feasibility) but the prediction carries surrogate cycles plus
     lognormal confidence bounds instead of the analytical model's
-    breakdown.  *instant_memo* (a plain dict owned by the caller,
-    typically the serve daemon) memoizes the loaded model and the
-    per-work-group-size kernel analyses, which is what makes warm
-    repeat requests sub-millisecond.
+    breakdown.  *instant_memo* (a :class:`~repro.cache.hot.HotCache`
+    owned by the caller, typically the serve daemon) memoizes the
+    loaded model and the per-work-group-size kernel analyses, which is
+    what makes warm repeat requests sub-millisecond.
     """
     from repro.analysis import analyze_kernel
     from repro.devices import device_by_name
@@ -509,13 +512,13 @@ def instant_predict_payload(spec: dict, cache=None,
     if spec["tier"] != "instant":
         raise ApiError("instant_predict_payload needs tier='instant'")
     device = device_by_name(spec["device"])
-    memo = instant_memo if instant_memo is not None else {}
+    memo = instant_memo if instant_memo is not None else HotCache()
 
-    model_slot = ("model", device.name)
-    model = memo.get(model_slot)
+    _, model = memo.get("instant-model", device.name)
     if model is None:
         model = _require_surrogate(cache, device)
-        memo[model_slot] = model
+        memo.put("instant-model", device.name, model,
+                 write_through=False)
 
     fn, workload = resolve_kernel(spec, module_memo)
     global_size = _spec_global_size(spec, workload)
@@ -534,17 +537,17 @@ def instant_predict_payload(spec: dict, cache=None,
         payload["reason"] = "work-group size does not divide the NDRange"
         return payload
 
-    info_slot = ("info", spec["workload"] or function_fingerprint(fn),
+    info_slot = (spec["workload"] or function_fingerprint(fn),
                  device.name, global_size, spec["wg"],
                  tuple(sorted(spec["args"].items())))
-    info = memo.get(info_slot)
+    _, info = memo.get("instant-info", info_slot)
     if info is None:
         buffers, scalars = _spec_inputs(fn, workload, global_size,
                                         spec["args"])
         info = analyze_kernel(fn, buffers, scalars,
                               NDRange(global_size, spec["wg"]), device,
                               cache=cache)
-        memo[info_slot] = info
+        memo.put("instant-info", info_slot, info, write_through=False)
 
     reason = check_feasibility(info, design, device)
     if reason is not None:
@@ -609,13 +612,18 @@ def explore_work_group_sizes(spec: dict) -> List[int]:
 
 
 def explore_rows(spec: dict, cache=None,
-                 wg_sizes: Optional[Sequence[int]] = None
-                 ) -> List[dict]:
+                 wg_sizes: Optional[Sequence[int]] = None,
+                 jobs=None) -> List[dict]:
     """Evaluate every design of the default space whose work-group size
-    is in *wg_sizes* (None = all).  Rows carry their enumeration index
-    so sharded results reassemble into exactly the serial order."""
+    is in *wg_sizes* (None = all), through
+    :func:`repro.dse.explorer.explore` on *jobs* workers.  Rows carry
+    their full-space enumeration index so sharded results reassemble
+    into exactly the serial order."""
+    from dataclasses import replace
+
     from repro.devices import device_by_name
-    from repro.dse import DesignSpace, check_feasibility
+    from repro.dse import DesignSpace
+    from repro.dse.explorer import explore
     from repro.model import FlexCL
 
     spec = normalize_explore_spec(spec)
@@ -624,29 +632,21 @@ def explore_rows(spec: dict, cache=None,
     analyze = make_spec_analyzer(spec, fn, workload, device, cache)
     model = FlexCL(device, cache=cache)
     space = DesignSpace.default_for(_spec_global_size(spec, workload))
-    wanted = None if wg_sizes is None else set(wg_sizes)
-
-    rows: List[dict] = []
-    for index, design in enumerate(space):
-        wg = design.work_group_size
-        if wanted is not None and wg not in wanted:
-            continue
-        row = {"index": index, "design": design.signature(),
-               "work_group_size": wg}
-        info = analyze(wg)
-        if info is None:
-            row.update(feasible=False, cycles=None,
-                       reason="analysis failed for this work-group size")
-        else:
-            reason = check_feasibility(info, design, device)
-            if reason is not None:
-                row.update(feasible=False, cycles=None, reason=reason)
-            else:
-                row.update(feasible=True,
-                           cycles=model.predict(info, design).cycles,
-                           reason=None)
-        rows.append(row)
-    return rows
+    index = {design: i for i, design in enumerate(space)}
+    if wg_sizes is not None:
+        wanted = set(wg_sizes)
+        space = replace(space, work_group_sizes=tuple(
+            wg for wg in space.work_group_sizes if wg in wanted))
+    result = explore(
+        space, analyze,
+        lambda info, design: model.predict(info, design).cycles,
+        device, jobs=jobs)
+    return [{"index": index[e.design], "design": e.design.signature(),
+             "work_group_size": e.design.work_group_size,
+             "feasible": e.feasible,
+             "cycles": e.cycles if e.feasible else None,
+             "reason": e.reject_reason}
+            for e in result.evaluated]
 
 
 def explore_payload_from_rows(spec: dict, rows: List[dict]) -> dict:
@@ -721,13 +721,15 @@ def explore_prefiltered_payload(spec: dict, cache=None) -> dict:
     return payload
 
 
-def explore_payload(spec: dict, cache=None) -> dict:
-    """Serial reference: evaluate the whole space, then assemble.
-    ``"prefilter": "surrogate"`` switches to the learned fast path."""
+def explore_payload(spec: dict, cache=None, jobs=None) -> dict:
+    """Evaluate the whole space on *jobs* workers, then assemble.
+    ``"prefilter": "surrogate"`` switches to the learned fast path,
+    which always runs serially."""
     spec = normalize_explore_spec(spec)
     if spec["prefilter"] == "surrogate":
         return explore_prefiltered_payload(spec, cache)
-    return explore_payload_from_rows(spec, explore_rows(spec, cache))
+    return explore_payload_from_rows(spec,
+                                     explore_rows(spec, cache, jobs=jobs))
 
 
 # ---------------------------------------------------------------------
@@ -825,28 +827,27 @@ def suite_catalog(spec: dict):
 
 
 def suite_shard_rows(spec: dict, cache=None,
-                     indices: Optional[Sequence[int]] = None
-                     ) -> List[Tuple[int, List[dict]]]:
-    """Evaluate the catalog workloads at *indices* (None = all),
-    returning ``(catalog_index, rows)`` pairs for order-stable
-    reassembly across pool workers."""
+                     indices: Optional[Sequence[int]] = None,
+                     jobs=None) -> List[Tuple[int, List[dict]]]:
+    """Evaluate the catalog workloads at *indices* (None = all) through
+    :func:`repro.evaluation.run_suite` on *jobs* workers, returning
+    ``(catalog_index, rows)`` pairs for order-stable reassembly across
+    pool workers."""
     from repro.devices import device_by_name
-    from repro.evaluation.suite import _evaluate_workload
+    from repro.evaluation import run_suite
 
     spec = normalize_suite_spec(spec)
     catalog = suite_catalog(spec)
     device = device_by_name(spec["device"])
     if indices is None:
         indices = range(len(catalog))
-    out: List[Tuple[int, List[dict]]] = []
-    for i in indices:
-        preds = _evaluate_workload(catalog[i], device, cache,
-                                   spec["designs"])
-        out.append((i, [{"workload": p.workload, "design": p.design,
-                         "cycles": p.cycles,
-                         "trace_source": p.trace_source}
-                        for p in preds]))
-    return out
+    result = run_suite([catalog[i] for i in indices], device, jobs=jobs,
+                       cache=cache, designs_per_kernel=spec["designs"])
+    by_workload = result.by_workload()
+    return [(i, [{"workload": p.workload, "design": p.design,
+                  "cycles": p.cycles, "trace_source": p.trace_source}
+                 for p in by_workload.get(catalog[i].qualified_name, [])])
+            for i in indices]
 
 
 def suite_payload_from_rows(spec: dict,
@@ -876,9 +877,10 @@ def suite_payload_from_rows(spec: dict,
     }
 
 
-def suite_payload(spec: dict, cache=None) -> dict:
-    """Serial reference: evaluate the whole slice, then assemble."""
-    return suite_payload_from_rows(spec, suite_shard_rows(spec, cache))
+def suite_payload(spec: dict, cache=None, jobs=None) -> dict:
+    """Evaluate the whole slice on *jobs* workers, then assemble."""
+    return suite_payload_from_rows(
+        spec, suite_shard_rows(spec, cache, jobs=jobs))
 
 
 # ---------------------------------------------------------------------
@@ -886,7 +888,7 @@ def suite_payload(spec: dict, cache=None) -> dict:
 # ---------------------------------------------------------------------
 
 def request_key(endpoint: str, spec: dict,
-                module_memo: Optional[dict] = None) -> str:
+                module_memo: Optional[HotCache] = None) -> str:
     """The content fingerprint concurrent identical requests coalesce
     on: canonical-IR fingerprint (never source text or file paths) +
     the full design point + the full device configuration."""

@@ -51,6 +51,10 @@ from repro.serve.pool import WorkerPool
 #: ever be a mistake or abuse; real specs are a few KiB)
 MAX_BODY_BYTES = 8 * 1024 * 1024
 DEFAULT_QUEUE_LIMIT = 64
+#: capacity of the memory-only memo holding compiled inline sources and
+#: instant-tier kernel analyses (each distinct source or ``args`` map
+#: adds one entry, so it must be bounded like the hot tier)
+MEMO_ENTRIES = 256
 
 
 class BusyError(Exception):
@@ -86,10 +90,11 @@ class PredictionServer:
         shared = None if config.no_cache else self.hot
         self.pool = WorkerPool(jobs=config.jobs, mode=config.executor,
                                shared_cache=shared)
-        self._module_memo: Dict[str, object] = {}
-        #: instant-tier memo (loaded surrogate model + per-work-group
-        #: kernel analyses) — what makes warm instant answers sub-ms
-        self._instant_memo: Dict[object, object] = {}
+        #: compiled inline sources plus the instant tier's surrogate
+        #: models and kernel analyses (what makes warm instant answers
+        #: sub-ms); an LRU of its own, so a flood of distinct sources
+        #: never evicts rendered responses from the hot tier
+        self._memo = HotCache(max_entries=MEMO_ENTRIES)
         self._inflight: Dict[str, asyncio.Future] = {}
         self._active = 0              # evaluations admitted, not done
         self._conn_tasks: set = set()
@@ -147,7 +152,7 @@ class PredictionServer:
         own memo, so a warm instant answer costs one feature vector and
         one matrix product.
         """
-        key = request_key(endpoint, spec, self._module_memo)
+        key = request_key(endpoint, spec, self._memo)
         found, body = self.hot.get("response", key)
         if found:
             return body, "hot"
@@ -175,7 +180,7 @@ class PredictionServer:
                 cache = None if self.config.no_cache else self.hot
                 payload = await asyncio.to_thread(
                     api.instant_predict_payload, spec, cache,
-                    self._module_memo, self._instant_memo)
+                    self._memo, self._memo)
             else:
                 payload = await asyncio.wrap_future(
                     self.pool.submit(self._task_for(endpoint, spec)))

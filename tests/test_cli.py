@@ -89,6 +89,51 @@ class TestOtherCommands:
         assert "feasible" in out
 
 
+class TestJobsThroughApi:
+    """``--json``/``--workload`` sweeps go through ``repro.serve.api``;
+    ``--jobs`` must fan them out, with output byte-equal to serial."""
+
+    def _json(self, capsys, argv):
+        assert main(argv) == 0
+        return capsys.readouterr().out
+
+    def test_explore_json_fans_out(self, saxpy_file, capsys,
+                                   monkeypatch):
+        import repro.dse.explorer as explorer
+        calls = []
+        parallel = explorer._explore_parallel
+
+        def spy(*args, **kwargs):
+            calls.append(args[-2])
+            return parallel(*args, **kwargs)
+
+        monkeypatch.setattr(explorer, "_explore_parallel", spy)
+        argv = ["explore", saxpy_file, "--global-size", "256",
+                "--json", "--no-cache"]
+        serial = self._json(capsys, argv)
+        assert calls == []
+        fanned = self._json(capsys, argv + ["--jobs", "2"])
+        assert calls == [2]
+        assert fanned == serial
+
+    def test_suite_json_fans_out(self, capsys, monkeypatch):
+        import repro.evaluation as evaluation
+        jobs = []
+        run_suite = evaluation.run_suite
+
+        def spy(*args, **kwargs):
+            jobs.append(kwargs.get("jobs"))
+            return run_suite(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "run_suite", spy)
+        argv = ["suite", "--suite", "polybench", "--limit", "2",
+                "--designs", "2", "--json", "--no-cache"]
+        serial = self._json(capsys, argv)
+        fanned = self._json(capsys, argv + ["--jobs", "2"])
+        assert jobs == [None, 2]
+        assert fanned == serial
+
+
 @pytest.fixture
 def hazard_file(tmp_path):
     path = tmp_path / "hazard.cl"

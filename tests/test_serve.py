@@ -245,6 +245,25 @@ class TestBackpressure:
         finally:
             handle.stop()
 
+    def test_refused_sources_do_not_grow_the_memo_unbounded(
+            self, monkeypatch):
+        # request_key compiles each inline source before admission, so
+        # even requests answered 503 leave a compiled module behind.
+        from repro.serve import daemon
+        monkeypatch.setattr(daemon, "MEMO_ENTRIES", 4)
+        handle = serve_in_thread(ServerConfig(
+            port=0, executor="thread", jobs=1, queue_limit=0))
+        try:
+            for k in range(10):
+                source = SAXPY.replace("a * x[i]", f"a * x[i] + {k}.0f")
+                with pytest.raises(urllib.error.HTTPError) as exc:
+                    _post(handle.url, "/predict",
+                          dict(PREDICT_SPEC, source=source))
+                assert exc.value.code == 503
+            assert 0 < len(handle.server._memo) <= 4
+        finally:
+            handle.stop()
+
 
 class TestStreaming:
     def test_explore_stream_matches_final_payload(self, server):

@@ -328,10 +328,11 @@ class TestPrefilteredExplore:
 
 class TestServeIntegration:
     def test_instant_payload_fields_and_memo(self, tmp_path):
+        from repro.cache.hot import HotCache
         from repro.serve import api
         cache = open_cache(str(tmp_path / "store"))
         _trained_model(cache)
-        memo = {}
+        memo = HotCache()
         spec = {"workload": STATIC_WORKLOAD, "wg": 16,
                 "tier": "instant"}
         payload = api.predict_payload(spec, cache=cache,

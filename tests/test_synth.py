@@ -176,15 +176,25 @@ class TestSynthesizerRejections:
             TraceSynthesizer(fn, buffers, scalars).run(NDRange(128, 32))
 
     def test_out_of_bounds_raises_like_executor(self):
+        from repro.interp import VectorizedExecutor
         fn = build("""
         __kernel void oob(__global float *a) {
+            a[get_global_id(0)] = 2.0f;
             a[get_global_id(0) + 10000000] = 1.0f;
         }""")
         buffers = {"a": Buffer("a", np.zeros(64, np.float32))}
-        with pytest.raises(Exception):
+        with pytest.raises(Exception) as scalar:
             KernelExecutor(fn, dict(buffers), {}).run(NDRange(64, 32))
         with pytest.raises(SynthesisError):
             TraceSynthesizer(fn, dict(buffers), {}).run(NDRange(64, 32))
+        # The vectorized executor reproduces the executor's own fault
+        # and rolls back the in-bounds stores it made before it.
+        fresh = {"a": Buffer("a", np.zeros(64, np.float32))}
+        with pytest.raises(Exception) as vectorized:
+            VectorizedExecutor(fn, fresh, {}).run(NDRange(64, 32))
+        assert type(vectorized.value) is type(scalar.value)
+        assert str(vectorized.value) == str(scalar.value)
+        assert not fresh["a"].data.any()
 
 
 class TestAnalyzeKernelWiring:
