@@ -1,7 +1,8 @@
 """Memory-trace analysis.
 
-Post-processes the per-work-item traces recorded by the profiler into
-what the performance models consume:
+Post-processes the profiled per-work-item traces, packed into columns
+(:class:`~repro.analysis.packed.PackedTraces`), into what the
+performance models consume:
 
 - per-site statistics (stride across work-items, coalescibility, counts);
 - inter-work-item recurrences: a load whose address was written by an
@@ -12,13 +13,12 @@ what the performance models consume:
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.interp.executor import MemAccess
+from repro.analysis.packed import KIND_NAMES, SPACE_NAMES, PackedTraces
 
 #: maximum inter-work-item dependence distance we search for
 MAX_RECURRENCE_DISTANCE = 8
@@ -72,142 +72,17 @@ class TraceAnalysis:
     local_reads_per_wi: float = 0.0
     local_writes_per_wi: float = 0.0
     #: per-work-item global traces (kept for the DRAM pattern model)
-    global_traces: List[List[MemAccess]] = field(default_factory=list)
+    global_traces: PackedTraces = field(
+        default_factory=lambda: PackedTraces([], 1))
 
     def site_stats(self, site: int) -> Optional[AccessSiteStats]:
         return self.sites.get(site)
 
 
-def analyze_traces(traces: Sequence[List[MemAccess]]) -> TraceAnalysis:
-    """Analyse per-work-item traces (one inner list per work-item,
-    work-items in work-group-linear order).
-
-    Accepts either plain per-work-item ``List[MemAccess]`` sequences or
-    :class:`~repro.analysis.packed.PackedTraces`; the packed form is
-    analysed column-wise (no per-access objects) with semantics
-    identical to the object path.
-    """
-    from repro.analysis.packed import PackedTraces
-    if isinstance(traces, PackedTraces):
-        return _analyze_packed(traces)
-    result = TraceAnalysis()
-    if not traces:
-        return result
-    n_wi = len(traces)
-
-    # ---- per-site address matrix: site -> [per-WI address lists] -------
-    site_addrs: Dict[int, List[List[int]]] = defaultdict(
-        lambda: [[] for _ in range(n_wi)])
-    site_proto: Dict[int, MemAccess] = {}
-    g_reads = g_writes = l_reads = l_writes = 0
-    for wi, trace in enumerate(traces):
-        for acc in trace:
-            site_addrs[acc.site][wi].append(acc.addr)
-            site_proto.setdefault(acc.site, acc)
-            if acc.space == "global":
-                if acc.kind == "read":
-                    g_reads += 1
-                else:
-                    g_writes += 1
-            else:
-                if acc.kind == "read":
-                    l_reads += 1
-                else:
-                    l_writes += 1
-
-    result.global_reads_per_wi = g_reads / n_wi
-    result.global_writes_per_wi = g_writes / n_wi
-    result.local_reads_per_wi = l_reads / n_wi
-    result.local_writes_per_wi = l_writes / n_wi
-    result.global_traces = [
-        [a for a in trace if a.space == "global"] for trace in traces
-    ]
-
-    # ---- per-site stats -------------------------------------------------
-    for site, per_wi in site_addrs.items():
-        proto = site_proto[site]
-        counts = [len(a) for a in per_wi]
-        stats = AccessSiteStats(
-            site=site, kind=proto.kind, space=proto.space,
-            buffer=proto.buffer, nbytes=proto.nbytes,
-            per_wi_count=sum(counts) / n_wi,
-            wi_stride=_wi_stride(per_wi),
-            inner_stride=_inner_stride(per_wi),
-        )
-        result.sites[site] = stats
-
-    # ---- recurrences -----------------------------------------------------
-    result.recurrences = _find_recurrences(site_addrs, site_proto, n_wi)
-    return result
-
-
-def _wi_stride(per_wi: List[List[int]]) -> Optional[int]:
-    """Byte stride of occurrence j between work-item i and i+1, if it is
-    the same constant for every (i, j) sampled."""
-    strides = set()
-    for i in range(len(per_wi) - 1):
-        a, b = per_wi[i], per_wi[i + 1]
-        if not a or not b:
-            continue
-        for j in range(min(len(a), len(b))):
-            strides.add(b[j] - a[j])
-            if len(strides) > 1:
-                return None
-    if len(strides) == 1:
-        return strides.pop()
-    return None
-
-
-def _inner_stride(per_wi: List[List[int]]) -> Optional[int]:
-    """Stride between consecutive dynamic accesses within a work-item."""
-    strides = set()
-    for addrs in per_wi:
-        for j in range(len(addrs) - 1):
-            strides.add(addrs[j + 1] - addrs[j])
-            if len(strides) > 1:
-                return None
-    if len(strides) == 1:
-        return strides.pop()
-    return None
-
-
-def _find_recurrences(site_addrs, site_proto,
-                      n_wi: int) -> List[Recurrence]:
-    """Find (load site, store site) pairs where work-item i reads what
-    work-item i-d wrote, with a consistent distance d.
-
-    The per-work-item address sets are materialised once per site, so
-    the O(sites² × distance × work-items) pair search only intersects
-    prebuilt sets instead of rebuilding them in its innermost loop.
-    """
-    recurrences: List[Recurrence] = []
-    loads = {s: a for s, a in site_addrs.items()
-             if site_proto[s].kind == "read"}
-    stores = {s: a for s, a in site_addrs.items()
-              if site_proto[s].kind == "write"}
-    load_sets = {s: [frozenset(a) for a in per_wi]
-                 for s, per_wi in loads.items()}
-    store_sets = {s: [frozenset(a) for a in per_wi]
-                  for s, per_wi in stores.items()}
-    for ls, l_sets in load_sets.items():
-        l_proto = site_proto[ls]
-        for ss, s_sets in store_sets.items():
-            s_proto = site_proto[ss]
-            if s_proto.buffer != l_proto.buffer \
-                    or s_proto.space != l_proto.space:
-                continue
-            d = _recurrence_distance(l_sets, s_sets, n_wi)
-            if d is not None:
-                recurrences.append(Recurrence(
-                    load_site=ls, store_site=ss, space=l_proto.space,
-                    buffer=l_proto.buffer, distance=d))
-    return recurrences
-
-
-def _analyze_packed(packed) -> TraceAnalysis:
-    """Columnar analysis of :class:`PackedTraces` — identical results to
-    the object path, computed on the flat arrays."""
-    result = TraceAnalysis()
+def analyze_traces(packed: PackedTraces) -> TraceAnalysis:
+    """Analyse packed per-work-item traces (work-items in
+    work-group-linear order), column-wise on the flat arrays."""
+    result = TraceAnalysis(global_traces=packed.global_view())
     n_wi = len(packed)
     if n_wi == 0:
         return result
@@ -251,7 +126,6 @@ def _analyze_packed(packed) -> TraceAnalysis:
     result.global_writes_per_wi = int(totals[1]) / n_wi
     result.local_reads_per_wi = int(totals[2]) / n_wi
     result.local_writes_per_wi = int(totals[3]) / n_wi
-    result.global_traces = packed.global_view()
     if n_rows == 0:
         return result
 
@@ -307,8 +181,8 @@ def _analyze_packed(packed) -> TraceAnalysis:
         i0 = int(order[lo])
         result.sites[s] = AccessSiteStats(
             site=s,
-            kind=_KIND_NAME[int(kind[i0])],
-            space=_SPACE_NAME[int(space[i0])],
+            kind=KIND_NAMES[int(kind[i0])],
+            space=SPACE_NAMES[int(space[i0])],
             buffer=names[int(buf[i0])],
             nbytes=int(nbytes[i0]),
             per_wi_count=m / n_wi,
@@ -348,10 +222,6 @@ def _analyze_packed(packed) -> TraceAnalysis:
                     load_site=ls, store_site=ss, space=lp.space,
                     buffer=lp.buffer, distance=dist))
     return result
-
-
-_KIND_NAME = ("read", "write")
-_SPACE_NAME = ("global", "local")
 
 
 def _recurrence_distance(l_sets: List[frozenset],

@@ -1,23 +1,22 @@
-"""Columnar (structure-of-arrays) memory traces.
+"""Columnar (structure-of-arrays) memory traces: the one trace format
+every stage after profiling consumes.
 
-The profiler's native trace format — one ``List[MemAccess]`` per
-work-item — is convenient but ruinously slow to analyse, extrapolate,
-and pickle: a heavy kernel records hundreds of thousands of accesses,
-and every downstream pass (site statistics, stream interleaving,
-coalescing, bank classification, cache serialisation) pays a Python
-object per access.
+The scalar interpreter records one ``List[MemAccess]`` per work-item —
+the semantics reference, but far too slow to analyse, extrapolate and
+pickle: a heavy kernel records hundreds of thousands of accesses.
 
 :class:`PackedGroup` stores one work-group's trace as seven flat numpy
 columns in **lane-major canonical order**: rows sorted by lane, each
-lane's rows in its program order.  Both trace producers emit it —
-per-work-item interpreter traces are packed by :func:`pack_traces`, and
-the static trace synthesizer builds it directly — so every consumer
-sees one representation regardless of how the trace was obtained.
+lane's rows in its program order.  The trace synthesizer and the
+vectorized interpreter build it directly; :func:`pack_traces`, called
+once in :mod:`repro.analysis.kernel_info`, converts scalar interpreter
+traces.  Site statistics, stream extrapolation, coalescing, bank
+classification and cache serialisation all read the columns.
 
-:class:`PackedTraces` wraps the groups as a ``Sequence`` of per-item
-``List[MemAccess]`` (lazy materialisation), so object-path code keeps
-working unchanged while vectorised fast paths detect the packed form
-with ``isinstance`` and skip materialisation entirely.
+:class:`PackedTraces` also reads as a ``Sequence`` of per-item
+``List[MemAccess]`` (lazy materialisation) so engine traces can be
+compared access by access against the interpreter's.
+:class:`PackedStream` is one group's interleaved stream, columns only.
 """
 
 from __future__ import annotations
@@ -31,8 +30,8 @@ from repro.interp.executor import MemAccess
 KIND_READ, KIND_WRITE = 0, 1
 SPACE_GLOBAL, SPACE_LOCAL = 0, 1
 
-_KIND_STR = ("read", "write")
-_SPACE_STR = ("global", "local")
+KIND_NAMES = ("read", "write")
+SPACE_NAMES = ("global", "local")
 
 
 class PackedGroup:
@@ -97,8 +96,8 @@ class PackedGroup:
         lo, hi = int(starts[lane]), int(starts[lane + 1])
         names = self.names
         return [
-            MemAccess(_KIND_STR[k], a, nb, names[b],
-                      space=_SPACE_STR[sp], site=s)
+            MemAccess(KIND_NAMES[k], a, nb, names[b],
+                      space=SPACE_NAMES[sp], site=s)
             for s, k, nb, sp, b, a in zip(
                 self.site[lo:hi].tolist(), self.kind[lo:hi].tolist(),
                 self.nbytes[lo:hi].tolist(), self.space[lo:hi].tolist(),
@@ -132,12 +131,11 @@ class PackedGroup:
 
 
 class PackedTraces(Sequence):
-    """A ``Sequence[List[MemAccess]]`` view over packed groups.
+    """Packed groups, readable as a ``Sequence[List[MemAccess]]``.
 
     Index *i* materialises work-item *i*'s trace (group ``i // wg``,
-    lane ``i % wg``); slices materialise lists, so legacy object-path
-    consumers — the simulator, tests — keep working.  Fast paths use
-    ``.groups`` directly.
+    lane ``i % wg``) and slices materialise lists, for access-by-access
+    comparison against the interpreter; the pipeline uses ``.groups``.
     """
 
     __slots__ = ("groups", "wg_size")
@@ -173,57 +171,34 @@ class PackedTraces(Sequence):
                 f"{self.wg_size} items, {self.n_rows} rows>")
 
 
-class PackedStream(Sequence):
-    """One work-group's interleaved access stream as flat columns.
+class PackedStream:
+    """One work-group's interleaved access stream as flat columns — the
+    three the coalescer and the DRAM pattern classifier read."""
 
-    Behaves as a ``Sequence[MemAccess]`` (lazy materialisation) for the
-    object-path consumers (the simulator's per-group replay), while the
-    coalescer and the DRAM pattern classifier read the columns
-    directly."""
+    __slots__ = ("kind", "addr", "nbytes")
 
-    __slots__ = ("site", "kind", "nbytes", "space", "buf", "addr",
-                 "names")
-
-    def __init__(self, site, kind, nbytes, space, buf, addr,
-                 names: Tuple[str, ...]) -> None:
-        self.site = site
+    def __init__(self, kind, addr, nbytes) -> None:
         self.kind = kind
-        self.nbytes = nbytes
-        self.space = space
-        self.buf = buf
         self.addr = addr
-        self.names = names
+        self.nbytes = nbytes
 
     @classmethod
     def from_group(cls, group: PackedGroup, order=None) -> "PackedStream":
         if order is None:
-            return cls(group.site, group.kind, group.nbytes, group.space,
-                       group.buf, group.addr, group.names)
-        return cls(group.site[order], group.kind[order],
-                   group.nbytes[order], group.space[order],
-                   group.buf[order], group.addr[order], group.names)
+            return cls(group.kind, group.addr, group.nbytes)
+        return cls(group.kind[order], group.addr[order],
+                   group.nbytes[order])
+
+    @classmethod
+    def empty(cls) -> "PackedStream":
+        return cls(np.empty(0, np.uint8), np.empty(0, np.int64),
+                   np.empty(0, np.int32))
 
     def with_addr(self, addr) -> "PackedStream":
-        return PackedStream(self.site, self.kind, self.nbytes,
-                            self.space, self.buf, addr, self.names)
+        return PackedStream(self.kind, addr, self.nbytes)
 
     def __len__(self) -> int:
         return int(self.kind.shape[0])
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        n = len(self)
-        if index < 0:
-            index += n
-        if not 0 <= index < n:
-            raise IndexError(index)
-        return MemAccess(_KIND_STR[int(self.kind[index])],
-                         int(self.addr[index]),
-                         int(self.nbytes[index]),
-                         self.names[int(self.buf[index])],
-                         space=_SPACE_STR[int(self.space[index])],
-                         site=int(self.site[index]))
 
     def __repr__(self) -> str:
         return f"<PackedStream {len(self)} accesses>"

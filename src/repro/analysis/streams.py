@@ -24,35 +24,21 @@ from typing import List, Optional
 import numpy as np
 
 from repro.analysis.packed import PackedStream, PackedTraces
-from repro.dram.coalesce import interleave_work_items
-from repro.interp.executor import MemAccess
 
 
 class GroupStreamExtrapolator:
     """Reconstructs the global-access stream of any work-group."""
 
-    def __init__(self, global_traces, wg_size: int,
+    def __init__(self, global_traces: PackedTraces,
                  pipelined: bool) -> None:
-        self.wg_size = max(wg_size, 1)
         self.pipelined = pipelined
-        self._groups: List[List[MemAccess]] = []
-        if isinstance(global_traces, PackedTraces) \
-                and global_traces.wg_size == self.wg_size:
-            # Columnar interleave: pipelined order is occurrence-major
-            # (sort by (occ, lane)); non-pipelined is the canonical
-            # lane-major row order itself.
-            for grp in global_traces.groups:
-                order = (np.lexsort((grp.lane, grp.occ))
-                         if pipelined else None)
-                self._groups.append(PackedStream.from_group(grp, order))
-        else:
-            for g in range(len(global_traces) // self.wg_size):
-                wi_traces = global_traces[g * self.wg_size:
-                                          (g + 1) * self.wg_size]
-                if not wi_traces:
-                    break
-                self._groups.append(
-                    interleave_work_items(wi_traces, pipelined=pipelined))
+        # Pipelined order is occurrence-major (sort by (occ, lane));
+        # non-pipelined is the canonical lane-major row order itself.
+        self._groups: List[PackedStream] = [
+            PackedStream.from_group(
+                grp, np.lexsort((grp.lane, grp.occ)) if pipelined
+                else None)
+            for grp in global_traces.groups]
 
         n = len(self._groups)
         self.period: Optional[int] = None
@@ -64,19 +50,12 @@ class GroupStreamExtrapolator:
                 a, b = self._groups[i], self._groups[i + d]
                 if len(a) and len(a) == len(b):
                     self.period, self.base_index = d, i
-                    if isinstance(a, PackedStream):
-                        diffs = b.addr - a.addr
-                        u = np.unique(diffs)
-                        if u.shape[0] == 1:
-                            self._scalar_delta = int(u[0])
-                        else:
-                            self._elem_deltas = diffs
+                    diffs = b.addr - a.addr
+                    u = np.unique(diffs)
+                    if u.shape[0] == 1:
+                        self._scalar_delta = int(u[0])
                     else:
-                        diffs = [y.addr - x.addr for x, y in zip(a, b)]
-                        if len(set(diffs)) == 1:
-                            self._scalar_delta = diffs[0]
-                        else:
-                            self._elem_deltas = diffs
+                        self._elem_deltas = diffs
                     break
             if self.period is not None:
                 break
@@ -91,14 +70,14 @@ class GroupStreamExtrapolator:
     def profiled_groups(self) -> int:
         return len(self._groups)
 
-    def stream(self, group: int) -> List[MemAccess]:
+    def stream(self, group: int) -> PackedStream:
         """The (uncoalesced) access stream of *group*."""
         groups = self._groups
         n = len(groups)
         if group < n:
             return groups[group]             # profiled exactly
         if not groups:
-            return []
+            return PackedStream.empty()
         if self.period is None:
             return groups[self.fallback]     # replay the stand-in
         p_idx = self.base_index + ((group - self.base_index)
@@ -108,24 +87,10 @@ class GroupStreamExtrapolator:
         steps = (group - p_idx) // self.period
         stand_in = groups[p_idx]
         if self._scalar_delta is not None:
-            return self._shift(stand_in, self._scalar_delta * steps)
+            return stand_in.with_addr(
+                stand_in.addr + self._scalar_delta * steps)
         if self._elem_deltas is not None \
                 and len(stand_in) == len(self._elem_deltas):
-            if isinstance(stand_in, PackedStream):
-                return stand_in.with_addr(
-                    stand_in.addr + self._elem_deltas * steps)
-            return [MemAccess(a.kind,
-                              a.addr + self._elem_deltas[j] * steps,
-                              a.nbytes, a.buffer, a.space, a.site)
-                    for j, a in enumerate(stand_in)]
+            return stand_in.with_addr(
+                stand_in.addr + self._elem_deltas * steps)
         return stand_in                      # periodic replay
-
-    @staticmethod
-    def _shift(stream, delta: int):
-        if delta == 0:
-            return stream
-        if isinstance(stream, PackedStream):
-            return stream.with_addr(stream.addr + delta)
-        return [MemAccess(a.kind, a.addr + delta, a.nbytes, a.buffer,
-                          a.space, a.site)
-                for a in stream]

@@ -98,37 +98,6 @@ def _jobs_arg(value: str):
     return jobs
 
 
-def _build_buffers(fn, global_size: int, overrides: Dict[str, float]):
-    """Synthesise buffers/scalars for a kernel's signature (shared
-    with the serve api so CLI and daemon build bit-identical inputs)."""
-    from repro.serve.api import build_buffers
-    return build_buffers(fn, global_size, overrides)
-
-
-def _frontend(args):
-    """Run the profile-independent front half once: read the source,
-    lex/parse/lower it, and resolve the device and scalar overrides."""
-    from repro.devices import device_by_name
-    from repro.frontend import compile_opencl
-
-    source = Path(args.source).read_text()
-    module = compile_opencl(source)
-    if args.kernel:
-        fn = module.get(args.kernel)
-    elif len(module.kernels) > 1:
-        names = ", ".join(k.name for k in module.kernels)
-        raise CLIError(
-            f"{args.source} defines {len(module.kernels)} kernels "
-            f"({names}); pick one with --kernel NAME")
-    else:
-        fn = module.kernels[0]
-    device = device_by_name(args.device)
-    overrides = dict(
-        kv.split("=", 1) for kv in (args.arg or []))
-    overrides = {k: float(v) for k, v in overrides.items()}
-    return fn, device, overrides
-
-
 def _open_cache(args):
     """The persistent cache the command should use (None = disabled)."""
     from repro.cache import open_cache
@@ -140,18 +109,6 @@ def _print_cache_line(cache) -> None:
     """One summary line of the persistent store's activity."""
     if cache is not None and cache.stats.lookups:
         print(cache.stats.summary())
-
-
-def _analyze_wg(fn, device, args, overrides, wg: int, cache=None):
-    """Run the profile-dependent half for one work-group size: fresh
-    synthetic buffers (profiling mutates them) + kernel analysis."""
-    from repro.analysis import analyze_kernel
-    from repro.interp import NDRange
-
-    buffers, scalars = _build_buffers(fn, args.global_size, overrides)
-    return analyze_kernel(fn, buffers, scalars,
-                          NDRange(args.global_size, wg), device,
-                          cache=cache)
 
 
 def _print_diagnostics(fn, source: str) -> None:
@@ -270,11 +227,11 @@ def _summaries_payload(source: str, args) -> List[dict]:
 
 
 def _spec_args(args) -> Dict[str, float]:
-    overrides = dict(kv.split("=", 1) for kv in (args.arg or []))
     try:
-        return {k: float(v) for k, v in overrides.items()}
+        return {k: float(v) for k, v in
+                (kv.split("=", 1) for kv in (args.arg or []))}
     except ValueError:
-        raise CLIError("--arg values must be numbers") from None
+        raise CLIError("--arg takes NAME=NUMBER") from None
 
 
 def _kernel_spec(args) -> dict:
@@ -299,7 +256,11 @@ def _kernel_spec(args) -> dict:
         if not args.global_size:
             raise CLIError("--global-size is required with a source "
                            "file")
-        spec["source"] = Path(args.source).read_text()
+        try:
+            spec["source"] = Path(args.source).read_text()
+        except OSError as exc:
+            raise CLIError(f"cannot read {args.source}: "
+                           f"{exc.strerror}") from None
         spec["global_size"] = args.global_size
     return spec
 
@@ -384,52 +345,9 @@ def cmd_predict(args) -> int:
 
 
 def cmd_explore(args) -> int:
-    """Run the `explore` subcommand: sweep the design space."""
-    from repro.dse import DesignSpace, explore
-    from repro.model import FlexCL
-
-    if (args.json or getattr(args, "workload", None)
-            or args.prefilter != "none"):
-        return _explore_via_api(args)
-    # The frontend (lex/parse/lower) runs once; per work-group size only
-    # the profile-dependent half of the analysis is re-run.
-    fn, device, overrides = _frontend(args)
-    cache = _open_cache(args)
-
-    def analyzer(wg):
-        try:
-            return _analyze_wg(fn, device, args, overrides, wg,
-                               cache=cache)
-        except Exception:
-            return None
-
-    model = FlexCL(device, cache=cache)
-    space = DesignSpace.default_for(args.global_size)
-    result = explore(space, analyzer,
-                     lambda info, d: model.predict(info, d).cycles,
-                     device, jobs=args.jobs,
-                     cache_stats=lambda: model.cache_stats,
-                     store_stats=(None if cache is None
-                                  else lambda: cache.stats.copy()))
-    feasible = result.ranked()
-    workers = f" on {result.jobs} workers" if result.jobs > 1 else ""
-    print(f"explored {len(result.evaluated)} designs "
-          f"({len(feasible)} feasible) in "
-          f"{result.elapsed_seconds:.1f}s{workers}")
-    if result.cache_stats is not None and result.cache_stats.lookups:
-        print(result.cache_stats.summary())
-    if result.store_stats is not None and result.store_stats.lookups:
-        print(result.store_stats.summary())
-    print(f"\ntop {args.top}:")
-    for entry in feasible[:args.top]:
-        print(f"  {entry.design!s:<46} {entry.cycles:>12,.0f} cycles")
-    _print_diagnostics(fn, args.source)
-    return 0
-
-
-def _explore_via_api(args) -> int:
-    """The serve-api explore path: ``--json`` (byte-identical to the
-    daemon's ``/explore`` response) and ``--workload`` sweeps."""
+    """Run the `explore` subcommand: sweep the design space through the
+    serve-api explore path, so ``--json`` output is byte-identical to
+    the daemon's ``/explore`` response."""
     from repro.serve import api as serve_api
 
     spec = _kernel_spec(args)
@@ -459,20 +377,18 @@ def _explore_via_api(args) -> int:
         print(f"  {entry['design']:<46} "
               f"{entry['cycles']:>12,.0f} cycles{tag}")
     _print_cache_line(cache)
+    if spec.get("source"):
+        fn, _ = serve_api.resolve_kernel(
+            serve_api.normalize_explore_spec(spec))
+        _print_diagnostics(fn, args.source)
     return 0
-
-
-def _program_stage_infos(program, device, cache=None,
-                         wg_override: Optional[int] = None):
-    """Analyse every stage of a program (shared with the serve api)."""
-    from repro.serve.api import program_stage_infos
-    return program_stage_infos(program, device, cache, wg_override)
 
 
 def cmd_predict_graph(args) -> int:
     """Run the `predict-graph` subcommand: end-to-end latency of a
     multi-kernel program under both edge realizations."""
     from repro.model import FlexCL, predict_graph
+    from repro.serve import api as serve_api
     from repro.workloads import all_programs, get_program
 
     if args.list or not args.program:
@@ -482,7 +398,6 @@ def cmd_predict_graph(args) -> int:
             print(f"{p.qualified_name:<20} {chain}{tag}")
         return 0
     if args.json:
-        from repro.serve import api as serve_api
         spec = {"program": args.program,
                 "realization": args.realization,
                 "depth": args.depth, "device": args.device,
@@ -501,8 +416,8 @@ def cmd_predict_graph(args) -> int:
     from repro.devices import device_by_name
     device = device_by_name(args.device)
     cache = _open_cache(args)
-    infos, designs = _program_stage_infos(program, device, cache,
-                                          args.wg)
+    infos, designs = serve_api.program_stage_infos(program, device, cache,
+                                                   args.wg)
     model = FlexCL(device, cache=cache)
     graph = program.graph()
     print(f"program  : {program.qualified_name}")
@@ -607,12 +522,13 @@ def cmd_suite(args) -> int:
 def _suite_programs(device, cache) -> None:
     """End-to-end program predictions appended to the suite report."""
     from repro.model import FlexCL, predict_graph
+    from repro.serve.api import program_stage_infos
     from repro.workloads import all_programs
 
     model = FlexCL(device, cache=cache)
     print("\nprograms (end-to-end):")
     for program in all_programs():
-        infos, designs = _program_stage_infos(program, device, cache)
+        infos, designs = program_stage_infos(program, device, cache)
         graph = program.graph()
         dram = predict_graph(graph, model, infos, designs, "dram")
         pipe = predict_graph(graph, model, infos, designs, "pipe")

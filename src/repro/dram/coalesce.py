@@ -9,17 +9,22 @@ f = MemoryAccessUnitSize / DataTypeBitWidth."
 The coalescer consumes the interleaved access stream the hardware sees
 (work-items issue in pipeline order) and merges runs of same-kind,
 address-contiguous accesses into requests of at most the AXI memory
-access unit (512 bits on the paper's platform).
+access unit (512 bits on the paper's platform).  Streams arrive as
+columns (:class:`~repro.analysis.packed.PackedStream`):
+:func:`coalesce_packed_groups` batches a whole window of groups for the
+memory model, and :func:`coalesce_stream` hands one group's requests to
+the simulator's DRAM controller as :class:`CoalescedRequest` objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Tuple
 
 import numpy as np
 
-from repro.interp.executor import MemAccess
+if TYPE_CHECKING:
+    from repro.analysis.packed import PackedStream
 
 
 @dataclass(frozen=True)
@@ -38,7 +43,7 @@ def coalescing_factor(unit_bits: int, data_bits: int) -> int:
     return max(unit_bits // data_bits, 1)
 
 
-def coalesce_stream(stream: Sequence[MemAccess],
+def coalesce_stream(stream: "PackedStream",
                     unit_bits: int = 512) -> List[CoalescedRequest]:
     """Merge consecutive same-kind contiguous accesses into bursts.
 
@@ -46,51 +51,21 @@ def coalesce_stream(stream: Sequence[MemAccess],
     requests: 1024 consecutive 32-bit reads with a 512-bit unit become
     1024 / (512/32) = 64 requests, matching the paper's example.
     """
-    from repro.analysis.packed import PackedStream
-    if isinstance(stream, PackedStream):
-        kind, addr, nbytes = coalesce_packed(
-            stream.kind, stream.addr, stream.nbytes, unit_bits)
-        return [CoalescedRequest("read" if k == 0 else "write",
-                                 int(a), int(n))
-                for k, a, n in zip(kind.tolist(), addr.tolist(),
-                                   nbytes.tolist())]
-    unit_bytes = max(unit_bits // 8, 1)
-    requests: List[CoalescedRequest] = []
-    current_kind = None
-    current_start = 0
-    current_bytes = 0
-    current_end = 0
-
-    def flush() -> None:
-        nonlocal current_bytes
-        if current_kind is not None and current_bytes > 0:
-            requests.append(CoalescedRequest(
-                kind=current_kind, addr=current_start,
-                nbytes=current_bytes))
-        current_bytes = 0
-
-    for acc in stream:
-        contiguous = (acc.kind == current_kind
-                      and acc.addr == current_end
-                      and current_bytes + acc.nbytes <= unit_bytes)
-        if not contiguous:
-            flush()
-            current_kind = acc.kind
-            current_start = acc.addr
-            current_end = acc.addr
-            current_bytes = 0
-        current_bytes += acc.nbytes
-        current_end = acc.addr + acc.nbytes
-    flush()
-    return requests
+    kind, addr, nbytes = coalesce_packed(
+        stream.kind, stream.addr, stream.nbytes, unit_bits)
+    return [CoalescedRequest("read" if k == 0 else "write", a, n)
+            for k, a, n in zip(kind.tolist(), addr.tolist(),
+                               nbytes.tolist())]
 
 
 def coalesce_packed(kind: np.ndarray, addr: np.ndarray,
                     nbytes: np.ndarray, unit_bits: int = 512
                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Columnar coalescer: identical request sequence to
-    :func:`coalesce_stream`, returned as ``(kind, addr, nbytes)``
-    arrays (kind 0 = read, 1 = write)."""
+    """Columnar coalescer: greedy left-to-right merging, returned as
+    ``(kind, addr, nbytes)`` request arrays (kind 0 = read, 1 = write).
+
+    A request grows while the next access has the same kind, starts
+    where the request ends and still fits in one access unit."""
     unit_bytes = max(unit_bits // 8, 1)
     n = int(kind.shape[0])
     if n == 0:
@@ -195,24 +170,3 @@ def coalesce_packed_groups(kind: np.ndarray, addr: np.ndarray,
         out[3].append(np.full(rk.shape[0], group[lo], np.int64))
     return (np.concatenate(out[0]), np.concatenate(out[1]),
             np.concatenate(out[2]), np.concatenate(out[3]))
-
-
-def interleave_work_items(traces: Sequence[Sequence[MemAccess]],
-                          pipelined: bool = True) -> List[MemAccess]:
-    """The global access order the memory subsystem observes.
-
-    In a pipelined PE successive work-items issue their j-th access
-    back-to-back (occurrence-major order); without pipelining each
-    work-item completes before the next starts (work-item-major order).
-    Coalescing opportunity differs radically between the two, which is
-    why the optimisation matters.
-    """
-    if not pipelined:
-        return [acc for trace in traces for acc in trace]
-    result: List[MemAccess] = []
-    depth = max((len(t) for t in traces), default=0)
-    for j in range(depth):
-        for trace in traces:
-            if j < len(trace):
-                result.append(trace[j])
-    return result

@@ -15,14 +15,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
+import numpy as np
+
 from repro.analysis.kernel_info import KernelInfo
-from repro.dram.coalesce import coalesce_stream
+from repro.analysis.streams import GroupStreamExtrapolator
+from repro.dram.coalesce import coalesce_packed_groups
 from repro.dram.mapping import BankMapping
 from repro.dram.microbench import (
     PatternLatencyTable,
     profile_pattern_latencies,
 )
-from repro.dram.patterns import PatternCounts, classify_bank_stream
+from repro.dram.patterns import PatternCounts, classify_packed
 
 #: memoised per-device pattern tables (profiling is deterministic),
 #: keyed on the full device identity — never on ``device.name``, which
@@ -87,59 +90,33 @@ def memory_model(info: KernelInfo, device,
     # the SAME reconstruction the System Run simulator executes
     # (repro.analysis.GroupStreamExtrapolator), so the model and the
     # ground truth disagree only on timing, never on traffic.
-    from repro.analysis.streams import GroupStreamExtrapolator
-    wg_size = info.work_group_size
-    extrapolator = GroupStreamExtrapolator(
-        info.traces.global_traces, wg_size, pipelined=pipelined)
+    extrapolator = GroupStreamExtrapolator(info.traces.global_traces,
+                                           pipelined=pipelined)
     # The window spans the NDRange (capped like the simulator's
     # per-group cap) so data-sparse kernels — where only a few groups
     # touch memory at all — average correctly over their idle groups.
     window = min(info.num_work_groups, 96)
-
-    total_latency = 0.0
-    total_requests = 0
-    total_accesses = 0
-    merged_counts = PatternCounts()
-    unit = device.mem_access_unit_bits if coalescing else 8
-    from repro.analysis.packed import PackedStream
-    from repro.dram.coalesce import coalesce_packed_groups
-    from repro.dram.patterns import classify_packed
-
-    import numpy as np
     streams = [s for s in (extrapolator.stream(g) for g in range(window))
-               if s]
-    if streams and all(isinstance(s, PackedStream) for s in streams):
-        # Columnar batch path: coalesce and classify the whole window
-        # in one pass.  Bank state is per (group, bank) and Eq. 9 is
-        # linear in the pattern counts, so the summed window latency is
-        # the weighted latency of the merged counts.
-        gix = np.repeat(np.arange(len(streams)),
-                        [len(s) for s in streams])
-        rk, ra, rn, rg = coalesce_packed_groups(
-            np.concatenate([s.kind for s in streams]),
-            np.concatenate([s.addr for s in streams]),
-            np.concatenate([s.nbytes for s in streams]), gix, unit)
-        merged_counts = classify_packed(rk, ra, rn, mapping, group=rg)
-        total_latency = table.weighted_latency(merged_counts)
-        total_requests = int(rk.shape[0])
-        total_accesses = int(gix.shape[0])
-    else:
-        for stream in streams:
-            requests = coalesce_stream(stream, unit)
-            counts = classify_bank_stream(requests, mapping)
-            total_latency += table.weighted_latency(counts)
-            total_requests += len(requests)
-            total_accesses += len(stream)
-            for pattern, n in counts.counts.items():
-                merged_counts.add(pattern, n)
-
-    total_items = window * wg_size
-    if total_items == 0 or total_accesses == 0:
+               if len(s)]
+    if not streams:
         return MemoryModelResult(latency_per_wi=0.0,
                                  pattern_counts=PatternCounts())
+
+    # Coalesce and classify the whole window in one pass.  Bank state is
+    # per (group, bank) and Eq. 9 is linear in the pattern counts, so
+    # the summed window latency is the weighted latency of the merged
+    # counts.
+    unit = device.mem_access_unit_bits if coalescing else 8
+    gix = np.repeat(np.arange(len(streams)), [len(s) for s in streams])
+    rk, ra, rn, rg = coalesce_packed_groups(
+        np.concatenate([s.kind for s in streams]),
+        np.concatenate([s.addr for s in streams]),
+        np.concatenate([s.nbytes for s in streams]), gix, unit)
+    counts = classify_packed(rk, ra, rn, mapping, group=rg)
     return MemoryModelResult(
-        latency_per_wi=total_latency / total_items,
-        pattern_counts=merged_counts,
-        requests_per_group=round(total_requests / window),
-        accesses_per_group=round(total_accesses / window),
+        latency_per_wi=(table.weighted_latency(counts)
+                        / (window * info.work_group_size)),
+        pattern_counts=counts,
+        requests_per_group=round(int(rk.shape[0]) / window),
+        accesses_per_group=round(int(gix.shape[0]) / window),
     )

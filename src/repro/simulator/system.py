@@ -290,7 +290,7 @@ class SystemRun:
         prices the SAME streams; only timing differs)."""
         from repro.analysis.streams import GroupStreamExtrapolator
         extrapolator = GroupStreamExtrapolator(
-            info.traces.global_traces, design.work_group_size,
+            info.traces.global_traces,
             pipelined=design.work_item_pipeline)
         unit = self.device.mem_access_unit_bits
 

@@ -89,6 +89,32 @@ class TestOtherCommands:
         assert "feasible" in out
 
 
+class TestHostileInput:
+    """Bad command lines end in one ``error:`` line and exit code 2 —
+    never a traceback."""
+
+    CASES = {
+        "arg-without-value": ["--global-size", "64", "--arg", "n"],
+        "arg-not-a-number": ["--global-size", "64", "--arg", "n=abc"],
+        "missing-file": ["--global-size", "64"],
+        "unknown-kernel": ["--global-size", "64", "--kernel", "nope"],
+        "missing-global-size": [],
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("command", ["predict", "explore"])
+    def test_clean_usage_error(self, command, case, saxpy_file,
+                               tmp_path, capsys):
+        source = (str(tmp_path / "missing.cl") if case == "missing-file"
+                  else saxpy_file)
+        rc = main([command, source, "--no-cache"] + self.CASES[case])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "Traceback" not in out + err
+
+
 class TestJobsThroughApi:
     """``--json``/``--workload`` sweeps go through ``repro.serve.api``;
     ``--jobs`` must fan them out, with output byte-equal to serial."""

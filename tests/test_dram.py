@@ -3,6 +3,8 @@ controller timing, and the Table 1 micro-benchmarks."""
 
 import pytest
 
+from repro.analysis.packed import PackedStream, pack_group, pack_traces
+from repro.analysis.streams import GroupStreamExtrapolator
 from repro.devices import KU060, VIRTEX7
 from repro.devices.device import DRAMTiming
 from repro.dram import (
@@ -15,11 +17,22 @@ from repro.dram import (
     coalescing_factor,
     profile_pattern_latencies,
 )
-from repro.dram.coalesce import CoalescedRequest, interleave_work_items
+from repro.dram.coalesce import CoalescedRequest
 from repro.dram.patterns import PatternCounts, pattern_for
 from repro.interp.executor import MemAccess
 
 MAPPING = BankMapping(num_banks=8, row_bytes=1024, interleave_bytes=64)
+
+
+def packed(accesses):
+    """One access stream, in the given order, as columns."""
+    return PackedStream.from_group(pack_group([accesses]))
+
+
+def interleave_work_items(traces, pipelined):
+    """The access order one work-group of *traces* presents to memory."""
+    return GroupStreamExtrapolator(pack_traces(traces, len(traces)),
+                                   pipelined=pipelined).stream(0)
 
 
 class TestBankMapping:
@@ -57,8 +70,8 @@ class TestBankMapping:
 class TestCoalescing:
     def test_paper_example_1024_reads(self):
         """§3.4: 1024 consecutive 32-bit reads, 512-bit unit -> 64."""
-        stream = [MemAccess("read", 4096 + 4 * i, 4, "a")
-                  for i in range(1024)]
+        stream = packed([MemAccess("read", 4096 + 4 * i, 4, "a")
+                         for i in range(1024)])
         assert len(coalesce_stream(stream, 512)) == 64
 
     def test_factor_formula(self):
@@ -67,18 +80,19 @@ class TestCoalescing:
         assert coalescing_factor(512, 1024) == 1
 
     def test_kind_change_breaks_run(self):
-        stream = [MemAccess("read", 0, 4, "a"),
-                  MemAccess("write", 4, 4, "a"),
-                  MemAccess("read", 8, 4, "a")]
+        stream = packed([MemAccess("read", 0, 4, "a"),
+                         MemAccess("write", 4, 4, "a"),
+                         MemAccess("read", 8, 4, "a")])
         assert len(coalesce_stream(stream, 512)) == 3
 
     def test_noncontiguous_not_merged(self):
-        stream = [MemAccess("read", 0, 4, "a"),
-                  MemAccess("read", 64, 4, "a")]
+        stream = packed([MemAccess("read", 0, 4, "a"),
+                         MemAccess("read", 64, 4, "a")])
         assert len(coalesce_stream(stream, 512)) == 2
 
     def test_total_bytes_preserved(self):
-        stream = [MemAccess("read", 4 * i, 4, "a") for i in range(100)]
+        stream = packed([MemAccess("read", 4 * i, 4, "a")
+                         for i in range(100)])
         reqs = coalesce_stream(stream, 512)
         assert sum(r.nbytes for r in reqs) == 400
 
@@ -88,13 +102,13 @@ class TestCoalescing:
         t0 = [MemAccess("read", 0, 4, "a"), MemAccess("read", 100, 4, "b")]
         t1 = [MemAccess("read", 4, 4, "a"), MemAccess("read", 104, 4, "b")]
         stream = interleave_work_items([t0, t1], pipelined=True)
-        assert [a.addr for a in stream] == [0, 4, 100, 104]
+        assert stream.addr.tolist() == [0, 4, 100, 104]
 
     def test_interleave_sequential(self):
         t0 = [MemAccess("read", 0, 4, "a"), MemAccess("read", 100, 4, "b")]
         t1 = [MemAccess("read", 4, 4, "a"), MemAccess("read", 104, 4, "b")]
         stream = interleave_work_items([t0, t1], pipelined=False)
-        assert [a.addr for a in stream] == [0, 100, 4, 104]
+        assert stream.addr.tolist() == [0, 100, 4, 104]
 
 
 class TestPatternClassification:

@@ -1,7 +1,13 @@
 """Unit tests for memory-trace analysis."""
 
 from repro.analysis.memtrace import analyze_traces
+from repro.analysis.packed import pack_traces
 from repro.interp.executor import MemAccess
+
+
+def analyze(traces):
+    """Analyse per-work-item object traces packed as one work-group."""
+    return analyze_traces(pack_traces(traces))
 
 
 def make_traces(per_wi):
@@ -18,7 +24,7 @@ class TestSiteStats:
         traces = make_traces([
             [("read", 4 * i, 0)] for i in range(8)
         ])
-        result = analyze_traces(traces)
+        result = analyze(traces)
         stats = result.site_stats(0)
         assert stats.wi_stride == 4
         assert stats.coalescible
@@ -27,14 +33,14 @@ class TestSiteStats:
         traces = make_traces([
             [("read", 64 * i, 0)] for i in range(8)
         ])
-        stats = analyze_traces(traces).site_stats(0)
+        stats = analyze(traces).site_stats(0)
         assert stats.wi_stride == 64
         assert not stats.coalescible
 
     def test_irregular_stride_is_none(self):
         addrs = [0, 4, 12, 40, 44, 80, 100, 104]
         traces = make_traces([[("read", a, 0)] for a in addrs])
-        stats = analyze_traces(traces).site_stats(0)
+        stats = analyze(traces).site_stats(0)
         assert stats.wi_stride is None
 
     def test_inner_stride(self):
@@ -42,7 +48,7 @@ class TestSiteStats:
             [("read", base + 4 * j, 0) for j in range(4)]
             for base in (0, 1000)
         ])
-        stats = analyze_traces(traces).site_stats(0)
+        stats = analyze(traces).site_stats(0)
         assert stats.inner_stride == 4
 
     def test_per_wi_count(self):
@@ -50,7 +56,7 @@ class TestSiteStats:
             [("read", 0, 0), ("read", 4, 0)],
             [("read", 8, 0), ("read", 12, 0)],
         ])
-        stats = analyze_traces(traces).site_stats(0)
+        stats = analyze(traces).site_stats(0)
         assert stats.per_wi_count == 2.0
 
 
@@ -60,7 +66,7 @@ class TestAggregates:
             [("read", 0, 0), ("read", 4, 1), ("write", 8, 2)],
             [("read", 12, 0), ("read", 16, 1), ("write", 20, 2)],
         ])
-        result = analyze_traces(traces)
+        result = analyze(traces)
         assert result.global_reads_per_wi == 2.0
         assert result.global_writes_per_wi == 1.0
 
@@ -70,7 +76,7 @@ class TestAggregates:
             MemAccess("write", 0, 4, "__local", space="local", site=1),
             MemAccess("read", 0, 4, "g", space="global", site=2),
         ]]
-        result = analyze_traces(traces)
+        result = analyze(traces)
         assert result.local_reads_per_wi == 1.0
         assert result.local_writes_per_wi == 1.0
         assert result.global_reads_per_wi == 1.0
@@ -80,11 +86,11 @@ class TestAggregates:
             MemAccess("read", 0, 4, "__local", space="local", site=0),
             MemAccess("read", 0, 4, "g", space="global", site=1),
         ]]
-        result = analyze_traces(traces)
+        result = analyze(traces)
         assert len(result.global_traces[0]) == 1
 
     def test_empty(self):
-        result = analyze_traces([])
+        result = analyze([])
         assert result.global_reads_per_wi == 0.0
         assert result.recurrences == []
 
@@ -101,7 +107,7 @@ class TestRecurrences:
                 MemAccess("write", 4 * i, 4, "b",
                           space="global", site=1),
             ])
-        result = analyze_traces(traces)
+        result = analyze(traces)
         assert any(r.distance == 1 and r.load_site == 0
                    and r.store_site == 1 for r in result.recurrences)
 
@@ -114,7 +120,7 @@ class TestRecurrences:
                 MemAccess("write", 4 * i, 4, "b",
                           space="global", site=1),
             ])
-        result = analyze_traces(traces)
+        result = analyze(traces)
         distances = {r.distance for r in result.recurrences}
         assert 2 in distances
 
@@ -123,7 +129,7 @@ class TestRecurrences:
             [("read", 4 * i, 0), ("write", 1000 + 4 * i, 1)]
             for i in range(8)
         ])
-        result = analyze_traces(traces)
+        result = analyze(traces)
         assert result.recurrences == []
 
     def test_different_buffers_no_recurrence(self):
@@ -135,5 +141,5 @@ class TestRecurrences:
                 MemAccess("write", 4 * i, 4, "b",
                           space="global", site=1),
             ])
-        result = analyze_traces(traces)
+        result = analyze(traces)
         assert result.recurrences == []

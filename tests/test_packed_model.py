@@ -1,8 +1,13 @@
-"""Columnar (packed) trace pipeline vs the original object pipeline:
-analysis, stream extrapolation, coalescing, bank classification and the
-memory model must produce identical results on identical traces."""
+"""The columnar (packed) trace pipeline against a golden recorded from
+the object-per-access reference: analysis, stream extrapolation,
+coalescing and bank classification must reproduce
+``tests/data/packed_reference.json`` (regenerate it with
+``tests/data/make_packed_reference.py``) on the interpreter's traces."""
 
+import hashlib
+import json
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +26,16 @@ SAMPLE = ["rodinia/nn/nn", "rodinia/hotspot/hotspot",
           "rodinia/srad/srad", "polybench/gemm/gemm",
           "polybench/atax/atax"]
 BY_NAME = {w.qualified_name: w for w in registry.all_workloads()}
+GOLDEN = json.loads((Path(__file__).parent / "data"
+                     / "packed_reference.json").read_text())
+MODES = {True: "pipelined", False: "sequential"}
+MAPPING = BankMapping(num_banks=8, row_bytes=1024, interleave_bytes=64)
+
+
+def stream_digest(kinds, addrs, sizes) -> str:
+    """The golden's digest of a stream's (kind, addr, nbytes) rows."""
+    text = ";".join(f"{k},{a},{n}" for k, a, n in zip(kinds, addrs, sizes))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def object_traces(name, max_groups=3):
@@ -41,10 +56,9 @@ def traced(request):
     return traces, wg, pack_traces(traces, wg)
 
 
-def same_site_stats(a, b):
-    assert a.sites.keys() == b.sites.keys()
-    for s in a.sites:
-        assert a.sites[s] == b.sites[s], f"site {s} stats differ"
+@pytest.fixture
+def reference(traced, request):
+    return GOLDEN[request.node.callspec.params["traced"]]
 
 
 class TestPackedTracesContainer:
@@ -83,39 +97,48 @@ class TestPackedTracesContainer:
 
 
 class TestAnalysisEquivalence:
-    def test_analyze_traces_identical(self, traced):
+    def test_analyze_traces_identical(self, traced, reference):
         traces, wg, packed = traced
-        obj = analyze_traces(traces)
         col = analyze_traces(packed)
-        same_site_stats(obj, col)
-        assert obj.recurrences == col.recurrences
-        assert obj.global_reads_per_wi == col.global_reads_per_wi
-        assert obj.global_writes_per_wi == col.global_writes_per_wi
-        assert obj.local_reads_per_wi == col.local_reads_per_wi
-        assert obj.local_writes_per_wi == col.local_writes_per_wi
+        assert len(traces) == reference["work_items"]
+        assert wg == reference["wg_size"]
+        assert {str(s): {"kind": st.kind, "space": st.space,
+                         "buffer": st.buffer, "nbytes": st.nbytes,
+                         "per_wi_count": st.per_wi_count,
+                         "wi_stride": st.wi_stride,
+                         "inner_stride": st.inner_stride}
+                for s, st in col.sites.items()} == reference["sites"]
+        assert [[r.load_site, r.store_site, r.space, r.buffer, r.distance]
+                for r in col.recurrences] == reference["recurrences"]
+        assert {"global_reads": col.global_reads_per_wi,
+                "global_writes": col.global_writes_per_wi,
+                "local_reads": col.local_reads_per_wi,
+                "local_writes": col.local_writes_per_wi} \
+            == reference["per_wi"]
 
     @pytest.mark.parametrize("pipelined", [True, False])
-    def test_extrapolated_streams_identical(self, traced, pipelined):
+    def test_extrapolated_streams_identical(self, traced, reference,
+                                            pipelined):
         traces, wg, packed = traced
-        obj = GroupStreamExtrapolator(traces, wg, pipelined=pipelined)
-        col = GroupStreamExtrapolator(packed, wg, pipelined=pipelined)
-        n_groups = len(traces) // wg
-        for g in range(n_groups + 3):    # profiled + extrapolated
-            assert list(obj.stream(g)) == list(col.stream(g)), \
+        col = GroupStreamExtrapolator(packed, pipelined=pipelined)
+        want = reference["streams"][MODES[pipelined]]
+        assert len(want) == len(traces) // wg + 3   # profiled + 3 more
+        for g, (length, digest) in enumerate(want):
+            stream = col.stream(g)
+            assert [len(stream), stream_digest(
+                stream.kind.tolist(), stream.addr.tolist(),
+                stream.nbytes.tolist())] == [length, digest], \
                 f"group {g} stream differs"
 
 
 class TestDramEquivalence:
     @pytest.mark.parametrize("pipelined", [True, False])
-    def test_coalesce_identical(self, traced, pipelined):
+    def test_coalesce_identical(self, traced, reference, pipelined):
         traces, wg, packed = traced
-        col = GroupStreamExtrapolator(packed, wg, pipelined=pipelined)
-        for g in range(2):
-            stream = col.stream(g)
-            reqs_obj = coalesce_stream([stream[i]
-                                        for i in range(len(stream))])
-            reqs_col = coalesce_stream(stream)
-            assert reqs_obj == reqs_col
+        col = GroupStreamExtrapolator(packed, pipelined=pipelined)
+        want = reference["requests"][MODES[pipelined]]
+        assert [len(coalesce_stream(col.stream(g)))
+                for g in range(len(want))] == want
 
     def test_coalesce_packed_merges_runs(self):
         # 16 contiguous 4-byte reads with a 64-byte unit -> 1 request
@@ -135,22 +158,20 @@ class TestDramEquivalence:
         assert rk.tolist() == [0, 1]
 
     @pytest.mark.parametrize("pipelined", [True, False])
-    def test_bank_classification_identical(self, traced, pipelined):
+    def test_bank_classification_identical(self, traced, reference,
+                                           pipelined):
         traces, wg, packed = traced
-        mapping = BankMapping(num_banks=8, row_bytes=1024,
-                              interleave_bytes=64)
-        col = GroupStreamExtrapolator(packed, wg, pipelined=pipelined)
-        for g in range(2):
+        col = GroupStreamExtrapolator(packed, pipelined=pipelined)
+        want = reference["patterns"][MODES[pipelined]]
+        for g, counts in enumerate(want):
             stream = col.stream(g)
-            reqs = coalesce_stream([stream[i]
-                                    for i in range(len(stream))])
-            want = classify_bank_stream(reqs, mapping)
-            rk = np.array([0 if r.kind == "read" else 1 for r in reqs],
-                          np.uint8)
-            ra = np.array([r.addr for r in reqs], np.int64)
-            rn = np.array([r.nbytes for r in reqs], np.int64)
-            got = classify_packed(rk, ra, rn, mapping)
-            assert want == got
+            reqs = coalesce_stream(stream)
+            rk, ra, rn = coalesce_packed(stream.kind, stream.addr,
+                                         stream.nbytes)
+            for got in (classify_bank_stream(reqs, MAPPING),
+                        classify_packed(rk, ra, rn, MAPPING)):
+                assert {p.name: n for p, n in got.counts.items()
+                        if n} == counts
 
 
 class TestModelEquivalence:

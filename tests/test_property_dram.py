@@ -3,13 +3,21 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dram import BankMapping, classify_bank_stream, coalesce_stream
-from repro.dram.coalesce import coalescing_factor
+from repro.analysis.packed import PackedStream, pack_group
+from repro.dram import BankMapping, classify_bank_stream
+from repro.dram.coalesce import coalesce_stream, coalescing_factor
 from repro.dram.controller import DRAMController
 from repro.devices.device import DRAMTiming
 from repro.interp.executor import MemAccess
 
 MAPPING = BankMapping(num_banks=8, row_bytes=1024, interleave_bytes=64)
+
+
+def coalesce(accesses, unit_bits):
+    """Coalesce an access list, in order, through the columnar path."""
+    return coalesce_stream(
+        PackedStream.from_group(pack_group([accesses])), unit_bits)
+
 
 addresses = st.integers(min_value=0, max_value=1 << 24)
 kinds = st.sampled_from(["read", "write"])
@@ -43,17 +51,17 @@ class TestMappingProperties:
 class TestCoalescingProperties:
     @given(access_streams())
     def test_total_bytes_preserved(self, stream):
-        reqs = coalesce_stream(stream, 512)
+        reqs = coalesce(stream, 512)
         assert sum(r.nbytes for r in reqs) \
             == sum(a.nbytes for a in stream)
 
     @given(access_streams())
     def test_never_more_requests_than_accesses(self, stream):
-        assert len(coalesce_stream(stream, 512)) <= len(stream)
+        assert len(coalesce(stream, 512)) <= len(stream)
 
     @given(access_streams())
     def test_requests_within_unit(self, stream):
-        for r in coalesce_stream(stream, 512):
+        for r in coalesce(stream, 512):
             assert 0 < r.nbytes <= 64
 
     @given(st.integers(1, 4096), st.integers(1, 1024))
@@ -63,7 +71,7 @@ class TestCoalescingProperties:
     @given(st.integers(2, 64).map(lambda k: 2 ** (k % 6 + 4)))
     def test_unit_stride_reads_coalesce_fully(self, count):
         stream = [MemAccess("read", 4 * i, 4, "a") for i in range(count)]
-        reqs = coalesce_stream(stream, 512)
+        reqs = coalesce(stream, 512)
         f = coalescing_factor(512, 32)
         assert len(reqs) == -(-count // f)
 
@@ -73,7 +81,7 @@ class TestClassificationProperties:
     @settings(max_examples=50)
     def test_total_counts_match_requests(self, stream):
         """Eq. 9 prices one pattern per post-coalescing request."""
-        reqs = coalesce_stream(stream, 512)
+        reqs = coalesce(stream, 512)
         counts = classify_bank_stream(reqs, MAPPING)
         assert counts.total() == len(reqs)
 
@@ -83,7 +91,7 @@ class TestControllerProperties:
     @settings(max_examples=50)
     def test_finish_after_arrival(self, stream):
         controller = DRAMController(MAPPING, DRAMTiming())
-        reqs = coalesce_stream(stream, 512)
+        reqs = coalesce(stream, 512)
         clock = 0.0
         for req in reqs:
             record = controller.access(req, arrival=clock)
@@ -93,7 +101,7 @@ class TestControllerProperties:
     @given(access_streams(max_len=30))
     @settings(max_examples=30)
     def test_deterministic(self, stream):
-        reqs = coalesce_stream(stream, 512)
+        reqs = coalesce(stream, 512)
         results = []
         for _ in range(2):
             controller = DRAMController(MAPPING, DRAMTiming())

@@ -42,7 +42,9 @@ def make_info(wg=32):
 
 def exact_group_requests(info, design, group):
     """Ground truth: execute every group and build its stream."""
-    from repro.dram.coalesce import coalesce_stream, interleave_work_items
+    from repro.analysis import GroupStreamExtrapolator
+    from repro.analysis.packed import pack_traces
+    from repro.dram.coalesce import coalesce_stream
     n = 48 * 48
     fn = compile_opencl(GUARDED).get("guarded")
     ex = KernelExecutor(
@@ -54,9 +56,9 @@ def exact_group_requests(info, design, group):
     wg = design.work_group_size
     traces = [[a for a in t if a.space == "global"]
               for t in launch.traces]
-    stream = interleave_work_items(
-        traces[group * wg:(group + 1) * wg],
-        pipelined=design.work_item_pipeline)
+    stream = GroupStreamExtrapolator(
+        pack_traces(traces[group * wg:(group + 1) * wg], wg),
+        pipelined=design.work_item_pipeline).stream(0)
     return coalesce_stream(stream, VIRTEX7.mem_access_unit_bits)
 
 
