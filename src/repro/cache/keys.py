@@ -32,7 +32,7 @@ from typing import Dict
 #: changes its output): old entries become unreachable, not wrong.
 SCHEMA_VERSIONS: Dict[str, int] = {
     "analysis": 5,   # pickled KernelInfo; one key for every trace engine
-    "pe": 1,         # PEModelResult rows spilled from repro.model.memo
+    "pe": 2,         # PEModelResult rows, keyed by model.pe.pe_memo_key
     "memory": 1,     # MemoryModelResult rows spilled from repro.model.memo
     "table1": 1,     # per-device PatternLatencyTable (Table 1)
     "surrogate": 1,  # trained surrogate model artefacts (repro.surrogate)

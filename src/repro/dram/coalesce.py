@@ -19,7 +19,7 @@ the simulator's DRAM controller as :class:`CoalescedRequest` objects.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
@@ -58,6 +58,39 @@ def coalesce_stream(stream: "PackedStream",
                                nbytes.tolist())]
 
 
+def _breaks(kind: np.ndarray, addr: np.ndarray,
+            nbytes: np.ndarray) -> np.ndarray:
+    """Where a contiguous same-kind run starts (index 0 always does)."""
+    brk = np.empty(kind.shape[0], bool)
+    brk[0] = True
+    brk[1:] = (kind[1:] != kind[:-1]) | (addr[1:] != (addr + nbytes)[:-1])
+    return brk
+
+
+def _uniform_requests(brk: np.ndarray, nbytes: np.ndarray,
+                      unit_bytes: int
+                      ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """``(request starts, request bytes)`` when every access has one
+    size, else None.  Within a contiguous run the greedy capacity check
+    then breaks a new request every k = unit/nb accesses, so request
+    starts fall out of run positions."""
+    nb = int(nbytes[0])
+    if int(nbytes.min()) != nb or int(nbytes.max()) != nb:
+        return None
+    k = max(unit_bytes // nb, 1)
+    run_starts = np.flatnonzero(brk)
+    run_len = np.diff(run_starts, append=brk.shape[0])
+    per_run = (run_len + k - 1) // k
+    if int(per_run.max()) == 1:
+        return run_starts, run_len * nb
+    # Split runs longer than one unit into k-access requests.
+    run_ix = np.repeat(np.arange(run_starts.shape[0]), per_run)
+    first_of = np.cumsum(per_run) - per_run
+    req_starts = (run_starts[run_ix]
+                  + k * (np.arange(run_ix.shape[0]) - first_of[run_ix]))
+    return req_starts, np.diff(req_starts, append=brk.shape[0]) * nb
+
+
 def coalesce_packed(kind: np.ndarray, addr: np.ndarray,
                     nbytes: np.ndarray, unit_bits: int = 512
                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -71,25 +104,12 @@ def coalesce_packed(kind: np.ndarray, addr: np.ndarray,
     if n == 0:
         return (np.empty(0, np.uint8), np.empty(0, np.int64),
                 np.empty(0, np.int64))
-    end = addr + nbytes
-    brk = np.empty(n, bool)
-    brk[0] = True
-    brk[1:] = (kind[1:] != kind[:-1]) | (addr[1:] != end[:-1])
-    sizes = np.unique(nbytes)
-    if sizes.shape[0] == 1:
-        # Uniform access size: within a contiguous run the greedy
-        # capacity check breaks a new request every k = unit/nb
-        # accesses, so request starts fall out of run positions.
-        nb = int(sizes[0])
-        k = max(unit_bytes // nb, 1)
-        run_starts = np.flatnonzero(brk)
-        run_id = np.cumsum(brk) - 1
-        pos = np.arange(n) - run_starts[run_id]
-        req_starts = np.flatnonzero(pos % k == 0)
-        req_counts = np.diff(np.append(req_starts, n))
+    brk = _breaks(kind, addr, nbytes)
+    uniform = _uniform_requests(brk, nbytes, unit_bytes)
+    if uniform is not None:
+        req_starts, req_nbytes = uniform
         return (kind[req_starts].astype(np.uint8),
-                addr[req_starts].astype(np.int64),
-                req_counts.astype(np.int64) * nb)
+                addr[req_starts].astype(np.int64), req_nbytes)
     # Mixed sizes (rare): greedy scalar pass over the columns.
     kind_l = kind.tolist()
     addr_l = addr.tolist()
@@ -134,31 +154,21 @@ def coalesce_packed_groups(kind: np.ndarray, addr: np.ndarray,
     if n == 0:
         return (np.empty(0, np.uint8), np.empty(0, np.int64),
                 np.empty(0, np.int64), np.empty(0, np.int64))
-    end = addr + nbytes
-    brk = np.empty(n, bool)
-    brk[0] = True
-    brk[1:] = ((kind[1:] != kind[:-1]) | (addr[1:] != end[:-1])
-               | (group[1:] != group[:-1]))
-    sizes = np.unique(nbytes)
-    if sizes.shape[0] == 1:
-        # Uniform access size across the whole batch (the common case:
-        # every group replays the same sites): same run arithmetic as
-        # coalesce_packed, with group changes already breaking runs.
-        nb = int(sizes[0])
-        k = max(unit_bytes // nb, 1)
-        run_starts = np.flatnonzero(brk)
-        run_id = np.cumsum(brk) - 1
-        pos = np.arange(n) - run_starts[run_id]
-        req_starts = np.flatnonzero(pos % k == 0)
-        req_counts = np.diff(np.append(req_starts, n))
+    new_group = np.empty(n, bool)
+    new_group[0] = True
+    new_group[1:] = group[1:] != group[:-1]
+    # Uniform access size across the whole batch is the common case:
+    # every group replays the same sites, and a group change is one
+    # more run break.
+    uniform = _uniform_requests(_breaks(kind, addr, nbytes) | new_group,
+                                nbytes, unit_bytes)
+    if uniform is not None:
+        req_starts, req_nbytes = uniform
         return (kind[req_starts].astype(np.uint8),
-                addr[req_starts].astype(np.int64),
-                req_counts.astype(np.int64) * nb,
+                addr[req_starts].astype(np.int64), req_nbytes,
                 group[req_starts].astype(np.int64))
     # Mixed sizes (rare): delegate to the per-group scalar coalescer.
-    bounds = np.flatnonzero(np.concatenate(
-        ([True], group[1:] != group[:-1])))
-    bounds = np.append(bounds, n)
+    bounds = np.append(np.flatnonzero(new_group), n)
     out = [[], [], [], []]
     for i in range(bounds.shape[0] - 1):
         lo, hi = int(bounds[i]), int(bounds[i + 1])

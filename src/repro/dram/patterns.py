@@ -156,65 +156,81 @@ def classify_packed(kind: np.ndarray, addr: np.ndarray,
     if n_req == 0:
         return counts
     ib = mapping.interleave_bytes
-    start_blk = addr // ib
-    end_blk = (addr + np.maximum(nbytes, 1) + ib - 1) // ib
-    per_req = (end_blk - start_blk).astype(np.int64)
-    total = int(per_req.sum())
-    req_ix = np.repeat(np.arange(n_req), per_req)
-    first_of = np.cumsum(per_req) - per_req
-    offs = np.arange(total) - first_of[req_ix]
-    blocks = start_blk[req_ix] + offs
-    lead = offs == 0
-    kinds = kind[req_ix].astype(np.int64)
+    start_blk = _floordiv(addr, ib)
+    per_req = _floordiv(addr + np.maximum(nbytes, 1) + ib - 1,
+                        ib) - start_blk
+    if int(per_req.max()) == 1:
+        # Every request fits in one interleave block (the common case):
+        # the block sequence is the request sequence.
+        blocks, kinds, lead = start_blk, kind, None
+    else:
+        total = int(per_req.sum())
+        req_ix = np.repeat(np.arange(n_req), per_req)
+        first_of = np.cumsum(per_req) - per_req
+        offs = np.arange(total) - first_of[req_ix]
+        blocks = start_blk[req_ix] + offs
+        lead = offs == 0
+        kinds = kind[req_ix]
+        if group is not None:
+            group = group[req_ix]
+    total = int(blocks.shape[0])
 
+    nb = mapping.num_banks
     swiz = blocks ^ (blocks >> 3) ^ (blocks >> 6)
-    bank = swiz % mapping.num_banks
-    row = (blocks // mapping.num_banks) // (mapping.row_bytes // ib)
+    bank = swiz & (nb - 1) if nb & (nb - 1) == 0 else swiz % nb
+    row = _floordiv(blocks, nb * (mapping.row_bytes // ib))
 
+    # Bank state is per (group, bank): sort on one combined key.  A
+    # stable sort keeps each bank's request order, which is what the
+    # bank state machine consumes; the narrowest key dtype lets numpy
+    # radix-sort it.
+    if group is None:
+        key = bank
+    else:
+        key = (group - int(group.min())) * nb + bank
+    key = key.astype(np.min_scalar_type(int(key.max())), copy=False)
+    order = np.argsort(key, kind="stable")
+    k_sorted = key[order]
     seg_new = np.empty(total, bool)
     seg_new[0] = True
-    if group is None:
-        order = np.argsort(bank, kind="stable")
-        b_s = bank[order]
-        seg_new[1:] = b_s[1:] != b_s[:-1]
-    else:
-        g_blk = group[req_ix]
-        # lexsort is stable, so per-(group, bank) request order — which
-        # is what the bank state machine consumes — is preserved.
-        order = np.lexsort((bank, g_blk))
-        b_s = bank[order]
-        g_s = g_blk[order]
-        seg_new[1:] = (b_s[1:] != b_s[:-1]) | (g_s[1:] != g_s[:-1])
+    seg_new[1:] = k_sorted[1:] != k_sorted[:-1]
     r_s = row[order]
-    k_s = kinds[order]
-    lead_s = lead[order]
+    k_s = kinds[order].astype(np.uint8, copy=False)
     # previous request kind seen by this bank (cold banks read)
-    prev_k = np.empty(total, np.int64)
+    prev_k = np.empty(total, np.uint8)
     prev_k[0] = 0
     prev_k[1:] = k_s[:-1]
     prev_k[seg_new] = 0
-    # same row as this bank's previous access?
-    same_prev = np.empty(total, bool)
-    same_prev[0] = False
-    same_prev[1:] = r_s[1:] == r_s[:-1]
-    same_prev[seg_new] = False
-    # equal-row runs within each bank segment
-    run_new = seg_new | ~same_prev
-    run_id = np.cumsum(run_new) - 1
-    run_val = r_s[run_new]
-    seg_id = np.cumsum(seg_new) - 1
-    seg_first_run = run_id[seg_new][seg_id]
-    # second open row = value of the run before the run holding the
-    # previous access; a new-run position i has that run at run_id-2.
-    has_prev2 = (run_id - 2) >= seg_first_run
-    cand = run_val[np.maximum(run_id - 2, 0)]
-    hit = same_prev | (has_prev2 & (r_s == cand))
+    # equal-row runs within each bank segment: a block continuing its
+    # bank's run hits the open row
+    run_new = np.empty(total, bool)
+    run_new[0] = True
+    run_new[1:] = r_s[1:] != r_s[:-1]
+    run_new |= seg_new
+    # a block opening a new run hits only the second open row: the row
+    # of the run before the previous one, in the same bank segment
+    run_row = r_s[run_new]
+    run_seg = seg_new[run_new]
+    hit = ~run_new
+    hit[run_new] = np.concatenate((
+        np.zeros(min(run_row.shape[0], 2), bool),
+        ~run_seg[2:] & ~run_seg[1:-1] & (run_row[2:] == run_row[:-2])))
 
-    codes = (np.where(hit, 0, 4) + 2 * k_s + prev_k)[lead_s]
+    codes = (~hit).view(np.uint8) * 4 + 2 * k_s + prev_k
+    if lead is not None:
+        codes = codes[lead[order]]
     binc = np.bincount(codes, minlength=8)
     for j, p in enumerate(PATTERNS):
         counts.counts[p] = int(binc[j])
     return counts
+
+
+def _floordiv(x: np.ndarray, d: int) -> np.ndarray:
+    """``x // d``; a shift when *d* is a power of two (exact for every
+    integer, negative ones included)."""
+    if d & (d - 1) == 0:
+        return x >> (d.bit_length() - 1)
+    return x // d
 
 
 def _covered_blocks(req: CoalescedRequest,

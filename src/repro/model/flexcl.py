@@ -28,7 +28,7 @@ from repro.model.memory import (
     memory_model,
     pattern_table_for,
 )
-from repro.model.pe import PEModelResult, pe_model
+from repro.model.pe import PEModelResult, pe_memo_key, pe_model
 from repro.scheduling import ResourceBudget
 
 
@@ -77,7 +77,8 @@ class FlexCL:
 
     With *memoize* (the default) the expensive sub-models are cached on
     the parameters they actually depend on — the PE schedule on
-    ``(wg_size, budget, pipelined)``, the memory model on
+    ``(wg_size, pipelined)`` plus the part of the budget it reads
+    (:func:`~repro.model.pe.pe_memo_key`), the memory model on
     ``(wg_size, pipelined, coalescing)`` — which makes full design-space
     sweeps many times faster without changing a single predicted cycle.
     ``cache_stats`` reports the hit/miss counts.
@@ -133,13 +134,14 @@ class FlexCL:
     def _pe_model(self, info: KernelInfo, design: Design,
                   budget: ResourceBudget) -> PEModelResult:
         """PE schedule, memoized on what it reads: the analysed kernel,
-        the per-PE resource budget, pipelining, and work-group size."""
+        work-group size, pipelining, and the part of the per-PE budget
+        the schedule can see (:func:`~repro.model.pe.pe_memo_key`)."""
         pipelined = design.work_item_pipeline
         wg = design.work_group_size
         if self._cache is None:
             return pe_model(info, budget, pipelined=pipelined, wg_size=wg)
         return self._cache.get(
-            "pe", info, (wg, budget, pipelined),
+            "pe", info, pe_memo_key(info, budget, pipelined, wg),
             lambda: pe_model(info, budget, pipelined=pipelined,
                              wg_size=wg))
 

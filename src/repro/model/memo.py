@@ -3,8 +3,9 @@
 A full design-space sweep evaluates hundreds of design points per
 work-group size, but the expensive sub-models depend on only a few of
 the design's parameters: the PE schedule (list scheduling + SMS) on
-``(wg_size, resource budget, pipelined)`` and the memory model (stream
-reconstruction, coalescing, bank classification) on
+``(wg_size, pipelined)`` plus the DSP terms of the resource budget it
+can observe (:func:`repro.model.pe.pe_memo_key`), and the memory model
+(stream reconstruction, coalescing, bank classification) on
 ``(wg_size, pipelined, coalescing)``.  The cheap per-point sub-models
 (CU, kernel, integration) are recomputed for every design.
 

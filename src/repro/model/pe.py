@@ -16,6 +16,7 @@ model:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -26,6 +27,7 @@ from repro.scheduling import (
     ResourceBudget,
     compute_mii,
     list_schedule,
+    res_mii_dsp,
     swing_modulo_schedule,
 )
 
@@ -132,6 +134,33 @@ def _loop_exits(fn: Function, loop: LoopInfo) -> list:
             if succ.name not in loop.blocks:
                 exits.append(succ.name)
     return exits
+
+
+def pe_memo_key(info: KernelInfo, budget: ResourceBudget,
+                pipelined: bool, wg_size: int) -> tuple:
+    """The inputs :func:`pe_model` reads from a design, as a memo key.
+
+    Besides the port limits (``budget.ports``) the model reads the
+    budget's ``dsp_budget`` in exactly two places:
+
+    - the list scheduler's DSP check, which blocks an op only while the
+      DSP cost already in flight plus its own exceeds ``dsp_budget``.
+      In-flight ops all belong to one block, and every block's DSP cost
+      sums to at most ``info.dsp_static_cost`` (the sum over the whole
+      function DFG, whose nodes are the reachable blocks' instructions).
+      So the check never fires once ``dsp_budget >= ceil(static)``, and
+      every budget at or above that bound schedules alike: clamp it;
+    - ResMII's DSP term (:func:`~repro.scheduling.mii.res_mii_dsp`),
+      which only the pipelined model reads (RecMII and SMS read the
+      graph and the port limits): key on the term itself.
+
+    Below the bound the key keeps the real ``dsp_budget``, so it is
+    exact for infeasible designs too; feasible designs always sit at or
+    above it (:func:`repro.dse.space.check_feasibility`)."""
+    dsp = budget.dsp_budget
+    return (wg_size, pipelined, budget.ports,
+            min(dsp, math.ceil(info.dsp_static_cost)),
+            res_mii_dsp(info.dsp_cost_per_wi, dsp) if pipelined else None)
 
 
 def pe_model(info: KernelInfo, budget: ResourceBudget,

@@ -11,7 +11,13 @@
 
 from repro.scheduling.resources import ResourceBudget
 from repro.scheduling.list_scheduler import ScheduleResult, list_schedule
-from repro.scheduling.mii import MIIBreakdown, compute_mii, compute_rec_mii, compute_res_mii
+from repro.scheduling.mii import (
+    MIIBreakdown,
+    compute_mii,
+    compute_rec_mii,
+    compute_res_mii,
+    res_mii_dsp,
+)
 from repro.scheduling.sms import SMSResult, swing_modulo_schedule
 
 __all__ = [
@@ -23,5 +29,6 @@ __all__ = [
     "compute_rec_mii",
     "compute_res_mii",
     "list_schedule",
+    "res_mii_dsp",
     "swing_modulo_schedule",
 ]

@@ -38,6 +38,12 @@ class MIIBreakdown:
         return max(self.rec_mii, self.res_mii, 1.0)
 
 
+def res_mii_dsp(dsp_cost_per_wi: float, dsp_budget: int) -> float:
+    """ResMII's DSP term: in-flight DSP cost per work-item over the
+    budget, at least 1."""
+    return float(max(math.ceil(dsp_cost_per_wi / max(dsp_budget, 1)), 1))
+
+
 def compute_res_mii(budget: ResourceBudget,
                     local_reads_per_wi: float,
                     local_writes_per_wi: float,
@@ -47,9 +53,9 @@ def compute_res_mii(budget: ResourceBudget,
         math.ceil(local_reads_per_wi / max(budget.local_read_ports, 1)),
         math.ceil(local_writes_per_wi / max(budget.local_write_ports, 1)),
     )
-    res_dsp = math.ceil(dsp_cost_per_wi / max(budget.dsp_budget, 1))
     return MIIBreakdown(rec_mii=1.0, res_mii_mem=float(max(res_mem, 1)),
-                        res_mii_dsp=float(max(res_dsp, 1)))
+                        res_mii_dsp=res_mii_dsp(dsp_cost_per_wi,
+                                                budget.dsp_budget))
 
 
 def compute_rec_mii(graph: DataFlowGraph,

@@ -36,6 +36,13 @@ class ResourceBudget:
             return self.global_read_ports + self.global_write_ports
         return 0
 
+    @property
+    def ports(self) -> tuple:
+        """Every field :meth:`issue_limit` reads: all the schedulers see
+        of the budget besides ``dsp_budget``."""
+        return (self.local_read_ports, self.local_write_ports,
+                self.global_read_ports, self.global_write_ports)
+
     def dsp_cost(self, cls: OpClass) -> int:
         return DSP_COST[cls]
 

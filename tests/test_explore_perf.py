@@ -8,11 +8,12 @@ from repro.analysis import analyze_kernel
 from repro.devices import VIRTEX7
 from repro.dse import DesignSpace, EvaluatedDesign, ExplorationResult, explore
 from repro.dse.explorer import resolve_jobs
-from repro.dse.space import Design
+from repro.dse.space import Design, check_feasibility
 from repro.frontend import compile_opencl
 from repro.interp import Buffer, NDRange
 from repro.model import CacheStats, FlexCL
 from repro.scheduling import ResourceBudget
+from test_packed_model import BY_NAME, SAMPLE
 
 SRC = r"""
 __kernel void k(__global const float* a, __global float* b, int n) {
@@ -157,13 +158,26 @@ class TestMemoization:
         assert delta.hits == 4
 
     def test_budget_change_busts_pe_cache_only(self):
-        """num_pe/num_cu/vector_width change the PE budget, but not the
-        memory model's key."""
+        """num_pe/num_cu/vector_width change the PE budget, never the
+        memory model's key.  The PE row is keyed on what the schedule
+        reads of the budget: a DSP budget still above the kernel's
+        static DSP cost with the same ResMII DSP term hits it, one that
+        changes that term misses it."""
         info = self._info()
         model = FlexCL(VIRTEX7)
         model.predict(info, Design(work_group_size=64))
+
+        # 3600 -> 1800 DSPs per PE: ceil(5 / dsp_budget) stays 1
         before = model.cache_stats
         model.predict(info, Design(work_group_size=64, num_pe=2))
+        delta = model.cache_stats - before
+        assert delta.pe_hits == 1 and delta.pe_misses == 0
+        assert delta.memory_hits == 1 and delta.memory_misses == 0
+
+        # 3600 // 1024 = 3 DSPs per PE: ceil(5 / 3) = 2
+        before = model.cache_stats
+        model.predict(info, Design(work_group_size=64, num_pe=64,
+                                   num_cu=16))
         delta = model.cache_stats - before
         assert delta.pe_misses == 1
         assert delta.memory_hits == 1 and delta.memory_misses == 0
@@ -276,3 +290,37 @@ class TestMemoizedBudgetKey:
         b2 = ResourceBudget.for_pe(VIRTEX7, 2, 2)
         assert b1 == b2 and hash(b1) == hash(b2)
         assert len({b1, b2}) == 1
+
+
+def _pe_fields(pe):
+    return (pe.ii, pe.depth, pe.latency_wg, pe.rec_mii, pe.res_mii,
+            pe.block_latencies)
+
+
+@pytest.mark.parametrize("name", SAMPLE)
+def test_pe_memo_key_is_exact(name):
+    """Every feasible design of the default space, plus infeasible ones
+    whose DSP budget is below the static DSP cost, predicts the same
+    with the PE memo as without it."""
+    w = BY_NAME[name]
+    space = DesignSpace.default_for(w.global_size)
+    memo = FlexCL(VIRTEX7)
+    plain = FlexCL(VIRTEX7, memoize=False)
+    for wg in space.work_group_sizes:
+        info = analyze_kernel(w.function(), w.make_buffers(),
+                              dict(w.scalars), w.ndrange(wg), VIRTEX7)
+        designs = [d for d in space if d.work_group_size == wg
+                   and check_feasibility(info, d, VIRTEX7) is None]
+        # 3600 DSPs over 16 CUs of 16-64 PEs: 14, 7 and 3 per PE
+        starved = [Design(work_group_size=wg, num_pe=pe, num_cu=16,
+                          work_item_pipeline=pipelined)
+                   for pe in (16, 32, 64) for pipelined in (True, False)]
+        assert all(check_feasibility(info, d, VIRTEX7) for d in starved)
+        assert any(ResourceBudget.for_pe(VIRTEX7, d.effective_pe_slots,
+                                         d.num_cu).dsp_budget
+                   < info.dsp_static_cost for d in starved)
+        for d in designs + starved:
+            a, b = memo.predict(info, d), plain.predict(info, d)
+            assert a.cycles == b.cycles, d
+            assert _pe_fields(a.pe) == _pe_fields(b.pe), d
+    assert memo.cache_stats.pe_hits > 0

@@ -1,12 +1,20 @@
 """Property-based tests for the DRAM substrate."""
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.packed import PackedStream, pack_group
 from repro.dram import BankMapping, classify_bank_stream
-from repro.dram.coalesce import coalesce_stream, coalescing_factor
+from repro.dram.coalesce import (
+    CoalescedRequest,
+    coalesce_packed,
+    coalesce_packed_groups,
+    coalesce_stream,
+    coalescing_factor,
+)
 from repro.dram.controller import DRAMController
+from repro.dram.patterns import PATTERNS, classify_packed
 from repro.devices.device import DRAMTiming
 from repro.interp.executor import MemAccess
 
@@ -84,6 +92,130 @@ class TestClassificationProperties:
         reqs = coalesce(stream, 512)
         counts = classify_bank_stream(reqs, MAPPING)
         assert counts.total() == len(reqs)
+
+
+@st.composite
+def packed_columns(draw, sizes, max_len=80, max_groups=4,
+                   contiguous_groups=False):
+    """``(kind, addr, nbytes, group)`` columns.  Each entry mostly
+    starts where the previous one ended, so runs coalesce, requests
+    share rows and larger sizes cross interleave blocks."""
+    n = draw(st.integers(0, max_len))
+    kind, addr, nbytes, group = [], [], [], []
+    nxt = draw(st.integers(0, 1 << 14))
+    for _ in range(n):
+        if draw(st.integers(0, 3)) == 0:
+            nxt = draw(st.integers(0, 1 << 14))
+        nb = draw(sizes)
+        kind.append(draw(st.integers(0, 1)))
+        addr.append(nxt)
+        nbytes.append(nb)
+        group.append(draw(st.integers(0, max_groups - 1)))
+        nxt += nb
+    if contiguous_groups:
+        group.sort()
+    return (np.array(kind, np.uint8), np.array(addr, np.int64),
+            np.array(nbytes, np.int64), np.array(group, np.int64))
+
+
+def _requests(kind, addr, nbytes):
+    return [CoalescedRequest("read" if k == 0 else "write", a, n)
+            for k, a, n in zip(kind.tolist(), addr.tolist(),
+                               nbytes.tolist())]
+
+
+def _as_dict(counts):
+    return {p: counts[p] for p in PATTERNS}
+
+
+#: request sizes: empty, within one 64-byte block, and block-crossing
+request_sizes = st.sampled_from([0, 1, 4, 8, 48, 64, 100, 200])
+#: power-of-two geometry (shift arithmetic) and one that is not
+mappings = st.sampled_from([
+    MAPPING, BankMapping(num_banks=6, row_bytes=960, interleave_bytes=48)])
+
+
+def _per_group_counts(kind, addr, nbytes, group, mapping):
+    expect = {p: 0 for p in PATTERNS}
+    for g in np.unique(group).tolist():
+        sel = group == g
+        counts = classify_bank_stream(
+            _requests(kind[sel], addr[sel], nbytes[sel]), mapping)
+        for p in PATTERNS:
+            expect[p] += counts[p]
+    return expect
+
+
+class TestPackedClassificationProperties:
+    """``classify_packed`` against the per-request bank state machine."""
+
+    @given(packed_columns(request_sizes), mappings)
+    @settings(max_examples=80)
+    def test_groups_classify_independently(self, cols, mapping):
+        got = classify_packed(*cols[:3], mapping, group=cols[3])
+        assert _as_dict(got) == _per_group_counts(*cols, mapping)
+
+    @given(packed_columns(request_sizes), mappings)
+    @settings(max_examples=80)
+    def test_ungrouped_is_one_stream(self, cols, mapping):
+        kind, addr, nbytes, _ = cols
+        expect = classify_bank_stream(_requests(kind, addr, nbytes),
+                                      mapping)
+        got = classify_packed(kind, addr, nbytes, mapping)
+        assert _as_dict(got) == _as_dict(expect)
+
+    @given(packed_columns(st.sampled_from([1, 4, 8])), mappings)
+    @settings(max_examples=40)
+    def test_single_block_requests(self, cols, mapping):
+        """The common case: no request leaves its interleave block."""
+        kind, addr, nbytes, group = cols
+        # 8-aligned addresses keep every 1-8 byte request in its block
+        addr = addr - addr % 8
+        got = classify_packed(kind, addr, nbytes, mapping, group=group)
+        assert _as_dict(got) == _per_group_counts(kind, addr, nbytes,
+                                                  group, mapping)
+
+    def test_empty_stream(self):
+        empty = np.empty(0, np.int64)
+        for group in (None, empty):
+            counts = classify_packed(empty.astype(np.uint8), empty, empty,
+                                     MAPPING, group=group)
+            assert counts.total() == 0
+
+
+class TestPackedCoalescingProperties:
+    """The batched coalescer is the per-group coalescer, concatenated."""
+
+    @staticmethod
+    def _per_group(kind, addr, nbytes, group, unit):
+        out = [[], [], [], []]
+        if group.shape[0] == 0:
+            return out
+        bounds = np.flatnonzero(np.diff(group)) + 1
+        for lo, hi in zip([0, *bounds.tolist()],
+                          [*bounds.tolist(), group.shape[0]]):
+            rk, ra, rn = coalesce_packed(kind[lo:hi], addr[lo:hi],
+                                         nbytes[lo:hi], unit)
+            out[0] += rk.tolist()
+            out[1] += ra.tolist()
+            out[2] += rn.tolist()
+            out[3] += [int(group[lo])] * rk.shape[0]
+        return out
+
+    @given(packed_columns(sizes, contiguous_groups=True),
+           st.sampled_from([8, 64, 512]))
+    @settings(max_examples=80)
+    def test_mixed_sizes(self, cols, unit):
+        got = coalesce_packed_groups(*cols, unit)
+        assert [c.tolist() for c in got] == self._per_group(*cols, unit)
+
+    @given(sizes.flatmap(lambda nb: packed_columns(
+               st.just(nb), contiguous_groups=True)),
+           st.sampled_from([8, 64, 512]))
+    @settings(max_examples=80)
+    def test_uniform_size(self, cols, unit):
+        got = coalesce_packed_groups(*cols, unit)
+        assert [c.tolist() for c in got] == self._per_group(*cols, unit)
 
 
 class TestControllerProperties:

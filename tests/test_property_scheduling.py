@@ -1,5 +1,7 @@
 """Property-based tests for scheduling invariants."""
 
+from dataclasses import replace
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,15 +21,20 @@ OP_CLASSES = [OpClass.INT_ALU, OpClass.LOCAL_READ, OpClass.LOCAL_WRITE,
               OpClass.FMUL]
 
 
+#: every DSP-consuming class, for properties of the DSP budget
+DSP_OP_CLASSES = OP_CLASSES + [OpClass.INT_MUL, OpClass.FADD,
+                               OpClass.FEXPENSIVE]
+
+
 @st.composite
-def random_dags(draw, max_nodes=14):
+def random_dags(draw, max_nodes=14, op_classes=OP_CLASSES):
     """A random DAG with edges pointing forward in index order."""
     n = draw(st.integers(1, max_nodes))
     graph = DataFlowGraph()
     nodes = []
     for i in range(n):
         latency = draw(st.floats(1.0, 8.0))
-        op_class = draw(st.sampled_from(OP_CLASSES))
+        op_class = draw(st.sampled_from(op_classes))
         inst = BinaryOp("add", Constant(INT, 0), Constant(INT, 0),
                         Register(INT))
         node = graph.add_node(inst, latency, op_class)
@@ -76,6 +83,21 @@ class TestListScheduleProperties:
             key = (result.start_of(node), node.op_class)
             usage[key] = usage.get(key, 0) + 1
             assert usage[key] <= limit
+
+
+    @given(random_dags(op_classes=DSP_OP_CLASSES),
+           st.integers(0, 64), st.integers(0, 64))
+    @settings(max_examples=60)
+    def test_dsp_budget_above_total_cost_is_invisible(self, graph,
+                                                       extra_a, extra_b):
+        """The DSP check never fires once the budget covers the graph's
+        total DSP cost, so any two such budgets schedule alike (what
+        lets the PE memo clamp the budget, repro.model.pe.pe_memo_key)."""
+        total = sum(BUDGET.dsp_cost(n.op_class) for n in graph.nodes)
+        a = list_schedule(graph, replace(BUDGET, dsp_budget=total + extra_a))
+        b = list_schedule(graph, replace(BUDGET, dsp_budget=total + extra_b))
+        assert a.latency == b.latency
+        assert a.start_times == b.start_times
 
 
 class TestSMSProperties:
