@@ -99,6 +99,16 @@ def _signature(result):
             for e in result.evaluated]
 
 
+def _cache_payload(stats) -> dict:
+    """The sweep's memo counters plus each sub-model's hit rate."""
+    out = stats.to_dict()
+    for layer in ("pe", "memory"):
+        hits = stats.hits.get(layer, 0)
+        lookups = hits + stats.misses.get(layer, 0)
+        out[f"{layer}_hit_rate"] = hits / lookups if lookups else 0.0
+    return out
+
+
 def run(small: bool = False, jobs="auto", n: int = 4096) -> dict:
     if small:
         n = min(n, 256)
@@ -139,7 +149,7 @@ def run(small: bool = False, jobs="auto", n: int = 4096) -> dict:
             "parallel_vs_cold": t_cold / max(t_par, 1e-9),
             "parallel_vs_memoized": t_memo / max(t_par, 1e-9),
         },
-        "cache": stats.to_dict() if stats is not None else None,
+        "cache": _cache_payload(stats) if stats is not None else None,
         "identical_results": True,
     }
     return payload

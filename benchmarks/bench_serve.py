@@ -16,7 +16,9 @@ and proves the daemon's two headline behaviours:
   — the metrics endpoint must show exactly one evaluation with the
   rest attached to it;
 - byte-identity : the served body equals the CLI subprocess stdout,
-  byte for byte.
+  byte for byte;
+- worker counters : the pool workers' store hits and puts show up in
+  the daemon's ``/metrics`` ``cache.store.stats``.
 
 The full run asserts the ISSUE acceptance bar of a >= 20x served
 throughput advantage; ``--small`` keeps CI fast and relaxes the bar to
@@ -120,6 +122,12 @@ def main() -> int:
                 " contract is broken")
             print("identity : served body == CLI stdout "
                   f"({len(body)} bytes)")
+            # The CLI warmed the store, so the first evaluation is all
+            # hits; only the pool worker looked the analysis up, so a
+            # hit here proves its store counters reach /metrics.
+            first = _metrics(handle.url)["cache"]["store"]["stats"]
+            assert first["hits"].get("analysis", 0) > 0, \
+                "worker store hits never reached /metrics"
 
             t0 = time.perf_counter()
             with concurrent.futures.ThreadPoolExecutor(n_clients) as ex:
@@ -152,9 +160,16 @@ def main() -> int:
             assert evaluations == 1, \
                 f"{evaluations} evaluations for one coalesced burst"
             assert coalesced >= 1, "no requests were coalesced"
+            store_stats = _metrics(handle.url)["cache"]["store"]["stats"]
+            store_puts = sum(store_stats["puts"].values())
+            assert store_puts > 0, \
+                "worker store puts never reached /metrics"
             print(f"coalesce : {n_coalesce} concurrent identical "
                   f"requests -> {evaluations} evaluation, "
                   f"{coalesced} attached")
+            print(f"store    : {store_puts} puts, "
+                  f"{sum(store_stats['hits'].values())} hits "
+                  "(worker counters included)")
 
             metrics = _metrics(handle.url)
         finally:
@@ -188,6 +203,8 @@ def main() -> int:
             "coalesce_attached": coalesced,
             "byte_identical": True,
             "hot_tier_hits": hot["hits"],
+            "store_puts": metrics["cache"]["store"]["stats"]["puts"],
+            "store_hits": metrics["cache"]["store"]["stats"]["hits"],
             "latency_ms": metrics["endpoints"]["predict"]["latency"],
             "python": platform.python_version(),
             "machine": platform.machine(),

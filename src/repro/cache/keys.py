@@ -33,7 +33,7 @@ from typing import Dict
 SCHEMA_VERSIONS: Dict[str, int] = {
     "analysis": 5,   # pickled KernelInfo; one key for every trace engine
     "pe": 2,         # PEModelResult rows, keyed by model.pe.pe_memo_key
-    "memory": 1,     # MemoryModelResult rows spilled from repro.model.memo
+    "memory": 1,     # MemoryModelResult rows spilled from FlexCL's memo
     "table1": 1,     # per-device PatternLatencyTable (Table 1)
     "surrogate": 1,  # trained surrogate model artefacts (repro.surrogate)
 }

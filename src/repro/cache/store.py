@@ -42,7 +42,12 @@ DEFAULT_MAX_MB = 512
 
 @dataclass
 class StoreStats:
-    """Hit/miss/put/eviction counters of one :class:`ArtifactCache`."""
+    """Per-layer hit/miss/put counters plus evictions of one cache tier.
+
+    The one counter type of the project: the disk store, both tiers of
+    a :class:`~repro.cache.hot.HotCache` (and so the FlexCL sub-model
+    memo), the explorer and the suite all report in it.
+    """
 
     hits: Dict[str, int] = field(default_factory=dict)
     misses: Dict[str, int] = field(default_factory=dict)
@@ -73,40 +78,36 @@ class StoreStats:
         return StoreStats(hits=dict(self.hits), misses=dict(self.misses),
                           puts=dict(self.puts), evictions=self.evictions)
 
+    def _merge(self, other: "StoreStats", sign: int) -> "StoreStats":
+        for mine, theirs in ((self.hits, other.hits),
+                             (self.misses, other.misses),
+                             (self.puts, other.puts)):
+            for layer, n in theirs.items():
+                self._bump(mine, layer, sign * n)
+        self.evictions += sign * other.evictions
+        return self
+
+    def __iadd__(self, other: "StoreStats") -> "StoreStats":
+        return self._merge(other, 1)
+
     def __add__(self, other: "StoreStats") -> "StoreStats":
-        out = self.copy()
-        for layer, n in other.hits.items():
-            out._bump(out.hits, layer, n)
-        for layer, n in other.misses.items():
-            out._bump(out.misses, layer, n)
-        for layer, n in other.puts.items():
-            out._bump(out.puts, layer, n)
-        out.evictions += other.evictions
-        return out
+        return self.copy()._merge(other, 1)
 
     def __sub__(self, other: "StoreStats") -> "StoreStats":
-        out = self.copy()
-        for layer, n in other.hits.items():
-            out._bump(out.hits, layer, -n)
-        for layer, n in other.misses.items():
-            out._bump(out.misses, layer, -n)
-        for layer, n in other.puts.items():
-            out._bump(out.puts, layer, -n)
-        out.evictions -= other.evictions
-        return out
+        return self.copy()._merge(other, -1)
 
     def to_dict(self) -> Dict[str, object]:
         return {"hits": dict(self.hits), "misses": dict(self.misses),
                 "puts": dict(self.puts), "evictions": self.evictions,
                 "hit_rate": self.hit_rate}
 
-    def summary(self) -> str:
+    def summary(self, label: str = "disk cache") -> str:
         layers = sorted(set(self.hits) | set(self.misses))
         per_layer = ", ".join(
             f"{layer} {self.hits.get(layer, 0)}/"
             f"{self.hits.get(layer, 0) + self.misses.get(layer, 0)}"
             for layer in layers) or "no lookups"
-        return (f"disk cache: {self.total_hits}/{self.lookups} hits "
+        return (f"{label}: {self.total_hits}/{self.lookups} hits "
                 f"({self.hit_rate:.0%}) [{per_layer}]")
 
 
@@ -185,6 +186,12 @@ class ArtifactCache:
         with self._lock:
             self.stats._bump(self.stats.puts, layer)
         self._maybe_evict()
+
+    def absorb(self, delta: StoreStats) -> None:
+        """Add counters gathered by another handle on the same store
+        (a forked worker's) to this handle's :attr:`stats`."""
+        with self._lock:
+            self.stats += delta
 
     def get_or_compute(self, layer: str, key: str,
                        compute: Callable[[], Any]) -> Any:

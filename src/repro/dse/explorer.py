@@ -25,7 +25,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.cache.store import StoreStats
 from repro.dse.space import Design, DesignSpace, check_feasibility
-from repro.model.memo import CacheStats
 
 
 @dataclass
@@ -55,7 +54,7 @@ class ExplorationResult:
     elapsed_seconds: float = 0.0
     #: sub-model cache hit/miss counters of the sweep (None when the
     #: evaluator exposed no cache)
-    cache_stats: Optional[CacheStats] = None
+    cache_stats: Optional[StoreStats] = None
     #: persistent (on-disk) cache activity of the sweep, aggregated
     #: across workers (None when no persistent cache was in play)
     store_stats: Optional[StoreStats] = None
@@ -157,7 +156,7 @@ _WORKER_STATE: Optional[tuple] = None
 
 def _run_shard(shard: List[Tuple[int, Design]]
                ) -> Tuple[List[Tuple[int, EvaluatedDesign]],
-                          CacheStats, StoreStats]:
+                          StoreStats, StoreStats]:
     """Evaluate one work-group-size shard in a worker process.
 
     All designs in a shard share one work-group size, so the kernel is
@@ -166,7 +165,7 @@ def _run_shard(shard: List[Tuple[int, Design]]
     (in-memory memo and persistent store).
     """
     analyze, evaluator, device, stats_fn, store_fn = _WORKER_STATE
-    before = stats_fn() if stats_fn is not None else CacheStats()
+    before = stats_fn() if stats_fn is not None else StoreStats()
     store_before = store_fn() if store_fn is not None else StoreStats()
     try:
         info = analyze(shard[0][1].work_group_size)
@@ -174,7 +173,7 @@ def _run_shard(shard: List[Tuple[int, Design]]
         info = None
     out = [(index, _evaluate_design(info, design, evaluator, device))
            for index, design in shard]
-    after = stats_fn() if stats_fn is not None else CacheStats()
+    after = stats_fn() if stats_fn is not None else StoreStats()
     store_after = store_fn() if store_fn is not None else StoreStats()
     return out, after - before, store_after - store_before
 
@@ -217,7 +216,7 @@ def _explore_parallel(designs: List[Design], analyze, evaluator, device,
         _WORKER_STATE = None
 
     merged: List[Optional[EvaluatedDesign]] = [None] * len(designs)
-    total_stats = CacheStats()
+    total_stats = StoreStats()
     total_store = StoreStats()
     for entries, stats, store in outcomes:
         total_stats = total_stats + stats
@@ -366,7 +365,7 @@ def _explore_prefiltered(designs: List[Design], analyze, evaluator,
 def explore(space: DesignSpace, analyze: Callable[[int], object],
             evaluator: Callable[[object, Design], float],
             device, jobs=None,
-            cache_stats: Optional[Callable[[], CacheStats]] = None,
+            cache_stats: Optional[Callable[[], StoreStats]] = None,
             store_stats: Optional[Callable[[], StoreStats]] = None,
             prefilter: Optional[str] = None, surrogate=None,
             top_k: Optional[int] = None, explore_band: int = 32
@@ -404,19 +403,8 @@ def explore(space: DesignSpace, analyze: Callable[[int], object],
     wg_count = len({d.work_group_size for d in designs})
     n_jobs = resolve_jobs(jobs, limit=wg_count)
 
-    if prefilter == "surrogate":
-        before = cache_stats() if cache_stats is not None else None
-        store_before = store_stats() if store_stats is not None else None
-        _explore_prefiltered(designs, analyze, evaluator, device,
-                             surrogate, top_k, explore_band, result)
-        if before is not None:
-            result.cache_stats = cache_stats() - before
-        if store_before is not None:
-            result.store_stats = store_stats() - store_before
-        result.elapsed_seconds = time.perf_counter() - start
-        return result
-
-    use_parallel = (n_jobs > 1 and wg_count > 1 and designs
+    use_parallel = (prefilter != "surrogate" and n_jobs > 1
+                    and wg_count > 1 and designs
                     and "fork" in multiprocessing.get_all_start_methods())
 
     if use_parallel:
@@ -426,12 +414,17 @@ def explore(space: DesignSpace, analyze: Callable[[int], object],
     else:
         before = cache_stats() if cache_stats is not None else None
         store_before = store_stats() if store_stats is not None else None
-        _explore_serial(designs, analyze, evaluator, device, result)
+        if prefilter == "surrogate":
+            _explore_prefiltered(designs, analyze, evaluator, device,
+                                 surrogate, top_k, explore_band, result)
+        else:
+            _explore_serial(designs, analyze, evaluator, device, result)
         if before is not None:
             result.cache_stats = cache_stats() - before
         if store_before is not None:
             result.store_stats = store_stats() - store_before
-    result.exact_evaluations = len(result.feasible)
+    if prefilter != "surrogate":
+        result.exact_evaluations = len(result.feasible)
     result.elapsed_seconds = time.perf_counter() - start
     return result
 

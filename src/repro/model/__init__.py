@@ -11,8 +11,8 @@ The model composes bottom-up (Figure 2):
   Eq. 9;
 - :mod:`repro.model.integrate` — barrier / pipeline communication modes,
   Eqs. 10–12;
-- :mod:`repro.model.memo` — sub-model memoization for fast sweeps;
-- :class:`repro.model.FlexCL` — the public entry point.
+- :class:`repro.model.FlexCL` — the public entry point, memoizing the
+  expensive sub-models for fast sweeps.
 
 Above the single-kernel model sit the multi-kernel layers:
 
@@ -26,7 +26,6 @@ Above the single-kernel model sit the multi-kernel layers:
 from repro.model.pe import PEModelResult, pe_model
 from repro.model.cu import CUModelResult, cu_model, effective_pe_parallelism
 from repro.model.kernel import KernelModelResult, kernel_computation_model
-from repro.model.memo import CacheStats, SubModelCache
 from repro.model.memory import MemoryModelResult, memory_model
 from repro.model.integrate import integrate
 from repro.model.flexcl import FlexCL, Prediction
@@ -45,7 +44,6 @@ from repro.model.graph import (
 
 __all__ = [
     "CUModelResult",
-    "CacheStats",
     "ChannelModelResult",
     "FlexCL",
     "GraphEdge",
@@ -55,7 +53,6 @@ __all__ = [
     "PEModelResult",
     "Prediction",
     "ProgramGraph",
-    "SubModelCache",
     "channel_model",
     "coexec_stalls",
     "cu_model",

@@ -16,13 +16,20 @@ instead of hours or days".
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Dict
 
 from repro.analysis.kernel_info import KernelInfo
+from repro.cache import (
+    HotCache,
+    StoreStats,
+    device_fingerprint,
+    digest,
+    submodel_key,
+)
 from repro.dse.space import Design
 from repro.model.cu import CUModelResult, cu_model
 from repro.model.integrate import IntegrationResult, integrate
 from repro.model.kernel import KernelModelResult, kernel_computation_model
-from repro.model.memo import CacheStats, SubModelCache
 from repro.model.memory import (
     MemoryModelResult,
     memory_model,
@@ -67,6 +74,20 @@ class Prediction:
         return "pipeline depth / parallelism"
 
 
+class _Pin:
+    """Identity-hashed stand-in for one analysed kernel in memo keys.
+
+    :class:`KernelInfo` is an unhashable dataclass.  A memo row keyed on
+    its pin holds the analysis alive, so a recycled ``id()`` can never
+    alias a dead analysis to a live one.
+    """
+
+    __slots__ = ("info",)
+
+    def __init__(self, info) -> None:
+        self.info = info
+
+
 class FlexCL:
     """The analytical model for one device.
 
@@ -81,12 +102,17 @@ class FlexCL:
     (:func:`~repro.model.pe.pe_memo_key`), the memory model on
     ``(wg_size, pipelined, coalescing)`` — which makes full design-space
     sweeps many times faster without changing a single predicted cycle.
-    ``cache_stats`` reports the hit/miss counts.
+    The rows live in an unbounded :class:`~repro.cache.hot.HotCache`
+    (layers ``"pe"`` and ``"memory"``) keyed on the analysed kernel's
+    identity; ``cache_stats`` reports its in-memory hit/miss counts.
 
     With a persistent *cache* (:class:`repro.cache.ArtifactCache`), the
     memoized rows and the profiled Table-1 pattern table are also read
     from / written through to disk, so a fresh process warm-starts from
     earlier runs (again without changing a single predicted cycle).
+    Rows are named on disk by the kernel's content fingerprint plus the
+    model context; kernels analysed without a fingerprint stay
+    memory-only.
     """
 
     def __init__(self, device,
@@ -100,16 +126,16 @@ class FlexCL:
         self.model_coalescing = model_coalescing
         self.model_patterns = model_patterns
         self.persistent_cache = cache
-        if memoize:
-            # The spill salt scopes persistent rows to this model
-            # context: full device identity plus the one ablation switch
-            # (model_patterns) that changes sub-model inputs without
-            # appearing in the memo keys.
-            from repro.cache import device_fingerprint, digest
-            salt = digest(device_fingerprint(device), model_patterns)
-            self._cache = SubModelCache(store=cache, salt=salt)
-        else:
-            self._cache = None
+        # The spill salt scopes persistent rows to this model context:
+        # full device identity plus the one ablation switch
+        # (model_patterns) that changes sub-model inputs without
+        # appearing in the memo keys.
+        self._salt = digest(device_fingerprint(device), model_patterns)
+        #: unbounded: one model may serve many kernels in a sweep, and a
+        #: cap would evict rows mid-sweep
+        self._memo = (HotCache(store=cache, max_entries=None)
+                      if memoize else None)
+        self._pins: Dict[int, _Pin] = {}
         self._pattern_table = pattern_table_for(device, cache=cache)
         if not model_patterns:
             avg = (sum(self._pattern_table.latencies.values())
@@ -119,17 +145,35 @@ class FlexCL:
             self._pattern_table = PatternLatencyTable(latencies=flat)
 
     @property
-    def cache_stats(self) -> CacheStats:
-        """Hit/miss counters of the sub-model memo (zeros when
-        memoization is disabled)."""
-        if self._cache is None:
-            return CacheStats()
-        return self._cache.stats.copy()
+    def cache_stats(self) -> StoreStats:
+        """In-memory hit/miss counters of the sub-model memo, per layer
+        (zeros when memoization is disabled)."""
+        if self._memo is None:
+            return StoreStats()
+        return self._memo.hot_stats.copy()
 
     def clear_cache(self) -> None:
         """Drop memoized sub-model results (e.g. between kernels)."""
-        if self._cache is not None:
-            self._cache.clear()
+        if self._memo is not None:
+            self._memo.clear()
+            self._pins.clear()
+
+    def _memoized(self, layer: str, info: KernelInfo, key: tuple,
+                  compute):
+        """*compute*() memoized under (*info*, *key*).  The store key
+        is derived only on an in-memory miss, and only when *info* has
+        a content fingerprint."""
+        pin = self._pins.get(id(info))
+        if pin is None:
+            pin = self._pins.setdefault(id(info), _Pin(info))
+        disk_key = None
+        if self.persistent_cache is not None:
+            def disk_key():
+                fp = getattr(info, "fingerprint", None)
+                return (submodel_key(layer, fp, self._salt, key)
+                        if fp else None)
+        return self._memo.get_or_compute(layer, (pin,) + key, compute,
+                                         disk_key)
 
     def _pe_model(self, info: KernelInfo, design: Design,
                   budget: ResourceBudget) -> PEModelResult:
@@ -138,9 +182,9 @@ class FlexCL:
         the schedule can see (:func:`~repro.model.pe.pe_memo_key`)."""
         pipelined = design.work_item_pipeline
         wg = design.work_group_size
-        if self._cache is None:
+        if self._memo is None:
             return pe_model(info, budget, pipelined=pipelined, wg_size=wg)
-        return self._cache.get(
+        return self._memoized(
             "pe", info, pe_memo_key(info, budget, pipelined, wg),
             lambda: pe_model(info, budget, pipelined=pipelined,
                              wg_size=wg))
@@ -150,11 +194,11 @@ class FlexCL:
         """Memory model, memoized on the analysed kernel, work-group
         size, pipelining, and the coalescing ablation switch."""
         pipelined = design.work_item_pipeline
-        if self._cache is None:
+        if self._memo is None:
             return memory_model(info, self.device, pipelined=pipelined,
                                 coalescing=self.model_coalescing,
                                 table=self._pattern_table)
-        return self._cache.get(
+        return self._memoized(
             "memory", info,
             (design.work_group_size, pipelined, self.model_coalescing),
             lambda: memory_model(info, self.device, pipelined=pipelined,

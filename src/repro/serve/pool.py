@@ -6,7 +6,9 @@ forked :class:`~concurrent.futures.ProcessPoolExecutor` sized by
 ``suite --jobs``.  Each forked worker opens its own handle on the
 shared *disk* store (content-addressed + atomic writes make concurrent
 stores safe), and everything it computes lands there for the parent
-and future workers to reuse.
+and future workers to reuse.  Each task also returns its handle's
+counter delta, which the pool adds to the daemon's store handle, so
+``/metrics`` counts the workers' hits, misses and puts.
 
 ``--executor thread`` swaps in a :class:`ThreadPoolExecutor` whose
 workers share the parent's in-memory :class:`~repro.cache.hot.HotCache`
@@ -37,14 +39,19 @@ _worker_cache_opened = False
 
 def _process_worker_run(task: dict):
     """Top-level (picklable) worker entry: run one task against the
-    worker's own disk-store handle."""
+    worker's own disk-store handle; returns ``(result, store counter
+    delta)`` (the delta is None without a store)."""
     global _worker_cache, _worker_cache_opened
     if not _worker_cache_opened:
         _worker_cache_opened = True
         if not task.get("no_cache"):
             from repro.cache import open_cache
             _worker_cache = open_cache(task.get("cache_dir"))
-    return run_task(task, cache=_worker_cache)
+    if _worker_cache is None:
+        return run_task(task, cache=None), None
+    before = _worker_cache.stats.copy()
+    result = run_task(task, cache=_worker_cache)
+    return result, _worker_cache.stats - before
 
 
 def default_jobs() -> int:
@@ -90,11 +97,34 @@ class WorkerPool:
                 thread_name_prefix="repro-serve")
 
     def submit(self, task: dict) -> concurrent.futures.Future:
-        """Schedule one task; returns the executor future (wrap with
+        """Schedule one task; returns a future of its result (wrap with
         ``asyncio.wrap_future`` to await it on the event loop)."""
-        if self.mode == "process":
-            return self._executor.submit(_process_worker_run, task)
-        return self._executor.submit(run_task, task, self.shared_cache)
+        if self.mode == "thread":
+            return self._executor.submit(run_task, task, self.shared_cache)
+        inner = self._executor.submit(_process_worker_run, task)
+        outer: concurrent.futures.Future = concurrent.futures.Future()
+        store = getattr(self.shared_cache, "store", None)
+
+        def unwrap(done: concurrent.futures.Future) -> None:
+            if done.cancelled():
+                outer.cancel()
+                return
+            exc = done.exception()
+            if exc is None:
+                result, delta = done.result()
+                if store is not None and delta is not None:
+                    store.absorb(delta)
+            if outer.cancelled():
+                return
+            if exc is not None:
+                outer.set_exception(exc)
+            else:
+                outer.set_result(result)
+
+        inner.add_done_callback(unwrap)
+        outer.add_done_callback(
+            lambda f: inner.cancel() if f.cancelled() else None)
+        return outer
 
     def shutdown(self) -> None:
         self._executor.shutdown(wait=False, cancel_futures=True)

@@ -19,7 +19,7 @@ class TestPublicImports:
                      "repro.latency", "repro.dram", "repro.model",
                      "repro.simulator", "repro.baselines", "repro.dse",
                      "repro.devices", "repro.workloads",
-                     "repro.evaluation", "repro.transforms"):
+                     "repro.evaluation"):
             module = importlib.import_module(name)
             for export in getattr(module, "__all__", []):
                 assert hasattr(module, export), (name, export)

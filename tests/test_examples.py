@@ -21,6 +21,12 @@ class TestExamples:
         assert "predicted" in out
         assert "estimation error" in out
 
+    def test_gpu_vs_fpga(self, capsys):
+        out = run_example("gpu_vs_fpga.py", capsys)
+        assert "FPGA/GPU speedup" in out
+        # the recurrence-bound scan is the kernel the FPGA wins
+        assert "-> FPGA favourable" in out
+
     def test_bottleneck_analysis(self, capsys):
         out = run_example("bottleneck_analysis.py", capsys)
         assert "recurrence" in out

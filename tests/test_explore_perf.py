@@ -11,7 +11,8 @@ from repro.dse.explorer import resolve_jobs
 from repro.dse.space import Design, check_feasibility
 from repro.frontend import compile_opencl
 from repro.interp import Buffer, NDRange
-from repro.model import CacheStats, FlexCL
+from repro.model import FlexCL
+from repro.model.memo import CacheStats
 from repro.scheduling import ResourceBudget
 from test_packed_model import BY_NAME, SAMPLE
 
@@ -102,9 +103,10 @@ class TestParallelExplore:
         stats = result.cache_stats
         n_feasible = len(result.feasible)
         # One PE and one memory lookup per feasible (evaluated) design.
-        assert stats.pe_hits + stats.pe_misses == n_feasible
-        assert stats.memory_hits + stats.memory_misses == n_feasible
-        assert stats.hits > 0
+        assert stats.hits["pe"] + stats.misses["pe"] == n_feasible
+        assert stats.hits["memory"] + stats.misses["memory"] \
+            == n_feasible
+        assert stats.total_hits > 0
 
     def test_resolve_jobs(self):
         assert resolve_jobs(None) == 1
@@ -139,8 +141,8 @@ class TestMemoization:
         before = model.cache_stats
         model.predict(info, d)
         delta = model.cache_stats - before
-        assert delta.pe_hits == 1 and delta.pe_misses == 0
-        assert delta.memory_hits == 1 and delta.memory_misses == 0
+        assert delta.hits["pe"] == 1 and delta.misses["pe"] == 0
+        assert delta.hits["memory"] == 1 and delta.misses["memory"] == 0
 
     def test_unkeyed_parameter_change_hits_cache(self):
         """comm_mode and work_group_pipeline feed only the cheap
@@ -154,8 +156,8 @@ class TestMemoization:
         model.predict(info, Design(work_group_size=64,
                                    work_group_pipeline=True))
         delta = model.cache_stats - before
-        assert delta.misses == 0
-        assert delta.hits == 4
+        assert delta.total_misses == 0
+        assert delta.total_hits == 4
 
     def test_budget_change_busts_pe_cache_only(self):
         """num_pe/num_cu/vector_width change the PE budget, never the
@@ -171,16 +173,16 @@ class TestMemoization:
         before = model.cache_stats
         model.predict(info, Design(work_group_size=64, num_pe=2))
         delta = model.cache_stats - before
-        assert delta.pe_hits == 1 and delta.pe_misses == 0
-        assert delta.memory_hits == 1 and delta.memory_misses == 0
+        assert delta.hits["pe"] == 1 and delta.misses["pe"] == 0
+        assert delta.hits["memory"] == 1 and delta.misses["memory"] == 0
 
         # 3600 // 1024 = 3 DSPs per PE: ceil(5 / 3) = 2
         before = model.cache_stats
         model.predict(info, Design(work_group_size=64, num_pe=64,
                                    num_cu=16))
         delta = model.cache_stats - before
-        assert delta.pe_misses == 1
-        assert delta.memory_hits == 1 and delta.memory_misses == 0
+        assert delta.misses["pe"] == 1
+        assert delta.hits["memory"] == 1 and delta.misses["memory"] == 0
 
     def test_pipeline_change_busts_both(self):
         info = self._info()
@@ -191,8 +193,8 @@ class TestMemoization:
                                    work_item_pipeline=False,
                                    comm_mode="barrier"))
         delta = model.cache_stats - before
-        assert delta.pe_misses == 1
-        assert delta.memory_misses == 1
+        assert delta.misses["pe"] == 1
+        assert delta.misses["memory"] == 1
 
     def test_distinct_infos_do_not_alias(self):
         """Two analyses of the same kernel are distinct cache rows."""
@@ -203,7 +205,7 @@ class TestMemoization:
         before = model.cache_stats
         model.predict(b, d)
         delta = model.cache_stats - before
-        assert delta.pe_misses == 1 and delta.memory_misses == 1
+        assert delta.misses["pe"] == 1 and delta.misses["memory"] == 1
 
     def test_clear_cache(self):
         info = self._info()
@@ -214,7 +216,7 @@ class TestMemoization:
         before = model.cache_stats
         model.predict(info, d)
         delta = model.cache_stats - before
-        assert delta.misses == 2
+        assert delta.total_misses == 2
 
     def test_memoize_disabled_reports_zero_stats(self):
         info = self._info()
@@ -224,23 +226,35 @@ class TestMemoization:
 
 
 class TestCacheStats:
+    """The benchmark sums ``FlexCL.cache_stats`` under the historical
+    name ``CacheStats`` and reads ``hit_rate`` and ``lookups``."""
+
+    def _model(self, info):
+        model = FlexCL(VIRTEX7)
+        # the second design hits both rows (see the budget test above)
+        for d in (Design(work_group_size=64),
+                  Design(work_group_size=64, num_pe=2)):
+            model.predict(info, d)
+        return model
+
     def test_arithmetic_and_rates(self):
-        a = CacheStats(pe_hits=3, pe_misses=1, memory_hits=4,
-                       memory_misses=0)
-        b = CacheStats(pe_hits=1, pe_misses=1, memory_hits=1,
-                       memory_misses=1)
-        total = a + b
-        assert total.pe_hits == 4 and total.memory_misses == 1
-        assert (total - b).pe_hits == a.pe_hits
-        assert a.hit_rate == pytest.approx(7 / 8)
-        assert a.rate("pe") == pytest.approx(3 / 4)
+        info = _analyzer()(64)
+        total = CacheStats()
+        for _ in range(2):
+            model = self._model(info)
+            total = total + model.cache_stats
+        assert total.hits == {"pe": 2, "memory": 2}
+        assert total.misses == {"pe": 2, "memory": 2}
+        assert total.lookups == 8
+        assert total.hit_rate == pytest.approx(0.5)
+        assert (total - model.cache_stats).lookups == 4
         assert CacheStats().hit_rate == 0.0
 
     def test_to_dict_and_summary(self):
-        stats = CacheStats(pe_hits=1, pe_misses=1)
+        stats = self._model(_analyzer()(64)).cache_stats
         d = stats.to_dict()
-        assert d["pe_hits"] == 1 and "hit_rate" in d
-        assert "PE 1/2" in stats.summary()
+        assert d["hits"]["pe"] == 1 and "hit_rate" in d
+        assert "pe 1/2" in stats.summary("memo")
 
 
 class TestResultCaching:
@@ -323,4 +337,4 @@ def test_pe_memo_key_is_exact(name):
             a, b = memo.predict(info, d), plain.predict(info, d)
             assert a.cycles == b.cycles, d
             assert _pe_fields(a.pe) == _pe_fields(b.pe), d
-    assert memo.cache_stats.pe_hits > 0
+    assert memo.cache_stats.hits["pe"] > 0

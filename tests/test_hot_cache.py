@@ -4,7 +4,12 @@ import threading
 
 import pytest
 
-from repro.cache import ArtifactCache, HotCache, hot_cache_payload
+from repro.cache import (
+    ArtifactCache,
+    HotCache,
+    StoreStats,
+    hot_cache_payload,
+)
 from repro.cache.report import cache_payload
 
 
@@ -19,8 +24,8 @@ class TestHotTier:
         hot.put("layer", "k1", {"v": 1})
         found, value = hot.get("layer", "k1")
         assert found and value == {"v": 1}
-        assert hot.hot_hits == 1
-        assert hot.hot_misses == 0
+        assert hot.hot_stats.hits == {"layer": 1}
+        assert hot.hot_stats.total_misses == 0
 
     def test_write_through_warms_the_store(self, store):
         hot = HotCache(store=store)
@@ -41,14 +46,14 @@ class TestHotTier:
         assert hot.promotions == 1
         # second lookup is served from memory
         assert hot.get("layer", "k1") == (True, "cold")
-        assert hot.hot_hits == 1
+        assert hot.hot_stats.hits == {"layer": 1}
 
     def test_eviction_respects_cap(self, store):
         hot = HotCache(store=store, max_entries=3)
         for i in range(10):
             hot.put("layer", f"k{i}", i)
         assert hot.entry_count() == 3
-        assert hot.hot_evictions == 7
+        assert hot.hot_stats.evictions == 7
         # LRU: the three most recent survive
         for i in (7, 8, 9):
             assert ("layer", f"k{i}") in hot
@@ -92,6 +97,33 @@ class TestHotTier:
         assert tiers["hot"]["capacity"] == 8
         assert tiers["store"]["misses"] >= 1
 
+    def test_disk_key_is_separate_and_lazy(self, store):
+        calls = []
+
+        def disk_key():
+            calls.append(1)
+            return "on-disk"
+
+        hot = HotCache(store=store, max_entries=None)
+        assert hot.get_or_compute("l", ("mem", 1), lambda: 7,
+                                  disk_key) == 7
+        assert store.get("l", "on-disk") == (True, 7)
+        assert hot.get_or_compute("l", ("mem", 1), lambda: 8,
+                                  disk_key) == 7
+        assert len(calls) == 1             # not derived on a hot hit
+        # a fresh tier finds the row on disk: a hot miss, a store hit
+        fresh = HotCache(store=store)
+        assert fresh.get_or_compute("l", ("other",), lambda: 8,
+                                    disk_key) == 7
+        assert fresh.hot_stats.misses == {"l": 1}
+        assert fresh.stats.hits == {"l": 1}
+
+    def test_disk_key_none_stays_in_memory(self, store):
+        hot = HotCache(store=store)
+        hot.get_or_compute("l", ("mem",), lambda: 1, lambda: None)
+        assert store.stats.lookups == 0 and store.entry_count() == 0
+        assert hot.get("l", ("mem",)) == (True, 1)
+
     def test_combined_stats_are_storestats_compatible(self, store):
         hot = HotCache(store=store)
         hot.put("l", "k", 1)
@@ -126,7 +158,8 @@ class TestReportFormatter:
 class TestThreadSafety:
     def test_concurrent_store_traffic_keeps_counts_exact(self, store):
         """8 threads × 50 ops: with unguarded `n += 1` bumps some
-        increments are lost; the lock makes totals exact."""
+        increments are lost; the lock makes totals exact, merged
+        counter deltas included."""
         threads = []
 
         def worker(tid):
@@ -134,6 +167,8 @@ class TestThreadSafety:
                 store.put("l", f"{tid}-{i}", i)
                 store.get("l", f"{tid}-{i}")
                 store.get("l", f"missing-{tid}-{i}")
+                # a forked serve worker's counters, merged back
+                store.absorb(StoreStats(hits={"w": 1}))
 
         for tid in range(8):
             threads.append(threading.Thread(target=worker,
@@ -145,6 +180,7 @@ class TestThreadSafety:
         assert store.stats.puts["l"] == 400
         assert store.stats.hits["l"] == 400
         assert store.stats.misses["l"] == 400
+        assert store.stats.hits["w"] == 400
 
     def test_concurrent_hot_traffic(self, store):
         hot = HotCache(store=store, max_entries=64)
@@ -165,24 +201,25 @@ class TestThreadSafety:
         for t in threads:
             t.join()
         assert not errors
-        assert hot.hot_hits + hot.promotions + hot.stats.total_misses \
-            == 800
+        assert hot.hot_stats.total_hits + hot.promotions \
+            + hot.stats.total_misses == 800
 
     def test_submodel_cache_concurrent_counts(self):
-        from repro.model.memo import SubModelCache
-
-        cache = SubModelCache()
-        info = object()
+        """The sub-model memo's shape: an unbounded, store-less tier
+        keyed on tuples, hammered by 8 threads."""
+        cache = HotCache(max_entries=None)
+        pin = object()
 
         def worker():
             for i in range(100):
-                cache.get("pe", info, (i % 4,), lambda: i)
+                cache.get_or_compute("pe", (pin, i % 4), lambda: i)
 
         threads = [threading.Thread(target=worker) for _ in range(8)]
         for t in threads:
             t.start()
         for t in threads:
             t.join()
-        assert cache.stats.pe_hits + cache.stats.pe_misses == 800
+        assert cache.hot_stats.hits["pe"] \
+            + cache.hot_stats.misses["pe"] == 800
         # every key is cached exactly once
         assert len(cache) == 4

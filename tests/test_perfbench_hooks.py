@@ -43,3 +43,11 @@ def test_every_target_is_wrapped_and_restored_by_identity():
     for owner, attr, original in originals:
         assert owner.__dict__[attr] is original, attr
 
+
+
+def test_pinned_counter_name_is_the_one_counter_type():
+    """The benchmark imports the sub-model counters under their
+    historical name."""
+    from repro.cache import StoreStats
+    from repro.model.memo import CacheStats
+    assert CacheStats is StoreStats

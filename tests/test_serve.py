@@ -18,6 +18,7 @@ import pytest
 
 from repro.serve import ServerConfig, serve_in_thread
 from repro.serve.api import run_task
+from repro.serve.pool import fork_available
 
 SAXPY = """
 __kernel void saxpy(__global float *x, __global float *y,
@@ -307,3 +308,25 @@ class TestStreaming:
         result = events[-1]["payload"]
         assert result["workloads"] == 2
         assert result["predictions"] == len(result["rows"]) == 4
+
+
+@pytest.mark.skipif(not fork_available(), reason="needs fork")
+class TestProcessPool:
+    def test_worker_store_counters_reach_metrics(self, tmp_path):
+        """Forked workers count on their own store handle; each task's
+        counter delta must reach the daemon's /metrics."""
+        handle = serve_in_thread(ServerConfig(
+            port=0, executor="process", jobs=1,
+            cache_dir=str(tmp_path / "store")))
+        try:
+            for spec in (PREDICT_SPEC, dict(PREDICT_SPEC, pe=2)):
+                status, _ = _post(handle.url, "/predict", spec)
+                assert status == 200
+            m = _get_json(handle.url, "/metrics")
+        finally:
+            handle.stop()
+        assert m["workers"]["mode"] == "process"
+        stats = m["cache"]["store"]["stats"]
+        assert sum(stats["puts"].values()) > 0
+        # the second design reuses the first one's kernel analysis
+        assert stats["hits"].get("analysis", 0) > 0
