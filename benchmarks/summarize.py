@@ -39,10 +39,6 @@ HEADLINES = [
      "KU060 pathfinder error", "13.6%"),
     ("surrogate", r"held-out Spearman: ([\d.]+)",
      "surrogate held-out Spearman", ">=0.90"),
-    ("surrogate", r"argmax agreement: (\d+/\d+)",
-     "surrogate argmax agreement", "100%"),
-    ("surrogate", r"exact-eval reduction vs space: ([\d.]+)x",
-     "surrogate exact-eval reduction", ">=5x"),
     ("surrogate", r"instant p50: ([\d.]+) ms",
      "serve instant-tier p50 (ms)", "<1ms"),
 ]

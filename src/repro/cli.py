@@ -62,6 +62,10 @@ _SPEC_FIELD_FLAGS = {
     "'kernel'": "--kernel NAME",
     "'global_size'": "--global-size",
     "'args'": "--arg",
+    "'wg'": "--wg",
+    "'depth'": "--depth",
+    "'limit'": "--limit",
+    "'designs'": "--designs",
 }
 
 
@@ -352,8 +356,6 @@ def cmd_explore(args) -> int:
 
     spec = _kernel_spec(args)
     spec["top"] = args.top
-    spec["prefilter"] = args.prefilter
-    spec["top_k"] = args.top_k
     cache = _open_cache(args)
     try:
         payload = serve_api.explore_payload(spec, cache=cache,
@@ -365,17 +367,10 @@ def cmd_explore(args) -> int:
         return 0
     print(f"explored {payload['evaluated']} designs "
           f"({payload['feasible']} feasible)")
-    if payload.get("prefilter") == "surrogate":
-        print(f"prefilter: surrogate "
-              f"({payload['exact_evaluations']} exact evaluations "
-              f"of {payload['feasible']} feasible — "
-              f"{payload['feasible'] / max(payload['exact_evaluations'], 1):.1f}x fewer)")
     print(f"\ntop {args.top}:")
     for entry in payload["top"]:
-        tag = (f"  [{entry['source']}]"
-               if entry.get("source") == "surrogate" else "")
         print(f"  {entry['design']:<46} "
-              f"{entry['cycles']:>12,.0f} cycles{tag}")
+              f"{entry['cycles']:>12,.0f} cycles")
     _print_cache_line(cache)
     if spec.get("source"):
         fn, _ = serve_api.resolve_kernel(
@@ -387,9 +382,10 @@ def cmd_explore(args) -> int:
 def cmd_predict_graph(args) -> int:
     """Run the `predict-graph` subcommand: end-to-end latency of a
     multi-kernel program under both edge realizations."""
+    from repro.devices import device_by_name
     from repro.model import FlexCL, predict_graph
     from repro.serve import api as serve_api
-    from repro.workloads import all_programs, get_program
+    from repro.workloads import all_programs
 
     if args.list or not args.program:
         for p in all_programs():
@@ -397,27 +393,21 @@ def cmd_predict_graph(args) -> int:
             tag = "  [pipes]" if p.has_pipes else ""
             print(f"{p.qualified_name:<20} {chain}{tag}")
         return 0
-    if args.json:
-        spec = {"program": args.program,
-                "realization": args.realization,
-                "depth": args.depth, "device": args.device,
-                "wg": args.wg}
-        try:
-            payload = serve_api.predict_graph_payload(
-                spec, cache=_open_cache(args))
-        except serve_api.ApiError as exc:
-            raise _cli_error(exc) from None
-        print(serve_api.canonical_json(payload))
-        return 0
-    try:
-        program = get_program(args.program)
-    except KeyError as exc:
-        raise CLIError(str(exc.args[0])) from None
-    from repro.devices import device_by_name
-    device = device_by_name(args.device)
+    spec = {"program": args.program, "realization": args.realization,
+            "depth": args.depth, "device": args.device, "wg": args.wg}
     cache = _open_cache(args)
-    infos, designs = serve_api.program_stage_infos(program, device, cache,
-                                                   args.wg)
+    try:
+        if args.json:
+            print(serve_api.canonical_json(
+                serve_api.predict_graph_payload(spec, cache=cache)))
+            return 0
+        spec = serve_api.normalize_graph_spec(spec)
+        program = serve_api.resolve_program(spec["program"])
+        device = device_by_name(spec["device"])
+        infos, designs = serve_api.program_stage_infos(
+            program, device, cache, spec["wg"])
+    except serve_api.ApiError as exc:
+        raise _cli_error(exc) from None
     model = FlexCL(device, cache=cache)
     graph = program.graph()
     print(f"program  : {program.qualified_name}")
@@ -466,31 +456,25 @@ def cmd_workloads(args) -> int:
 def cmd_suite(args) -> int:
     """Run the `suite` subcommand: batch-evaluate the workload catalog
     through the shared persistent cache."""
-    from repro.evaluation import default_suite_workloads, run_suite
     from repro.devices import device_by_name
+    from repro.evaluation import run_suite
+    from repro.serve import api as serve_api
 
     if args.json and args.export_features:
         raise CLIError("--export-features writes NDJSON to its own "
                        "file; drop --json")
-    if args.json:
-        from repro.serve import api as serve_api
-        spec = {"suite": args.suite, "limit": args.limit,
-                "designs": args.designs, "device": args.device}
-        try:
-            payload = serve_api.suite_payload(spec,
-                                              cache=_open_cache(args),
-                                              jobs=args.jobs)
-        except serve_api.ApiError as exc:
-            raise _cli_error(exc) from None
-        print(serve_api.canonical_json(payload))
-        return 0
-    device = device_by_name(args.device)
+    spec = {"suite": args.suite, "limit": args.limit,
+            "designs": args.designs, "device": args.device}
     cache = _open_cache(args)
     try:
-        catalog = default_suite_workloads(args.suite, args.limit)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        if args.json:
+            print(serve_api.canonical_json(serve_api.suite_payload(
+                spec, cache=cache, jobs=args.jobs)))
+            return 0
+        catalog = serve_api.suite_catalog(spec)
+    except serve_api.ApiError as exc:
+        raise _cli_error(exc) from None
+    device = device_by_name(args.device)
     result = run_suite(catalog, device, jobs=args.jobs, cache=cache,
                        designs_per_kernel=args.designs,
                        collect_features=bool(args.export_features))
@@ -540,8 +524,8 @@ def _suite_programs(device, cache) -> None:
 
 def cmd_surrogate(args) -> int:
     """Run the `surrogate` subcommand: train or inspect the learned
-    latency surrogate behind ``predict --tier instant`` and
-    ``explore --prefilter surrogate`` (see docs/SURROGATE.md)."""
+    latency surrogate behind ``predict --tier instant`` (see
+    docs/SURROGATE.md)."""
     from repro.devices import device_by_name
 
     device = device_by_name(args.device)
@@ -739,7 +723,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="OpenCL .cl source file (or use --workload)")
         p.add_argument("--workload", metavar="NAME",
                        help="a catalog workload instead of a source "
-                            "file, e.g. 'rodinia/nw/kernel1' "
+                            "file, e.g. 'rodinia/nw/nw1' "
                             "(buffers, scalars, and NDRange come from "
                             "the catalog)")
         p.add_argument("--kernel", help="kernel name "
@@ -783,21 +767,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("explore", help="sweep the design space")
     add_kernel_args(p)
     p.add_argument("--top", type=int, default=5)
-    p.add_argument("--prefilter", default="none",
-                   choices=["none", "surrogate"],
-                   help="pre-rank the space with the trained surrogate "
-                        "and exactly evaluate only the promising slice "
-                        "(requires 'repro surrogate train')")
-    p.add_argument("--top-k", type=int, default=0, metavar="K",
-                   help="exact-evaluation budget for the surrogate "
-                        "prefilter (0 = automatic: a tenth of the "
-                        "feasible set, at least 64)")
     add_json_arg(p)
     p.add_argument("--jobs", "-j", type=_jobs_arg, default=None,
                    metavar="N",
                    help="worker processes for the sweep "
-                        "('auto' = one per core; default: serial); "
-                        "--prefilter surrogate always runs serially")
+                        "('auto' = one per core; default: serial)")
     p.set_defaults(func=cmd_explore)
 
     p = sub.add_parser("predict-graph",
@@ -878,8 +852,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("surrogate",
                        help="train or inspect the learned latency "
-                            "surrogate behind 'predict --tier instant' "
-                            "and 'explore --prefilter surrogate'")
+                            "surrogate behind 'predict --tier instant'")
     p.add_argument("action", choices=["train", "info"])
     p.add_argument("--device", default="virtex7",
                    choices=["virtex7", "ku060"])

@@ -13,7 +13,6 @@ from repro.dse.space import Design, DesignSpace, check_feasibility
 from repro.dse.explorer import (
     EvaluatedDesign,
     ExplorationResult,
-    exhaustive_search,
     explore,
 )
 from repro.dse.heuristic import step_by_step_search
@@ -33,7 +32,6 @@ __all__ = [
     "GraphDesign",
     "GraphExplorationResult",
     "check_feasibility",
-    "exhaustive_search",
     "explore",
     "explore_program",
     "step_by_step_search",

@@ -35,9 +35,6 @@ class EvaluatedDesign:
     cycles: float
     feasible: bool = True
     reject_reason: Optional[str] = None
-    #: where the cycle count came from: ``"model"`` (exact analytical
-    #: evaluation) or ``"surrogate"`` (approximate pre-filter score)
-    source: str = "model"
 
 
 @dataclass
@@ -60,12 +57,6 @@ class ExplorationResult:
     store_stats: Optional[StoreStats] = None
     #: worker processes the sweep ran on (1 == serial)
     jobs: int = 1
-    #: pre-filter mode the sweep ran under (None == exhaustive)
-    prefilter: Optional[str] = None
-    #: exact analytical evaluations performed (== feasible count for an
-    #: exhaustive sweep; the point of the surrogate pre-filter is to
-    #: make this much smaller than the space)
-    exact_evaluations: int = 0
     _feasible: Optional[List[EvaluatedDesign]] = field(
         default=None, init=False, repr=False, compare=False)
     _ordered: Optional[List[EvaluatedDesign]] = field(
@@ -89,15 +80,9 @@ class ExplorationResult:
         return self._feasible
 
     def ranked(self) -> List[EvaluatedDesign]:
-        """Feasible points sorted by cycles (cached; stable order).
-
-        Exactly evaluated points always order before surrogate-scored
-        ones, so :attr:`best` is an exact result even in a pre-filtered
-        sweep (approximate scores only rank the tail)."""
+        """Feasible points sorted by cycles (cached; stable order)."""
         if self._ordered is None:
-            self._ordered = sorted(
-                self.feasible,
-                key=lambda e: (0 if e.source == "model" else 1, e.cycles))
+            self._ordered = sorted(self.feasible, key=lambda e: e.cycles)
         return self._ordered
 
     @property
@@ -229,146 +214,11 @@ def _explore_parallel(designs: List[Design], analyze, evaluator, device,
     result.store_stats = total_store if store_fn is not None else None
 
 
-#: default exact-evaluation slice of a pre-filtered sweep: top tenth of
-#: the surrogate ranking, but never fewer than 64 points
-def default_top_k(n_feasible: int) -> int:
-    """How many surrogate-ranked points the prefilter evaluates
-    exactly by default: 10% of the feasible space, floored at 64."""
-    return max(64, n_feasible // 10)
-
-
-def _explore_prefiltered(designs: List[Design], analyze, evaluator,
-                         device, surrogate, top_k: Optional[int],
-                         explore_band: int,
-                         result: ExplorationResult) -> None:
-    """Score every feasible design with the surrogate, evaluate only
-    the promising slice exactly.
-
-    The exact set is the surrogate's top-K plus a stratified
-    exploration band across the remainder (insurance against a locally
-    mis-ranked region) plus the surrogate-best point of every
-    work-group size (the axis the analysis itself depends on).  The
-    winner is then refined by a greedy hill-climb over single-knob
-    neighbours: the surrogate's ranking errors are overwhelmingly
-    local (a neighbouring cu/pe count edging out the picked point), so
-    exactly evaluating the immediate neighbourhood of the running best
-    until no neighbour improves recovers the exhaustive argmax at a
-    cost of a few dozen extra evaluations.  All other feasible points
-    keep their approximate score, tagged ``source="surrogate"``;
-    :meth:`ExplorationResult.ranked` orders exact points first, so
-    ``result.best`` is always an exact answer.
-    """
-    from repro.surrogate.features import design_matrix
-
-    infos: Dict[int, object] = {}
-    for design in designs:
-        wg = design.work_group_size
-        if wg not in infos:
-            try:
-                infos[wg] = analyze(wg)
-            except Exception:
-                infos[wg] = None
-
-    entries: List[Optional[EvaluatedDesign]] = [None] * len(designs)
-    feasible_idx: List[int] = []
-    for i, design in enumerate(designs):
-        info = infos[design.work_group_size]
-        if info is None:
-            entries[i] = EvaluatedDesign(
-                design, float("inf"), feasible=False,
-                reject_reason="analysis failed for this work-group size")
-            continue
-        reason = check_feasibility(info, design, device)
-        if reason is not None:
-            entries[i] = EvaluatedDesign(design, float("inf"),
-                                         feasible=False,
-                                         reject_reason=reason)
-        else:
-            feasible_idx.append(i)
-
-    # surrogate scores, kernel features extracted once per wg shard
-    scores: Dict[int, float] = {}
-    by_wg: Dict[int, List[int]] = {}
-    for i in feasible_idx:
-        by_wg.setdefault(designs[i].work_group_size, []).append(i)
-    for wg in sorted(by_wg):
-        idxs = by_wg[wg]
-        matrix = design_matrix(infos[wg], [designs[i] for i in idxs])
-        for i, cycles in zip(idxs, surrogate.predict_cycles(matrix)):
-            scores[i] = float(cycles)
-
-    order = sorted(feasible_idx, key=lambda i: (scores[i], i))
-    k = top_k if top_k is not None else default_top_k(len(order))
-    exact_set = set(order[:k])
-    rest = order[k:]
-    if rest and explore_band > 0:
-        step = max(len(rest) // explore_band, 1)
-        exact_set.update(rest[::step][:explore_band])
-    for wg in sorted(by_wg):
-        exact_set.add(min(by_wg[wg], key=lambda i: (scores[i], i)))
-
-    for i in sorted(exact_set):
-        entries[i] = _evaluate_design(infos[designs[i].work_group_size],
-                                      designs[i], evaluator, device)
-
-    # greedy refinement: walk single-knob neighbours of the running
-    # best until no exact neighbour improves on it
-    def neighbours(i: int) -> List[int]:
-        d = designs[i]
-        out = []
-        for j in feasible_idx:
-            if j == i or j in exact_set:
-                continue
-            o = designs[j]
-            diffs = sum((
-                d.work_group_size != o.work_group_size,
-                d.work_item_pipeline != o.work_item_pipeline,
-                d.work_group_pipeline != o.work_group_pipeline,
-                d.num_pe != o.num_pe,
-                d.num_cu != o.num_cu,
-                d.vector_width != o.vector_width,
-                d.comm_mode != o.comm_mode,
-            ))
-            if diffs == 1:
-                out.append(j)
-        return out
-
-    def best_exact() -> Optional[int]:
-        cands = [i for i in exact_set
-                 if entries[i] is not None and entries[i].feasible]
-        return min(cands, key=lambda i: (entries[i].cycles, i),
-                   default=None)
-
-    current = best_exact()
-    while current is not None:
-        fresh = neighbours(current)
-        for j in fresh:
-            entries[j] = _evaluate_design(
-                infos[designs[j].work_group_size], designs[j],
-                evaluator, device)
-            exact_set.add(j)
-        nxt = best_exact()
-        if nxt == current:
-            break
-        current = nxt
-
-    for i in feasible_idx:
-        if entries[i] is None:
-            entries[i] = EvaluatedDesign(designs[i], scores[i],
-                                         source="surrogate")
-    for entry in entries:
-        result.append(entry)
-    result.prefilter = "surrogate"
-    result.exact_evaluations = len(exact_set)
-
-
 def explore(space: DesignSpace, analyze: Callable[[int], object],
             evaluator: Callable[[object, Design], float],
             device, jobs=None,
             cache_stats: Optional[Callable[[], StoreStats]] = None,
-            store_stats: Optional[Callable[[], StoreStats]] = None,
-            prefilter: Optional[str] = None, surrogate=None,
-            top_k: Optional[int] = None, explore_band: int = 32
+            store_stats: Optional[Callable[[], StoreStats]] = None
             ) -> ExplorationResult:
     """Exhaustively evaluate every feasible design in *space*.
 
@@ -381,30 +231,14 @@ def explore(space: DesignSpace, analyze: Callable[[int], object],
     store's.  Forked workers inherit the analyze/evaluator closures and
     share one on-disk store, so a sweep that warmed the cache speeds up
     every later process, not just this one.
-
-    ``prefilter="surrogate"`` switches to the learned fast path: a
-    trained :class:`~repro.surrogate.SurrogateModel` (pass it as
-    *surrogate*) scores the whole space and only the top *top_k* points
-    (default: a tenth of the feasible set, at least 64), a stratified
-    *explore_band*, and the per-work-group-size surrogate favourites
-    are evaluated exactly; everything else carries its approximate
-    score tagged ``source="surrogate"``.  ``result.best`` remains an
-    exactly evaluated point and ``result.exact_evaluations`` records
-    how much of the space the analytical model actually touched.
     """
-    if prefilter not in (None, "none", "surrogate"):
-        raise ValueError(f"unknown prefilter {prefilter!r}")
-    if prefilter == "surrogate" and surrogate is None:
-        raise ValueError("prefilter='surrogate' requires a trained "
-                         "surrogate model (repro surrogate train)")
     start = time.perf_counter()
     result = ExplorationResult()
     designs = list(space)
     wg_count = len({d.work_group_size for d in designs})
     n_jobs = resolve_jobs(jobs, limit=wg_count)
 
-    use_parallel = (prefilter != "surrogate" and n_jobs > 1
-                    and wg_count > 1 and designs
+    use_parallel = (n_jobs > 1 and wg_count > 1 and designs
                     and "fork" in multiprocessing.get_all_start_methods())
 
     if use_parallel:
@@ -414,20 +248,10 @@ def explore(space: DesignSpace, analyze: Callable[[int], object],
     else:
         before = cache_stats() if cache_stats is not None else None
         store_before = store_stats() if store_stats is not None else None
-        if prefilter == "surrogate":
-            _explore_prefiltered(designs, analyze, evaluator, device,
-                                 surrogate, top_k, explore_band, result)
-        else:
-            _explore_serial(designs, analyze, evaluator, device, result)
+        _explore_serial(designs, analyze, evaluator, device, result)
         if before is not None:
             result.cache_stats = cache_stats() - before
         if store_before is not None:
             result.store_stats = store_stats() - store_before
-    if prefilter != "surrogate":
-        result.exact_evaluations = len(result.feasible)
     result.elapsed_seconds = time.perf_counter() - start
     return result
-
-
-#: Back-compat alias: exhaustive search == explore.
-exhaustive_search = explore

@@ -32,7 +32,7 @@ from repro.workloads.base import Workload
 class SuitePrediction:
     """One predicted design point of one workload."""
 
-    workload: str          # qualified name, e.g. 'rodinia/nw/kernel1'
+    workload: str          # qualified name, e.g. 'rodinia/nw/nw1'
     design: str            # design signature
     cycles: float
     #: which engine produced the analysis traces ("synth" /

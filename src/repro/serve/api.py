@@ -17,13 +17,17 @@ can cross a process-pool boundary without custom pickling.
 
 Request shapes (all fields beyond the required ones have defaults):
 
-``predict`` / ``explore``::
+``predict``::
 
     {"source": "<OpenCL C>", "kernel": "saxpy", "global_size": 4096,
      "wg": 64, "pe": 1, "cu": 1, "vector": 1, "mode": "pipeline",
      "pipeline": true, "wg_pipeline": false, "device": "virtex7",
-     "args": {"alpha": 2.0}, "simulate": false}
-    {"workload": "rodinia/nw/kernel1", "wg": 16}     # catalog form
+     "args": {"alpha": 2.0}, "simulate": false, "tier": "exact"}
+    {"workload": "rodinia/nw/nw1", "wg": 16}         # catalog form
+
+``explore`` (every feasible design of the default space, exactly)::
+
+    {"workload": "rodinia/nw/nw1", "top": 5}         # or source form
 
 ``predict-graph``::
 
@@ -34,12 +38,15 @@ Request shapes (all fields beyond the required ones have defaults):
 
     {"suite": "rodinia", "limit": 4, "designs": 8, "device": "virtex7"}
 
-Unknown fields are ignored.
+Unknown fields are ignored.  Name fields must be strings and numbers
+finite (``json.loads`` accepts ``Infinity``/``NaN``); the normalizers
+reject anything else with an :class:`ApiError`.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -58,9 +65,6 @@ REALIZATION_MODES = ("dram", "pipe", "both")
 #: /predict answer tiers: the exact analytical model, or the learned
 #: surrogate's approximate-but-instant answer with confidence bounds
 PREDICT_TIERS = ("exact", "instant")
-#: /explore pre-filter modes (surrogate = exact-evaluate only the
-#: surrogate-ranked top slice; see repro.dse.explorer)
-EXPLORE_PREFILTERS = ("none", "surrogate")
 
 #: KernelInfo.trace_source -> the provenance string payloads report
 TRACE_PROVENANCE = {"synth": "synthesized",
@@ -91,8 +95,16 @@ def encode_body(payload) -> bytes:
 def _as_int(spec, key, default) -> int:
     try:
         return int(spec.get(key, default))
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ApiError(f"{key!r} must be an integer") from None
+
+
+def _as_str(spec, key) -> Optional[str]:
+    """An optional string field (missing or empty == None)."""
+    value = spec.get(key) or None
+    if value is not None and not isinstance(value, str):
+        raise ApiError(f"{key!r} must be a string")
+    return value
 
 
 def _as_bool(spec, key, default) -> bool:
@@ -122,15 +134,15 @@ def _device_name(spec) -> str:
 
 def _kernel_fields(spec) -> Dict[str, object]:
     """The source-selection half shared by predict and explore specs."""
-    source = spec.get("source") or None
-    workload = spec.get("workload") or None
+    source = _as_str(spec, "source")
+    workload = _as_str(spec, "workload")
     if (source is None) == (workload is None):
         raise ApiError(
             "exactly one of 'source' (OpenCL C text) or 'workload' "
-            "(catalog name like 'rodinia/nw/kernel1') is required")
+            "(catalog name like 'rodinia/nw/nw1') is required")
     out: Dict[str, object] = {
         "source": source, "workload": workload,
-        "kernel": spec.get("kernel") or None,
+        "kernel": _as_str(spec, "kernel"),
         "device": _device_name(spec),
     }
     if source is not None:
@@ -149,8 +161,10 @@ def _kernel_fields(spec) -> Dict[str, object]:
         raise ApiError("'args' must be an object of scalar overrides")
     try:
         out["args"] = {str(k): float(v) for k, v in args.items()}
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ApiError("'args' values must be numbers") from None
+    if not all(math.isfinite(v) for v in out["args"].values()):
+        raise ApiError("'args' values must be finite numbers")
     return out
 
 
@@ -181,21 +195,17 @@ def normalize_explore_spec(spec: dict) -> dict:
     out["top"] = _as_int(spec, "top", 5)
     if out["top"] < 1:
         raise ApiError("'top' must be >= 1")
-    out["prefilter"] = _choice(spec, "prefilter", "none",
-                               EXPLORE_PREFILTERS)
-    out["top_k"] = _as_int(spec, "top_k", 0)
-    if out["top_k"] < 0:
-        raise ApiError("'top_k' must be >= 0 (0 = automatic)")
     return out
 
 
 def normalize_graph_spec(spec: dict) -> dict:
     """Validate and default-fill a ``predict-graph`` request."""
-    if not spec.get("program"):
+    program = _as_str(spec, "program")
+    if program is None:
         raise ApiError("'program' is required "
                        "(e.g. 'srad' or 'rodinia/srad')")
     out = {
-        "program": str(spec["program"]),
+        "program": program,
         "realization": _choice(spec, "realization", "both",
                                REALIZATION_MODES),
         "depth": _as_int(spec, "depth", 16),
@@ -205,6 +215,8 @@ def normalize_graph_spec(spec: dict) -> dict:
     }
     if out["depth"] < 1:
         raise ApiError("'depth' must be >= 1")
+    if out["wg"] is not None and out["wg"] < 1:
+        raise ApiError("'wg' must be >= 1")
     return out
 
 
@@ -676,58 +688,9 @@ def explore_payload_from_rows(spec: dict, rows: List[dict]) -> dict:
     return payload
 
 
-def explore_prefiltered_payload(spec: dict, cache=None) -> dict:
-    """Surrogate-pre-ranked explore: score the whole space with the
-    trained surrogate, evaluate only the promising slice exactly.
-
-    The payload keeps the exhaustive shape (kernel/device/evaluated/
-    feasible/top) and adds the pre-filter provenance: which mode ran,
-    how many exact evaluations it took, which model scored the space,
-    and a per-row ``source`` ("model" or "surrogate")."""
-    from repro.devices import device_by_name
-    from repro.dse import DesignSpace
-    from repro.dse.explorer import explore
-    from repro.model import FlexCL
-
-    spec = normalize_explore_spec(spec)
-    device = device_by_name(spec["device"])
-    surrogate = _require_surrogate(cache, device)
-    fn, workload = resolve_kernel(spec)
-    analyze = make_spec_analyzer(spec, fn, workload, device, cache)
-    model = FlexCL(device, cache=cache)
-    space = DesignSpace.default_for(_spec_global_size(spec, workload))
-    result = explore(
-        space, analyze,
-        lambda info, design: model.predict(info, design).cycles,
-        device, prefilter="surrogate", surrogate=surrogate,
-        top_k=spec["top_k"] or None)
-
-    payload = {
-        "kernel": fn.name,
-        "device": spec["device"],
-        "global_size": _spec_global_size(spec, workload),
-        "evaluated": len(result.evaluated),
-        "feasible": len(result.feasible),
-        "prefilter": "surrogate",
-        "exact_evaluations": result.exact_evaluations,
-        "surrogate": surrogate.describe(),
-        "top": [{"design": e.design.signature(), "cycles": e.cycles,
-                 "work_group_size": e.design.work_group_size,
-                 "source": e.source}
-                for e in result.ranked()[:spec["top"]]],
-    }
-    if workload is not None:
-        payload["workload"] = workload.qualified_name
-    return payload
-
-
 def explore_payload(spec: dict, cache=None, jobs=None) -> dict:
-    """Evaluate the whole space on *jobs* workers, then assemble.
-    ``"prefilter": "surrogate"`` switches to the learned fast path,
-    which always runs serially."""
+    """Evaluate the whole space on *jobs* workers, then assemble."""
     spec = normalize_explore_spec(spec)
-    if spec["prefilter"] == "surrogate":
-        return explore_prefiltered_payload(spec, cache)
     return explore_payload_from_rows(spec,
                                      explore_rows(spec, cache, jobs=jobs))
 
@@ -747,6 +710,11 @@ def program_stage_infos(program, device, cache=None,
 
     infos, designs = {}, {}
     if program.stages:
+        for w in program.stages:
+            if wg_override and w.global_size % wg_override:
+                raise ApiError(
+                    f"'wg' {wg_override} does not divide stage "
+                    f"{w.kernel}'s global size {w.global_size}")
         for w in program.stages:
             wg = wg_override or w.default_local_size
             infos[w.kernel] = analyze_kernel(
@@ -913,7 +881,6 @@ def request_key(endpoint: str, spec: dict,
             device_fingerprint(device_by_name(spec["device"])),
             _spec_global_size(spec, workload), spec["top"],
             sorted(spec["args"].items()),
-            spec["prefilter"], spec["top_k"],
             spec["workload"] or "")
     if endpoint == "predict-graph":
         spec = normalize_graph_spec(spec)

@@ -223,11 +223,6 @@ class PredictionServer:
         """Run a sharded explore/suite evaluation, calling ``await
         emit(event_dict)`` as shards complete; the last event carries
         the assembled payload (identical to the non-streamed body)."""
-        if (endpoint == "explore"
-                and spec.get("prefilter", "none") != "none"):
-            raise ApiError(
-                "streaming explore shards the exhaustive sweep; "
-                "drop 'stream' to use a surrogate prefilter")
         if self._active >= self.config.queue_limit:
             self.metrics.rejected += 1
             raise BusyError("admission queue full")

@@ -7,11 +7,12 @@ with persistent versioned artifacts (:mod:`~repro.surrogate.train`),
 and training-data plumbing from suite runs / NDJSON exports
 (:mod:`~repro.surrogate.data`).
 
-The surrogate never replaces the analytical model for final answers —
-it *ranks*: ``explore(prefilter="surrogate")`` scores the whole design
-space in microseconds and hands only the promising slice to the exact
-model, and the serve daemon's ``"tier": "instant"`` answers /predict
-with an approximate latency plus confidence bounds.
+The surrogate never replaces the analytical model for final answers:
+the serve daemon's ``"tier": "instant"`` (CLI ``predict --tier
+instant``) answers /predict with an approximate latency plus confidence
+bounds, while ``explore`` always evaluates every feasible design with
+the exact model.  docs/SURROGATE.md records why the surrogate no
+longer pre-ranks design spaces.
 """
 
 from repro.surrogate.data import (
@@ -29,7 +30,6 @@ from repro.surrogate.features import (
     FEATURE_SCHEMA_VERSION,
     KERNEL_FEATURE_NAMES,
     design_features,
-    design_matrix,
     feature_schema_hash,
     feature_vector,
     kernel_features,
@@ -56,7 +56,6 @@ __all__ = [
     "SurrogateModel",
     "TrainReport",
     "design_features",
-    "design_matrix",
     "export_features",
     "feature_schema_hash",
     "feature_vector",

@@ -7,7 +7,7 @@ barrier and pipe density, launch geometry, and the swept design knobs.
 The framing follows Johnston et al., "OpenCL Performance Prediction
 using Architecture-Independent Features" (arXiv 1811.00156): cheap
 machine-independent counts predict relative performance well enough to
-*rank* candidates, which is all the DSE pre-filter needs.
+*rank* candidates, which is what the instant answer tier needs.
 
 Every input is already computed by kernel analysis (``KernelInfo``: the
 profiled block weights, the loop nest, and the trace-analysis site
@@ -28,7 +28,7 @@ so a schema change can never silently mix vectors of different shapes.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -322,17 +322,3 @@ def feature_vector(info, design) -> np.ndarray:
     for name in DESIGN_FEATURE_NAMES:
         values.append(float(knobs[name]))
     return np.asarray(values, dtype=np.float64)
-
-
-def design_matrix(info, designs: Sequence[object]) -> np.ndarray:
-    """Feature vectors for many designs of one analysed kernel, with
-    the kernel-side features extracted exactly once."""
-    kernel = kernel_features(info)
-    base = [float(kernel[name]) for name in KERNEL_FEATURE_NAMES]
-    rows = np.empty((len(designs), len(FEATURE_NAMES)), dtype=np.float64)
-    for i, design in enumerate(designs):
-        knobs = design_features(info, design)
-        rows[i, :len(base)] = base
-        rows[i, len(base):] = [float(knobs[name])
-                               for name in DESIGN_FEATURE_NAMES]
-    return rows

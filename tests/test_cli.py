@@ -114,6 +114,26 @@ class TestHostileInput:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "Traceback" not in out + err
 
+    SPEC_CASES = {
+        "graph-wg-does-not-divide": ["predict-graph", "srad", "--wg", "3"],
+        "suite-zero-designs": ["suite", "--designs", "0"],
+    }
+
+    @pytest.mark.parametrize("case", sorted(SPEC_CASES))
+    def test_text_and_json_reject_alike(self, case, capsys):
+        """The text path validates through the same spec normalizer as
+        ``--json``: one identical ``error:`` line, exit 2, either way."""
+        errors = []
+        for extra in ([], ["--json"]):
+            rc = main(self.SPEC_CASES[case] + ["--no-cache"] + extra)
+            out, err = capsys.readouterr()
+            assert rc == 2
+            assert out == ""
+            lines = err.strip().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: ")
+            errors.append(lines[0])
+        assert errors[0] == errors[1]
+
 
 class TestJobsThroughApi:
     """``--json``/``--workload`` sweeps go through ``repro.serve.api``;

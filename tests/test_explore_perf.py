@@ -117,6 +117,15 @@ class TestParallelExplore:
         with pytest.raises(ValueError):
             resolve_jobs(-2)
 
+    def test_resolve_jobs_caps_auto_at_shard_count(self):
+        assert resolve_jobs(None) == 1
+        assert resolve_jobs(3) == 3
+        assert resolve_jobs("auto", limit=2) <= 2
+        # explicit requests are honoured even above the limit
+        assert resolve_jobs(7, limit=2) == 7
+        with pytest.raises(ValueError):
+            resolve_jobs(-1)
+
 
 class TestMemoization:
     def _info(self, wg=64):

@@ -30,6 +30,31 @@ __kernel void saxpy(__global float *x, __global float *y,
 
 PREDICT_SPEC = {"source": SAXPY, "global_size": 128, "wg": 32}
 
+#: request bodies that parse as JSON (``json.loads`` accepts the
+#: non-standard ``Infinity``/``NaN`` literals) but name no valid
+#: request: each must be a 400 with a JSON error, never a 500
+HOSTILE_BODIES = {
+    "wg-infinity": (
+        "/predict", '{"workload": "polybench/atax/atax", "wg": Infinity}'),
+    "top-infinity": (
+        "/explore", '{"workload": "polybench/atax/atax", "top": Infinity}'),
+    "global-size-infinity": (
+        "/predict", json.dumps({"source": SAXPY})[:-1]
+        + ', "global_size": Infinity}'),
+    "args-infinity": (
+        "/predict",
+        '{"workload": "polybench/atax/atax", "args": {"n": Infinity}}'),
+    "args-nan": (
+        "/predict", json.dumps({"source": SAXPY, "global_size": 128})[:-1]
+        + ', "args": {"n": NaN}}'),
+    "workload-not-a-string": ("/predict", '{"workload": ["a"]}'),
+    "kernel-not-a-string": (
+        "/explore", json.dumps({"source": SAXPY, "global_size": 128,
+                                "kernel": ["saxpy"]})),
+    "graph-wg-does-not-divide": (
+        "/predict-graph", '{"program": "srad", "wg": 3}'),
+}
+
 
 def _post(url, path, spec, timeout=60):
     req = urllib.request.Request(
@@ -112,6 +137,28 @@ class TestBasics:
         with pytest.raises(urllib.error.HTTPError) as exc:
             urllib.request.urlopen(req, timeout=30)
         assert exc.value.code == 400
+
+    @pytest.mark.parametrize("case", sorted(HOSTILE_BODIES))
+    def test_hostile_body_is_a_client_error(self, server, case):
+        path, body = HOSTILE_BODIES[case]
+        req = urllib.request.Request(server.url + path,
+                                     data=body.encode("utf-8"))
+        with pytest.raises(urllib.error.HTTPError) as exc:
+            urllib.request.urlopen(req, timeout=60)
+        assert exc.value.code == 400
+        assert json.loads(exc.value.read())["error"]
+
+    def test_retired_explore_fields_are_ignored(self, server):
+        """``prefilter``/``top_k`` are unknown fields: the answer is
+        the exhaustive sweep, byte for byte."""
+        spec = {"source": SAXPY, "global_size": 32, "top": 3}
+        status, retired = _post(server.url, "/explore",
+                                dict(spec, prefilter="surrogate",
+                                     top_k=8), timeout=300)
+        assert status == 200
+        status, plain = _post(server.url, "/explore", spec, timeout=300)
+        assert status == 200
+        assert retired == plain
 
     def test_predict_roundtrip_and_hot_hit(self, server):
         status, body1 = _post(server.url, "/predict", PREDICT_SPEC)

@@ -1,4 +1,4 @@
-"""The learned surrogate: features, trainer, DSE prefilter, serve tier.
+"""The learned surrogate: features, trainer, serve instant tier.
 
 The load-bearing guarantees under test:
 
@@ -7,8 +7,6 @@ The load-bearing guarantees under test:
   and across cache states (cold / warm / disabled);
 - training is deterministic and the persisted artifact survives a
   save/load roundtrip, while schema drift is rejected;
-- ``explore(prefilter="surrogate")`` recovers the exhaustive argmax
-  while exactly evaluating a fraction of the feasible set;
 - the serve daemon's instant tier answers with confidence bounds and
   shows up in ``/metrics`` under its own outcome.
 """
@@ -24,15 +22,12 @@ import pytest
 from repro.analysis.kernel_info import DEFAULT_PROFILE_GROUPS
 from repro.cache import open_cache
 from repro.devices import device_by_name
-from repro.dse import Design, DesignSpace
-from repro.dse.explorer import default_top_k, explore, resolve_jobs
+from repro.dse import Design
 from repro.evaluation import default_suite_workloads, run_suite
 from repro.evaluation.harness import make_analyzer
-from repro.model import FlexCL
 from repro.surrogate import (
     FEATURE_NAMES,
     FeatureSchemaError,
-    design_matrix,
     feature_schema_hash,
     feature_vector,
     load_model,
@@ -96,14 +91,6 @@ class TestFeatureDeterminism:
         assert a.shape == (len(FEATURE_NAMES),)
         assert np.array_equal(a, b)
         assert np.all(np.isfinite(a))
-
-    def test_design_matrix_matches_per_point_vectors(self):
-        info = _analyze_workload(STATIC_WORKLOAD)
-        designs = [Design(work_group_size=16, num_pe=p)
-                   for p in (1, 2, 4)]
-        X = design_matrix(info, designs)
-        for row, design in zip(X, designs):
-            assert np.array_equal(row, feature_vector(info, design))
 
     def test_identical_across_trace_engines(self, scalar_reference):
         """Features use only engine-independent analysis facts, so a
@@ -257,7 +244,7 @@ class TestTrainer:
 
 
 # ---------------------------------------------------------------------
-# DSE prefilter
+# serve: instant tier
 # ---------------------------------------------------------------------
 
 def _trained_model(cache, limit=10, designs=16):
@@ -267,64 +254,6 @@ def _trained_model(cache, limit=10, designs=16):
     save_model(cache, model, DEVICE)
     return model
 
-
-class TestPrefilteredExplore:
-    def test_recovers_exhaustive_argmax_with_fewer_exact_evals(
-            self, tmp_path):
-        cache = open_cache(str(tmp_path / "store"))
-        surrogate = _trained_model(cache)
-        workload = _workload(STATIC_WORKLOAD)
-        analyzer = make_analyzer(workload, DEVICE, cache=cache)
-        model = FlexCL(DEVICE, cache=cache)
-        space = DesignSpace.default_for(workload.global_size)
-
-        def evaluator(info, design):
-            return model.predict(info, design).cycles
-
-        exhaustive = explore(space, analyzer, evaluator, DEVICE)
-        fast = explore(space, analyzer, evaluator, DEVICE,
-                       prefilter="surrogate", surrogate=surrogate)
-
-        assert fast.prefilter == "surrogate"
-        assert fast.best.design == exhaustive.best.design
-        assert fast.best.cycles == exhaustive.best.cycles
-        assert fast.best.source == "model"
-        # the whole space is still accounted for ...
-        assert len(fast.evaluated) == len(exhaustive.evaluated)
-        assert len(fast.feasible) == len(exhaustive.feasible)
-        # ... but only a slice of it was exactly evaluated
-        assert fast.exact_evaluations < len(fast.feasible) // 2
-        assert exhaustive.exact_evaluations == len(exhaustive.feasible)
-        tail = [e for e in fast.feasible if e.source == "surrogate"]
-        assert len(tail) == len(fast.feasible) - fast.exact_evaluations
-
-    def test_prefilter_requires_a_model(self):
-        space = DesignSpace.default_for(1024)
-        with pytest.raises(ValueError, match="surrogate"):
-            explore(space, lambda wg: None, lambda i, d: 0.0, DEVICE,
-                    prefilter="surrogate")
-        with pytest.raises(ValueError, match="prefilter"):
-            explore(space, lambda wg: None, lambda i, d: 0.0, DEVICE,
-                    prefilter="banana")
-
-    def test_default_top_k(self):
-        assert default_top_k(0) == 64
-        assert default_top_k(600) == 64
-        assert default_top_k(1000) == 100
-
-    def test_resolve_jobs_caps_auto_at_shard_count(self):
-        assert resolve_jobs(None) == 1
-        assert resolve_jobs(3) == 3
-        assert resolve_jobs("auto", limit=2) <= 2
-        # explicit requests are honoured even above the limit
-        assert resolve_jobs(7, limit=2) == 7
-        with pytest.raises(ValueError):
-            resolve_jobs(-1)
-
-
-# ---------------------------------------------------------------------
-# serve: instant tier + pre-ranked explore payloads
-# ---------------------------------------------------------------------
 
 class TestServeIntegration:
     def test_instant_payload_fields_and_memo(self, tmp_path):
@@ -370,34 +299,18 @@ class TestServeIntegration:
                  "tier": "instant", "simulate": True})
 
     def test_request_key_folds_tier_and_prefilter(self):
+        """The tier is part of a predict request's identity; the
+        retired explore ``prefilter``/``top_k`` fields are unknown
+        fields now, so they no longer move the explore key."""
         from repro.serve import api
         base = {"workload": STATIC_WORKLOAD, "wg": 16}
         assert api.request_key("predict", base) != api.request_key(
             "predict", dict(base, tier="instant"))
         ex = {"workload": STATIC_WORKLOAD}
-        assert api.request_key("explore", ex) != api.request_key(
+        assert api.request_key("explore", ex) == api.request_key(
             "explore", dict(ex, prefilter="surrogate"))
-        assert api.request_key(
-            "explore", dict(ex, prefilter="surrogate")
-        ) != api.request_key(
+        assert api.request_key("explore", ex) == api.request_key(
             "explore", dict(ex, prefilter="surrogate", top_k=128))
-
-    def test_prefiltered_explore_payload_matches_exhaustive_argmax(
-            self, tmp_path):
-        from repro.serve import api
-        cache = open_cache(str(tmp_path / "store"))
-        _trained_model(cache)
-        spec = {"workload": STATIC_WORKLOAD, "top": 3}
-        exhaustive = api.explore_payload(spec, cache=cache)
-        fast = api.explore_payload(dict(spec, prefilter="surrogate"),
-                                   cache=cache)
-        assert fast["prefilter"] == "surrogate"
-        assert fast["exact_evaluations"] < fast["feasible"]
-        assert fast["top"][0]["design"] == \
-            exhaustive["top"][0]["design"]
-        assert fast["top"][0]["cycles"] == \
-            exhaustive["top"][0]["cycles"]
-        assert all(e["source"] == "model" for e in fast["top"])
 
     def test_daemon_instant_tier_and_metrics(self, tmp_path):
         import urllib.request
@@ -433,15 +346,6 @@ class TestServeIntegration:
             assert predict["instant"] == 2
             assert predict["hot_hits"] == 1
             assert predict["instant_latency"]["count"] == 2
-            # streaming + prefilter is a client error
-            req = urllib.request.Request(
-                handle.url + "/explore",
-                data=json.dumps({"workload": STATIC_WORKLOAD,
-                                 "prefilter": "surrogate",
-                                 "stream": True}).encode("utf-8"))
-            with pytest.raises(urllib.error.HTTPError) as err:
-                urllib.request.urlopen(req, timeout=30)
-            assert err.value.code == 400
         finally:
             handle.stop()
 
