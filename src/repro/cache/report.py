@@ -16,12 +16,12 @@ def cache_payload(cache) -> Optional[Dict[str, object]]:
     callers can embed a disabled cache directly)."""
     if cache is None:
         return None
-    counts = cache.layer_counts()
+    counts, size = cache.usage()
     return {
         "root": str(cache.root),
         "entries": sum(counts.values()),
         "layers": {layer: counts[layer] for layer in sorted(counts)},
-        "size_bytes": cache.size_bytes(),
+        "size_bytes": size,
         "max_bytes": cache.max_bytes,
         "stats": cache.stats.to_dict(),
     }

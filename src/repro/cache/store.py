@@ -13,7 +13,16 @@ the guarantees are what matter:
   exception — the bad file is discarded and recomputed;
 - **bounded size**: an LRU cap (default 512 MiB, ``REPRO_CACHE_MAX_MB``)
   evicts least-recently-used entries after writes; hits refresh an
-  entry's timestamp;
+  entry's timestamp.  Each handle keeps a running byte total of the
+  store, seeded by one walk at its first put and updated on every put
+  and eviction, so a put below the cap stats nothing beyond its own
+  target.  The handle walks the store again only when its total
+  exceeds the cap or when it has itself written more than an eighth
+  of the cap since its last walk; the walk resets the total from disk
+  and evicts.  Other writers on the same root (forked suite workers,
+  daemon pool workers) are invisible to a handle between walks, so
+  the store can overshoot the cap by at most an eighth of it per
+  writing handle;
 - **observable**: per-layer hit/miss/put/eviction counters
   (:class:`StoreStats`) that the CLI surfaces and the explorer
   aggregates across workers.
@@ -38,6 +47,11 @@ from typing import Any, Callable, Dict, Optional, Tuple
 DEFAULT_CACHE_DIR = "~/.cache/repro-flexcl"
 #: default LRU size cap in MiB (``REPRO_CACHE_MAX_MB`` overrides)
 DEFAULT_MAX_MB = 512
+#: a handle re-walks the store once it has written more than
+#: ``max_bytes // _RESYNC_FRACTION`` bytes since its last walk, which
+#: bounds how far unseen writes by other handles can push the store
+#: past its cap
+_RESYNC_FRACTION = 8
 
 
 @dataclass
@@ -120,6 +134,11 @@ class ArtifactCache:
     operations themselves were already concurrency-safe — atomic
     ``os.replace`` writes and miss-on-unreadable reads — so the lock
     only serialises the in-process bookkeeping.
+
+    The running byte total (see the module docstring) is deliberately
+    allowed to run high — a corrupt entry dropped by :meth:`get`, an
+    entry evicted by another handle — because a high total only
+    brings the next walk forward.
     """
 
     def __init__(self, root, max_bytes: Optional[int] = None) -> None:
@@ -129,6 +148,11 @@ class ArtifactCache:
         self.max_bytes = max_bytes
         self.stats = StoreStats()
         self._lock = threading.Lock()
+        #: running byte total of the store; None until the first put
+        #: seeds it, so read-only handles never walk the store
+        self._size: Optional[int] = None
+        #: bytes this handle has written since its last walk
+        self._written = 0
 
     # -- paths ---------------------------------------------------------
 
@@ -173,6 +197,11 @@ class ArtifactCache:
             try:
                 with os.fdopen(fd, "wb") as fh:
                     pickle.dump(value, fh, protocol=pickle.HIGHEST_PROTOCOL)
+                    size = fh.tell()
+                try:
+                    replaced = path.stat().st_size
+                except OSError:
+                    replaced = 0
                 os.replace(tmp, path)
             except BaseException:
                 self._discard(Path(tmp))
@@ -185,6 +214,9 @@ class ArtifactCache:
             return
         with self._lock:
             self.stats._bump(self.stats.puts, layer)
+            if self._size is not None:
+                self._size += size - replaced
+            self._written += size
         self._maybe_evict()
 
     def absorb(self, delta: StoreStats) -> None:
@@ -211,17 +243,33 @@ class ArtifactCache:
             return
         yield from self.root.glob("*/??/*.pkl")
 
+    def _walk(self):
+        """``(path, stat)`` of every entry still on disk: the one walk
+        that sizes, counts and evicts."""
+        for path in self.entries():
+            try:
+                yield path, path.stat()
+            except OSError:
+                continue
+
     def entry_count(self) -> int:
         return sum(1 for _ in self.entries())
 
-    def size_bytes(self) -> int:
+    def usage(self) -> Tuple[Dict[str, int], int]:
+        """Per-layer entry counts and total bytes, from one walk."""
+        counts: Dict[str, int] = {}
         total = 0
-        for path in self.entries():
-            try:
-                total += path.stat().st_size
-            except OSError:
-                pass
-        return total
+        for path, st in self._walk():
+            layer = path.parent.parent.name
+            counts[layer] = counts.get(layer, 0) + 1
+            total += st.st_size
+        return counts, total
+
+    def size_bytes(self) -> int:
+        return self.usage()[1]
+
+    def layer_counts(self) -> Dict[str, int]:
+        return self.usage()[0]
 
     def clear(self) -> int:
         """Delete every entry; returns how many were removed."""
@@ -229,17 +277,15 @@ class ArtifactCache:
         for path in list(self.entries()):
             if self._discard(path):
                 removed += 1
+        with self._lock:
+            self._size = 0
         return removed
 
-    def layer_counts(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for path in self.entries():
-            layer = path.parent.parent.name
-            counts[layer] = counts.get(layer, 0) + 1
-        return counts
-
     def _maybe_evict(self) -> None:
-        """Evict least-recently-used entries while over the size cap.
+        """Walk the store and evict least-recently-used entries while
+        over the size cap — but only when the running total is unseeded
+        or over the cap, or this handle's own writes since the last
+        walk exceed ``max_bytes // _RESYNC_FRACTION``.
 
         The whole scan-and-discard runs under the lock: two concurrent
         writers must not race the same LRU scan (each would discard the
@@ -248,23 +294,20 @@ class ArtifactCache:
         if self.max_bytes <= 0:
             return
         with self._lock:
-            entries = []
-            total = 0
-            for path in self.entries():
-                try:
-                    st = path.stat()
-                except OSError:
-                    continue
-                entries.append((st.st_mtime, st.st_size, path))
-                total += st.st_size
-            if total <= self.max_bytes:
+            if (self._size is not None and self._size <= self.max_bytes
+                    and self._written <= self.max_bytes // _RESYNC_FRACTION):
                 return
+            entries = [(st.st_mtime, st.st_size, path)
+                       for path, st in self._walk()]
+            total = sum(size for _, size, _ in entries)
             for _, size, path in sorted(entries):
                 if total <= self.max_bytes:
                     break
                 if self._discard(path):
                     total -= size
                     self.stats.evictions += 1
+            self._size = total
+            self._written = 0
 
     @staticmethod
     def _touch(path: Path) -> None:

@@ -615,8 +615,8 @@ def cmd_cache(args) -> int:
                          sort_keys=True))
         return 0
     # stats
-    counts = cache.layer_counts()
-    total_mb = cache.size_bytes() / (1024 * 1024)
+    counts, size = cache.usage()
+    total_mb = size / (1024 * 1024)
     cap_mb = cache.max_bytes / (1024 * 1024)
     print(f"cache dir : {root}")
     print(f"entries   : {sum(counts.values())}")

@@ -93,8 +93,15 @@ def encode_body(payload) -> bytes:
 # ---------------------------------------------------------------------
 
 def _as_int(spec, key, default) -> int:
+    """An integer field: ints, integral floats (``64.0``) and numeric
+    strings pass; booleans and fractional floats would silently name
+    a different design, so they are rejected."""
+    value = spec.get(key, default)
+    if isinstance(value, bool) or (isinstance(value, float)
+                                   and not value.is_integer()):
+        raise ApiError(f"{key!r} must be an integer")
     try:
-        return int(spec.get(key, default))
+        return int(value)
     except (TypeError, ValueError, OverflowError):
         raise ApiError(f"{key!r} must be an integer") from None
 

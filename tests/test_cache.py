@@ -291,6 +291,74 @@ class TestStore:
         assert cache.get("pe", "07" + "e" * 62)[0]
         assert not cache.get("pe", "00" + "e" * 62)[0]
 
+    def test_puts_below_the_cap_do_not_walk_the_store(self, tmp_path,
+                                                      monkeypatch):
+        walks = []
+        entries = ArtifactCache.entries
+
+        def counting(cache):
+            walks.append(1)
+            return entries(cache)
+
+        monkeypatch.setattr(ArtifactCache, "entries", counting)
+        cache = ArtifactCache(tmp_path, max_bytes=512 * 1024 * 1024)
+        for i in range(200):
+            cache.put("pe", f"{i:064x}", b"x" * 1_000)
+        assert len(walks) <= 2
+        assert cache.stats.evictions == 0
+
+    def test_two_handles_stay_near_the_cap_and_evict_oldest(self,
+                                                            tmp_path):
+        cap = 100_000
+        handles = (ArtifactCache(tmp_path, max_bytes=cap),
+                   ArtifactCache(tmp_path, max_bytes=cap))
+        keys = [f"{i:02d}" + "f" * 62 for i in range(40)]
+        for i, key in enumerate(keys):
+            handles[i % 2].put("pe", key, b"x" * 5_000)
+            os.utime(handles[0]._entry_path("pe", key),
+                     (1_000_000 + i, 1_000_000 + i))
+            # Each handle misses at most cap // 8 of the other's writes.
+            assert handles[0].size_bytes() <= cap + 2 * (cap // 8)
+        assert sum(h.stats.evictions for h in handles) > 0
+        alive = [handles[0]._entry_path("pe", key).is_file()
+                 for key in keys]
+        # Every survivor is newer than every evicted entry.
+        assert alive == sorted(alive)
+        assert alive[-1] and not alive[0]
+
+    def test_eviction_after_clear_fires_when_the_store_crosses_the_cap(
+            self, tmp_path):
+        cap = 1_000_000
+        cache = ArtifactCache(tmp_path, max_bytes=cap)
+        for i in range(50):
+            cache.put("pe", f"{i:02d}" + "a" * 62, b"x" * 10_000)
+        assert cache.clear() == 50
+        real = 0
+        for i in range(200):
+            key = f"{i:03d}" + "b" * 61
+            cache.put("memory", key, b"y" * 10_000)
+            real += cache._entry_path("memory", key).stat().st_size
+            if real > cap:
+                break
+            assert cache.stats.evictions == 0
+        assert real > cap
+        assert cache.stats.evictions == 1
+        assert cache.size_bytes() <= cap
+
+    def test_overwriting_a_key_does_not_inflate_the_total(self, tmp_path):
+        payload = b"x" * 10_000
+        key = "ab" + "c" * 62
+        cache = ArtifactCache(tmp_path / "tight", max_bytes=25_000)
+        for _ in range(100):
+            cache.put("pe", key, payload)
+        assert cache.stats.evictions == 0
+        assert cache.entry_count() == 1
+        # Below the resync threshold the running total alone tracks it.
+        roomy = ArtifactCache(tmp_path / "roomy", max_bytes=10_000_000)
+        for _ in range(100):
+            roomy.put("pe", key, payload)
+        assert roomy._size == roomy.size_bytes()
+
     def test_clear(self, tmp_path):
         cache = ArtifactCache(tmp_path)
         cache.put("pe", "aa" + "0" * 62, 1)

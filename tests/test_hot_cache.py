@@ -137,11 +137,17 @@ class TestHotTier:
 class TestReportFormatter:
     def test_cache_payload_shape(self, store):
         store.put("pe", "aa" * 32, [1, 2])
+        store.put("pe", "ab" * 32, list(range(100)))
+        store.put("memory", "cd" * 32, "row")
         payload = cache_payload(store)
-        assert payload["entries"] == 1
-        assert payload["layers"] == {"pe": 1}
-        assert payload["stats"]["puts"] == {"pe": 1}
+        assert payload["entries"] == 3
+        assert payload["layers"] == {"memory": 1, "pe": 2}
+        assert payload["stats"]["puts"] == {"memory": 1, "pe": 2}
         assert payload["root"].endswith("store")
+        files = list(store.root.rglob("*.pkl"))
+        assert payload["entries"] == len(files)
+        assert payload["size_bytes"] == sum(f.stat().st_size
+                                            for f in files)
 
     def test_none_cache_stays_none(self):
         assert cache_payload(None) is None

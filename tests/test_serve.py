@@ -17,7 +17,7 @@ import urllib.request
 import pytest
 
 from repro.serve import ServerConfig, serve_in_thread
-from repro.serve.api import run_task
+from repro.serve.api import normalize_predict_spec, run_task
 from repro.serve.pool import fork_available
 
 SAXPY = """
@@ -53,6 +53,10 @@ HOSTILE_BODIES = {
                                 "kernel": ["saxpy"]})),
     "graph-wg-does-not-divide": (
         "/predict-graph", '{"program": "srad", "wg": 3}'),
+    "wg-fractional": (
+        "/predict", '{"workload": "polybench/atax/atax", "wg": 2.5}'),
+    "pe-boolean": (
+        "/predict", '{"workload": "polybench/atax/atax", "pe": true}'),
 }
 
 
@@ -147,6 +151,11 @@ class TestBasics:
             urllib.request.urlopen(req, timeout=60)
         assert exc.value.code == 400
         assert json.loads(exc.value.read())["error"]
+
+    def test_integral_design_fields_still_accepted(self):
+        spec = normalize_predict_spec({"workload": "polybench/atax/atax",
+                                       "wg": 64.0, "pe": "2", "cu": 1})
+        assert (spec["wg"], spec["pe"], spec["cu"]) == (64, 2, 1)
 
     def test_retired_explore_fields_are_ignored(self, server):
         """``prefilter``/``top_k`` are unknown fields: the answer is
