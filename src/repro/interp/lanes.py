@@ -280,16 +280,21 @@ class LaneEngine:
 
         # Per-launch state, rebound by the engine's run loop.
         self._nlanes = 0
+        self._wg = 0
         self._nd: Optional[NDRange] = None
         self._lid: List[np.ndarray] = []
         self._gid: List[np.ndarray] = []
         self._ggid: List[np.ndarray] = []
+        #: lane -> index of its work-group in the bound group list
+        self._lane_group = np.zeros(0, np.int64)
         self.rspace: Dict[int, object] = {}
         self._priv: Dict[int, list] = {}
         self._pslots: Dict[int, list] = {}
         self._priv_next: Optional[np.ndarray] = None
-        self._local_next = 64
-        self._local_allocas: Dict[int, int] = {}
+        #: per-group local allocator: next free offset, and each local
+        #: alloca's offset per group (-1 until that group executes it)
+        self._local_next = np.zeros(0, np.int64)
+        self._local_allocas: Dict[int, np.ndarray] = {}
         self._events: List[Tuple] = []
         self._record = True
         self._lid_cache: Dict[Tuple[int, ...], List[np.ndarray]] = {}
@@ -310,6 +315,29 @@ class LaneEngine:
         if max_groups is not None:
             group_list = group_list[:max_groups]
         return [tuple(reversed(rev)) for rev in group_list]
+
+    def _bind_lanes(self, ndrange: NDRange,
+                    gids: List[Tuple[int, ...]]) -> None:
+        """Bind one lane per (group, work-item) pair of *gids*, group
+        after group: ``lid`` tiles, ``gid`` repeats per group.  Groups
+        share no private or register state, and each gets its own local
+        allocator starting at offset 64 as the executor's does."""
+        wg = ndrange.work_group_size
+        n_groups = len(gids)
+        self._wg = wg
+        self._nlanes = n_groups * wg
+        base_lid = self._local_id_arrays(ndrange)
+        dims = ndrange.dims
+        self._lid = [np.tile(base_lid[d], n_groups) for d in range(dims)]
+        self._gid = [
+            np.repeat(np.array([g[d] for g in gids], np.int64), wg)
+            for d in range(dims)]
+        self._ggid = [self._gid[d] * ndrange.local_size[d]
+                      + self._lid[d] for d in range(dims)]
+        self._lane_group = np.repeat(np.arange(n_groups, dtype=np.int64),
+                                     wg)
+        self._local_next = np.full(n_groups, 64, np.int64)
+        self._local_allocas = {}
 
     def _local_id_arrays(self, ndrange: NDRange) -> List[np.ndarray]:
         arrays = self._lid_cache.get(ndrange.local_size)
@@ -387,8 +415,11 @@ class LaneEngine:
     def _sorted_events(self) -> List[np.ndarray]:
         """The recorded events as packed-trace columns (site, kind,
         nbytes, space, buffer, lane, address), stably sorted by lane:
-        per-lane program order is preserved."""
-        events = self._events
+        per-lane program order is preserved.  The recorded events are
+        dropped once packed and the columns are permuted one at a time,
+        so sorting costs one column of extra memory, not a copy of all
+        seven."""
+        events, self._events = self._events, []
         total = sum(len(ev[5]) for ev in events)
         site = np.empty(total, np.int32)
         kind = np.empty(total, np.uint8)
@@ -408,9 +439,33 @@ class LaneEngine:
             lane[pos:end] = lanes
             addr[pos:end] = addrs
             pos = end
+        del events
         order = np.argsort(lane, kind="stable")
-        return [col[order] for col in
-                (site, kind, nbytes, space, buf, lane, addr)]
+        cols = [site, kind, nbytes, space, buf, lane, addr]
+        del site, kind, nbytes, space, buf, lane, addr
+        for i, col in enumerate(cols):
+            cols[i] = col[order]
+        return cols
+
+    def _finish_groups(self, cols: List[np.ndarray], n_groups: int):
+        """Split :meth:`_sorted_events` columns into one
+        :class:`~repro.analysis.packed.PackedGroup` per bound group,
+        with group-local lane ids."""
+        from repro.analysis.packed import PackedGroup
+
+        # Sorted by absolute lane, groups are contiguous runs.
+        site, kind, nbytes, space, buf, lane, addr = cols
+        names = self._buf_names + ("__local",)
+        wg = self._wg
+        cuts = np.searchsorted(lane, np.arange(n_groups + 1) * wg)
+        groups = []
+        for g in range(n_groups):
+            lo, hi = cuts[g], cuts[g + 1]
+            groups.append(PackedGroup(
+                site[lo:hi], kind[lo:hi], nbytes[lo:hi], space[lo:hi],
+                buf[lo:hi], (lane[lo:hi] - g * wg).astype(np.int32),
+                addr[lo:hi], names, wg))
+        return groups
 
     # -- global memory -----------------------------------------------------
 
@@ -577,13 +632,17 @@ class LaneEngine:
             key = id(inst)
 
             def op(idx):
-                addr = self._local_allocas.get(key)
-                if addr is None:
-                    nxt = -(-self._local_next // 8) * 8
-                    addr = nxt
-                    self._local_next = nxt + nbytes
-                    self._local_allocas[key] = addr
-                set_(idx, addr)
+                offs = self._local_allocas.get(key)
+                if offs is None:
+                    offs = np.full(len(self._local_next), -1, np.int64)
+                    self._local_allocas[key] = offs
+                g = self._lane_group[idx]
+                fresh = np.unique(g[offs[g] < 0])
+                if len(fresh):
+                    nxt = -(-self._local_next[fresh] // 8) * 8
+                    offs[fresh] = nxt
+                    self._local_next[fresh] = nxt + nbytes
+                set_(idx, offs[g])
                 self._set_space(rid, idx, _LOC)
         else:
             def op(idx):

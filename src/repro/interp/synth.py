@@ -25,8 +25,8 @@ it (compact gather/scatter on full-lane ``int64`` register arrays),
 and lets the terminator advance the lanes.  Divergent lanes simply
 execute blocks in separate steps — per-lane traces and block counts
 are schedule-independent, and groups never share private or register
-state, so merging them is unobservable (local-memory allocas resolve
-to the same addresses in every group, exactly as the executor's
+state, so merging them is unobservable (each group allocates its
+local-memory allocas from offset 64, exactly as the executor's
 per-group allocator does).
 
 Barriers need no phase machinery here: without memory values they only
@@ -107,7 +107,6 @@ class TraceSynthesizer(LaneEngine):
                  scalars: Dict[str, object],
                  max_steps: Optional[int] = None) -> None:
         self._cls = classify_function(fn)
-        self._wg = 0
         self.regs: Dict[int, np.ndarray] = {}
         super().__init__(fn, buffers, scalars, max_steps)
 
@@ -121,7 +120,6 @@ class TraceSynthesizer(LaneEngine):
         self._nd = ndrange
         self._record = record
         wg = ndrange.work_group_size
-        self._wg = wg
         gids = self._group_ids(ndrange, max_groups)
         n_groups = len(gids)
         result.groups_executed = n_groups
@@ -132,21 +130,13 @@ class TraceSynthesizer(LaneEngine):
         # One lane per (group, work-item): groups share no state, so
         # running them merged amortizes every vectorized op over the
         # whole profile instead of one work-group.
-        self._nlanes = n_groups * wg
-        base_lid = self._local_id_arrays(ndrange)
-        dims = ndrange.dims
-        self._lid = [np.tile(base_lid[d], n_groups) for d in range(dims)]
-        self._gid = [
-            np.repeat(np.array([g[d] for g in gids], np.int64), wg)
-            for d in range(dims)]
-        self._ggid = [self._gid[d] * ndrange.local_size[d]
-                      + self._lid[d] for d in range(dims)]
+        self._bind_lanes(ndrange, gids)
         counts, group_hits = self._run_lanes()
         if record:
             result.block_counts.update(counts)
             result.barriers_per_item = max(group_hits)
-            result.traces = PackedTraces(self._finish_groups(n_groups),
-                                         wg)
+            result.traces = PackedTraces(
+                self._finish_groups(self._sorted_events(), n_groups), wg)
         else:
             result.traces = PackedTraces([], wg)
         result.trip_counts.update(finalize_trip_counts(
@@ -160,8 +150,6 @@ class TraceSynthesizer(LaneEngine):
         self._priv = {}
         self._pslots = {}
         self._priv_next = np.full(n, 64, np.int64)
-        self._local_next = 64
-        self._local_allocas = {}
         self._events = []
         barrier_hits = np.zeros(n, np.int64)
         steps = np.zeros(n, np.int64)
@@ -201,23 +189,6 @@ class TraceSynthesizer(LaneEngine):
                     np.asarray(c) != 0, term[2], term[3])
         # Lane 0 of each group mirrors the executor's per-group count.
         return counts, [int(h) for h in barrier_hits[::self._wg]]
-
-    def _finish_groups(self, n_groups: int):
-        from repro.analysis.packed import PackedGroup
-
-        # Sorted by absolute lane, groups are contiguous runs.
-        site, kind, nbytes, space, buf, lane, addr = self._sorted_events()
-        names = self._buf_names + ("__local",)
-        wg = self._wg
-        cuts = np.searchsorted(lane, np.arange(n_groups + 1) * wg)
-        groups = []
-        for g in range(n_groups):
-            lo, hi = cuts[g], cuts[g + 1]
-            groups.append(PackedGroup(
-                site[lo:hi], kind[lo:hi], nbytes[lo:hi], space[lo:hi],
-                buf[lo:hi], (lane[lo:hi] - g * wg).astype(np.int32),
-                addr[lo:hi], names, wg))
-        return groups
 
     # -- operand access ----------------------------------------------------
 

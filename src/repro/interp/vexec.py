@@ -3,11 +3,12 @@
 The scalar :class:`~repro.interp.executor.KernelExecutor` pays a Python
 dispatch per work-item per instruction — the dominant residual cold
 cost for the data-dependent kernels the static synthesizer cannot
-cover.  :class:`VectorizedExecutor` executes one whole work-group at a
-time as numpy *lane vectors*: every register is a full-lane ``int64``
-or ``float64`` array, loads gather and stores scatter against the
-buffer arrays for exactly the active lanes, and divergent control flow
-becomes an active-lane mask instead of a per-item interpreter loop.
+cover.  :class:`VectorizedExecutor` executes every profiled work-group
+at once as numpy *lane vectors*, one lane per (group, work-item):
+every register is a full-lane ``int64`` or ``float64`` array, loads
+gather and stores scatter against the buffer arrays for exactly the
+active lanes, and divergent control flow becomes an active-lane mask
+instead of a per-item interpreter loop.
 
 Unlike :class:`~repro.interp.synth.TraceSynthesizer` (which never
 reads memory and skips float arithmetic), this interpreter evaluates
@@ -23,12 +24,13 @@ each step executes the minimum-index block for the lanes parked on it.
 Divergent lanes run blocks in separate steps and naturally reconverge
 at the immediate post-dominator (the lowest-index block both paths
 reach); loop-exit lanes wait at the higher-index exit block until the
-looping lanes catch up.  Barriers use park-and-release: a lane hitting
-a barrier parks; when no lane is runnable, every non-retired lane must
-be parked at the *same* barrier (full-mask convergence over live
-lanes, retirement counts as convergence exactly like the scalar
-phase machinery) — parked lanes split across different barrier sites
-raise :class:`VectorizationError`.
+looping lanes catch up.  Barriers use park-and-release per group: a
+lane hitting a barrier parks; when no lane is runnable, each group's
+non-retired lanes must be parked at the *same* barrier (full-mask
+convergence over the group's live lanes, retirement counts as
+convergence exactly like the scalar phase machinery) — a group's lanes
+parked at different barrier sites raise :class:`VectorizationError`.
+Different groups may park at different sites.
 
 Bit-identity with the scalar executor (proven by the 67-kernel
 differential sweep in ``tests/test_vexec_sweep.py``):
@@ -38,9 +40,24 @@ differential sweep in ``tests/test_vexec_sweep.py``):
   double in both engines; transcendental builtins evaluate per-lane
   through the *same* ``math``-module functions the scalar executor
   uses, so there is no libm-vs-Python drift;
-- work-groups run sequentially in launch order, so inter-group
-  memory effects (group g's stores feeding group g+1's loads) match
-  the scalar executor exactly;
+- work-groups run merged, but each step of the merged run executes,
+  for every group with lanes in it, exactly the step that group would
+  run alone (its lowest pending block and segment), and each group
+  has its own ``__local`` arena starting at offset 64 — so a group's
+  schedule, local traffic and trace addresses equal a run of that
+  group alone;
+- the scalar executor runs groups in launch order, so group g's
+  stores may feed group g+1's loads.  After the merged run the packed
+  global columns are checked for a cross-group conflict: an address
+  one group writes that another group reads or writes (atomics emit a
+  write).  With none, every group read only initial values or its
+  own writes, so by induction on its steps each group saw exactly
+  what launch order shows it, and no address has two writers.  On a
+  conflict, or on any exception in the merged run, the buffers are
+  restored and the same lane loop reruns once per group in launch
+  order, which reproduces the scalar executor's values, traces and
+  error (type and message).  Kernels with a global atomic skip the
+  merged attempt;
 - within a barrier phase the scalar executor is item-sequential while
   this interpreter is lockstep.  For race-free kernels (OpenCL makes
   intra-phase cross-item conflicts undefined behavior) the two
@@ -66,7 +83,7 @@ behavior — values, traces, and error messages — from pristine inputs.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
@@ -113,7 +130,7 @@ from repro.ir.values import Argument, Constant, Register, Value
 
 #: bump to invalidate persistently cached analyses (the version joins
 #: every analysis cache key, like SUMMARY_ENGINE_VERSION)
-VEXEC_ENGINE_VERSION = 1
+VEXEC_ENGINE_VERSION = 2
 
 
 class VectorizationError(Exception):
@@ -147,8 +164,9 @@ _LANEWISE_2 = {
 
 
 class VectorizedExecutor(LaneEngine):
-    """Executes one kernel over host buffers, one work-group of lanes
-    at a time.  Parameters mirror :class:`KernelExecutor`: the lowered
+    """Executes one kernel over host buffers, all launched work-groups
+    as one lane vector (group by group only after a cross-group
+    conflict).  Parameters mirror :class:`KernelExecutor`: the lowered
     function, buffers by pointer-argument name, scalars by name.
 
     Construction compiles the kernel (and raises
@@ -183,18 +201,33 @@ class VectorizedExecutor(LaneEngine):
             if isinstance(inst, Alloca) and inst.space == AddressSpace.LOCAL:
                 cap += max(inst.allocated.bytes, 1) + 8
         self._local_cap = cap
+        #: a global atomic makes cross-group conflicts likely, so such
+        #: kernels run group by group from the start
+        self._global_atomics = any(
+            isinstance(inst, Call) and inst.callee in KNOWN_ATOMICS
+            and not (inst.operands
+                     and isinstance(inst.operands[0].type, PointerType)
+                     and inst.operands[0].type.space
+                     == AddressSpace.LOCAL)
+            for inst in fn.instructions())
 
-        # Per-group state, rebound by _run_group.
+        # Per-launch state, rebound by _run_lanes.
         self.regs_i: Dict[int, np.ndarray] = {}
         self.regs_f: Dict[int, np.ndarray] = {}
         self._local_i: Optional[np.ndarray] = None
         self._local_f: Optional[np.ndarray] = None
+        #: lane -> physical start of its group's local arena
+        self._local_base = np.zeros(0, np.int64)
         #: global/local element addresses touched by atomics this phase
         self._atomic_all: set = set()
         #: subset whose interleaving is observable (used old value or
         #: non-commutative op): no other atomic may overlap them
         self._atomic_strict: set = set()
         super().__init__(fn, buffers, scalars, max_steps)
+        #: barrier sites are (block, segment) pairs, keyed as
+        #: ``block * _seg_span + segment``
+        self._seg_span = max((len(c.segments) for c in self._code),
+                             default=0) + 1
 
     def _missing_argument(self, what: str, kind: str,
                           name: str) -> Exception:
@@ -216,64 +249,130 @@ class VectorizedExecutor(LaneEngine):
         wg = ndrange.work_group_size
         gids = self._group_ids(ndrange, max_groups)
         snapshots = [b.data.copy() for b in self._bufs]
-        packed = []
         try:
-            for gid in gids:
-                packed.append(self._run_group(gid, ndrange, result))
-                result.groups_executed += 1
+            merged = None
+            if record and len(gids) > 1 and not self._global_atomics:
+                merged = self._run_merged(gids, snapshots)
+            runs = ([(len(gids), merged)] if merged is not None else
+                    [(1, self._run_lanes([gid])) for gid in gids])
         except BaseException:
-            for buf, snap in zip(self._bufs, snapshots):
-                np.copyto(buf.data, snap)
+            self._restore(snapshots)
             raise
-        result.traces = PackedTraces([g for g in packed if g is not None]
-                                     if record else [], wg)
+        packed = []
+        for n_groups, (counts, group_hits, cols) in runs:
+            result.groups_executed += n_groups
+            result.work_items_executed += n_groups * wg
+            if not record:
+                continue
+            for name, count in counts.items():
+                result.block_counts[name] = (
+                    result.block_counts.get(name, 0) + count)
+            result.barriers_per_item = max(result.barriers_per_item,
+                                           *group_hits)
+            packed.extend(self._finish_groups(cols, n_groups))
+        result.traces = PackedTraces(packed, wg)
         result.trip_counts.update(finalize_trip_counts(
             self.fn, result.block_counts, result.work_items_executed))
         return result
 
-    def _run_group(self, gid: Tuple[int, ...], ndrange: NDRange,
-                   result: LaunchResult):
-        n = ndrange.work_group_size
-        self._nlanes = n
-        dims = ndrange.dims
-        self._lid = self._local_id_arrays(ndrange)
-        self._gid = [np.full(n, gid[d], np.int64) for d in range(dims)]
-        self._ggid = [gid[d] * ndrange.local_size[d] + self._lid[d]
-                      for d in range(dims)]
+    def _restore(self, snapshots) -> None:
+        for buf, snap in zip(self._bufs, snapshots):
+            np.copyto(buf.data, snap)
+
+    def _run_merged(self, gids, snapshots):
+        """Run every group in *gids* as one lane vector.  Returns None,
+        with the buffers restored, when the merged run raised or its
+        global traces show a cross-group conflict: the caller then
+        reruns group by group in launch order."""
+        try:
+            run = self._run_lanes(gids)
+        except Exception:
+            # A cross-group conflict can also surface as an error; the
+            # per-group rerun raises whatever launch order raises.
+            run = None
+        if run is None or self._cross_group_conflict(run[2]):
+            self._restore(snapshots)
+            return None
+        return run
+
+    def _cross_group_conflict(self, cols) -> bool:
+        """True when a global address one group writes (atomics emit a
+        write) is read or written by another group.  Without one, every
+        group read only initial values or its own writes, so the merged
+        run equals launch-order execution."""
+        _, kind, _, space, _, lane, addr = cols
+        glob = space == _PK_GLOBAL
+        written = addr[glob & (kind == _PK_WRITE)]
+        if not len(written):
+            return False
+        # Every access to a written address; a conflict is such an
+        # address touched by two groups.
+        touch = glob & np.isin(addr, written)
+        a = addr[touch]
+        order = np.argsort(a, kind="stable")
+        a, g = a[order], lane[touch][order] // self._wg
+        heads = np.flatnonzero(np.r_[True, a[1:] != a[:-1]])
+        return bool((np.minimum.reduceat(g, heads)
+                     != np.maximum.reduceat(g, heads)).any())
+
+    def _run_lanes(self, gids):
+        """Run the groups in *gids* together, one lane per work-item.
+        Returns ``(block counts, lane-0 barrier hits per group, sorted
+        event columns or None)``."""
+        ndrange = self._nd
+        n_groups = len(gids)
+        self._bind_lanes(ndrange, gids)
+        n = self._nlanes
+        group = self._lane_group
         self.regs_i = {}
         self.regs_f = {}
         self.rspace = {}
         self._priv = {}
         self._pslots = {}
         self._priv_next = np.full(n, 64, np.int64)
-        self._local_i = np.zeros(self._local_cap, np.int64)
-        self._local_f = np.zeros(self._local_cap, np.float64)
-        self._local_next = 64
-        self._local_allocas = {}
+        # One local arena per group, at a fixed physical stride: lanes
+        # address their own group's arena with per-group offsets.
+        self._local_base = group * self._local_cap
+        self._local_i = np.zeros(n_groups * self._local_cap, np.int64)
+        self._local_f = np.zeros(n_groups * self._local_cap, np.float64)
         self._events = []
         self._gl_hot = None
         self._atomic_all = set()
         self._atomic_strict = set()
 
-        lane_block = np.zeros(n, np.int64)
-        lane_seg = np.zeros(n, np.int64)
-        parked = np.zeros(n, bool)
+        # Each lane's program counter is one key, ``block * span +
+        # segment``; the lowest key runs next (lowest block first, then
+        # lowest segment, as the executor's phase order needs).  Parked
+        # lanes key PARK and keep their resume key in ``resume``;
+        # retired lanes key DONE.
+        span = self._seg_span
+        park = self._done * span
+        done = park + 1
+        key = np.zeros(n, np.int64)
+        resume = np.zeros(n, np.int64)
         barrier_hits = np.zeros(n, np.int64)
         steps = np.zeros(n, np.int64)
-        done = self._done
+        # Upper bound on any live lane's steps since the last release:
+        # the exact per-lane check only runs once it passes the limit.
+        bound = 0
         phases = 0
         max_steps = self.max_steps
         counts: Dict[str, int] = {}
 
         while True:
-            runnable = (lane_block < done) & ~parked
-            if not runnable.any():
-                if not parked.any():
-                    break
-                pb = lane_block[parked]
-                ps = lane_seg[parked]
-                if int(pb.min()) != int(pb.max()) \
-                        or int(ps.min()) != int(ps.max()):
+            k = int(key.min())
+            if k == done:
+                break
+            if k == park:
+                # Every live lane is parked: release each group whose
+                # parked lanes share one barrier site.  Parked lanes are
+                # in lane order, so each group is a contiguous run.
+                parked = key == park
+                site = resume[parked]
+                pg = group[parked]
+                head = np.flatnonzero(np.r_[True, pg[1:] != pg[:-1]])
+                if bool((site != np.repeat(
+                        site[head], np.diff(np.r_[head, len(site)]))).any()):
                     raise VectorizationError(
                         "barrier reached under divergence: live lanes "
                         "parked at different barrier sites")
@@ -282,19 +381,17 @@ class VectorizedExecutor(LaneEngine):
                     raise ExecutionError("work-group failed to converge "
                                          "(runaway barrier loop?)")
                 steps[parked] = 0
-                parked[:] = False
+                bound = 0
+                key[parked] = site
                 self._atomic_all.clear()
                 self._atomic_strict.clear()
                 continue
-            cur = int(lane_block[runnable].min())
-            on_block = runnable & (lane_block == cur)
-            curseg = int(lane_seg[on_block].min())
-            idx = np.flatnonzero(on_block & (lane_seg == curseg))
+            idx = np.flatnonzero(key == k)
+            cur, s = divmod(k, span)
             code = self._code[cur]
-            if curseg == 0:
+            if s == 0:
                 counts[code.name] = counts.get(code.name, 0) + len(idx)
             segments = code.segments
-            s = curseg
             parked_here = False
             while s < len(segments):
                 seg = segments[s]
@@ -302,44 +399,32 @@ class VectorizedExecutor(LaneEngine):
                     op(idx)
                 if seg.barrier:
                     barrier_hits[idx] += 1
-                    parked[idx] = True
-                    lane_seg[idx] = s + 1
+                    key[idx] = park
+                    resume[idx] = k - k % span + s + 1
                     parked_here = True
                     break
                 steps[idx] += seg.cost
-                if int(steps[idx].max()) > max_steps:
+                bound += seg.cost
+                if bound > max_steps and int(steps[idx].max()) > max_steps:
                     raise ExecutionError("work-item exceeded step limit "
                                          "(infinite loop?)")
                 s += 1
             if parked_here:
                 continue
             term = code.term
-            lane_seg[idx] = 0
             if term[0] == "ret":
-                lane_block[idx] = done
+                key[idx] = done
             elif term[0] == "br":
-                lane_block[idx] = term[1]
+                key[idx] = term[1] * span
             else:  # cbr
                 c = np.asarray(term[1](idx))
-                lane_block[idx] = np.where(c != 0, term[2], term[3])
+                key[idx] = np.where(c != 0, term[2] * span, term[3] * span)
 
-        result.work_items_executed += n
         if not self._record:
-            return None
-        for name, count in counts.items():
-            result.block_counts[name] = (
-                result.block_counts.get(name, 0) + count)
-        result.barriers_per_item = max(result.barriers_per_item,
-                                       int(barrier_hits[0]))
-        return self._pack_group(n)
-
-    def _pack_group(self, wg: int):
-        from repro.analysis.packed import PackedGroup
-
-        site, kind, nbytes, space, buf, lane, addr = self._sorted_events()
-        return PackedGroup(site, kind, nbytes, space, buf,
-                           lane.astype(np.int32), addr,
-                           self._buf_names + ("__local",), wg)
+            return counts, [], None
+        # Lane 0 of each group mirrors the executor's per-group count.
+        return (counts, [int(h) for h in barrier_hits[::self._wg]],
+                self._sorted_events())
 
     # -- operand access ----------------------------------------------------
 
@@ -484,12 +569,13 @@ class VectorizedExecutor(LaneEngine):
         if aa.ndim == 0:
             aa = np.full(len(lanes), int(aa), np.int64)
         ok = (aa >= 0) & (aa < self._local_cap)
+        phys = aa + self._local_base[lanes]
         if bool(np.all(ok)):
-            return arr[aa]
+            return arr[phys]
         # Out-of-arena local/constant reads mirror the scalar
         # executor's FlatSpace default: never-stored addresses read 0.
         out = np.zeros(len(aa), arr.dtype)
-        out[ok] = arr[aa[ok]]
+        out[ok] = arr[phys[ok]]
         return out
 
     def _local_scatter(self, a, lanes, vals, is_float: bool) -> None:
@@ -499,7 +585,7 @@ class VectorizedExecutor(LaneEngine):
             aa = np.full(len(lanes), int(aa), np.int64)
         if not bool(np.all((aa >= 0) & (aa < self._local_cap))):
             raise VectorizationError("local store outside the local arena")
-        arr[aa] = vals
+        arr[aa + self._local_base[lanes]] = vals
 
     # -- private slots -----------------------------------------------------
 
@@ -1167,7 +1253,9 @@ class VectorizedExecutor(LaneEngine):
         a = np.atleast_1d(np.asarray(addrs, np.int64))
         if a.shape[0] == 1 and len(lanes) > 1:
             a = np.full(len(lanes), int(a[0]), np.int64)
-        keys = [(tag, int(x)) for x in a.tolist()]
+        # Local keys are physical: each group has its own arena.
+        phys = a + self._local_base[lanes] if tag == "l" else a
+        keys = [(tag, int(x)) for x in phys.tolist()]
         if strict:
             # An observed (or non-commutative) atomic is ordered: any
             # same-phase overlap with another atomic step would expose
@@ -1192,6 +1280,7 @@ class VectorizedExecutor(LaneEngine):
                 if not 0 <= addr < self._local_cap:
                     raise VectorizationError(
                         "local atomic outside the local arena")
+                addr += int(self._local_base[lanes[k]])
                 old = int(self._local_i[addr])
                 new = self._atomic_new(name, old, args, k)
                 self._local_i[addr] = new

@@ -66,6 +66,12 @@ REALIZATION_MODES = ("dram", "pipe", "both")
 #: surrogate's approximate-but-instant answer with confidence bounds
 PREDICT_TIERS = ("exact", "instant")
 
+#: upper bound on a request's ``global_size`` and ``wg``: buffers hold
+#: ``global_size`` elements and the profiler's lane vectors are a few
+#: work-groups long, so larger launches are refused before anything is
+#: allocated (the catalog's largest global size is 4096)
+MAX_LAUNCH_SIZE = 1 << 20
+
 #: KernelInfo.trace_source -> the provenance string payloads report
 TRACE_PROVENANCE = {"synth": "synthesized",
                     "vectorized": "vectorized",
@@ -104,6 +110,14 @@ def _as_int(spec, key, default) -> int:
         return int(value)
     except (TypeError, ValueError, OverflowError):
         raise ApiError(f"{key!r} must be an integer") from None
+
+
+def _launch_size(value: int, key: str) -> int:
+    if value < 1:
+        raise ApiError(f"{key!r} must be >= 1")
+    if value > MAX_LAUNCH_SIZE:
+        raise ApiError(f"{key!r} must be at most {MAX_LAUNCH_SIZE}")
+    return value
 
 
 def _as_str(spec, key) -> Optional[str]:
@@ -155,9 +169,8 @@ def _kernel_fields(spec) -> Dict[str, object]:
     if source is not None:
         if not spec.get("global_size"):
             raise ApiError("'global_size' is required with 'source'")
-        out["global_size"] = _as_int(spec, "global_size", 0)
-        if out["global_size"] < 1:
-            raise ApiError("'global_size' must be >= 1")
+        out["global_size"] = _launch_size(
+            _as_int(spec, "global_size", 0), "global_size")
     else:
         if spec.get("global_size"):
             raise ApiError("'global_size' is fixed by the catalog "
@@ -191,6 +204,7 @@ def normalize_predict_spec(spec: dict) -> dict:
     )
     if min(out["wg"], out["pe"], out["cu"], out["vector"]) < 1:
         raise ApiError("design parameters must be positive")
+    _launch_size(out["wg"], "wg")
     if out["tier"] == "instant" and out["simulate"]:
         raise ApiError("'simulate' requires the exact tier")
     return out

@@ -99,6 +99,7 @@ class TestHostileInput:
         "missing-file": ["--global-size", "64"],
         "unknown-kernel": ["--global-size", "64", "--kernel", "nope"],
         "missing-global-size": [],
+        "global-size-huge": ["--global-size", str(1 << 21)],
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -113,6 +114,14 @@ class TestHostileInput:
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "Traceback" not in out + err
+
+    def test_huge_wg_is_a_usage_error(self, saxpy_file, capsys):
+        rc = main(["predict", saxpy_file, "--no-cache", "--global-size",
+                   "64", "--wg", str(1 << 21)])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert err.strip().splitlines() == [
+            "error: --wg must be at most 1048576"]
 
     SPEC_CASES = {
         "graph-wg-does-not-divide": ["predict-graph", "srad", "--wg", "3"],

@@ -17,7 +17,12 @@ import urllib.request
 import pytest
 
 from repro.serve import ServerConfig, serve_in_thread
-from repro.serve.api import normalize_predict_spec, run_task
+from repro.serve.api import (
+    MAX_LAUNCH_SIZE,
+    ApiError,
+    normalize_predict_spec,
+    run_task,
+)
 from repro.serve.pool import fork_available
 
 SAXPY = """
@@ -57,6 +62,12 @@ HOSTILE_BODIES = {
         "/predict", '{"workload": "polybench/atax/atax", "wg": 2.5}'),
     "pe-boolean": (
         "/predict", '{"workload": "polybench/atax/atax", "pe": true}'),
+    "global-size-huge": (
+        "/predict", json.dumps({"source": SAXPY,
+                                "global_size": MAX_LAUNCH_SIZE + 1})),
+    "wg-huge": (
+        "/predict", json.dumps({"workload": "polybench/atax/atax",
+                                "wg": MAX_LAUNCH_SIZE + 1})),
 }
 
 
@@ -151,6 +162,30 @@ class TestBasics:
             urllib.request.urlopen(req, timeout=60)
         assert exc.value.code == 400
         assert json.loads(exc.value.read())["error"]
+
+    @pytest.mark.parametrize("spec", [
+        {"source": SAXPY, "global_size": MAX_LAUNCH_SIZE + 1},
+        {"source": SAXPY, "global_size": 10 ** 30},
+        {"workload": "polybench/atax/atax", "wg": MAX_LAUNCH_SIZE + 1},
+    ])
+    def test_launch_sizes_bounded_before_allocation(self, spec,
+                                                    monkeypatch):
+        from repro.serve import api
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("buffers allocated for a rejected spec")
+
+        monkeypatch.setattr(api, "build_buffers", refuse)
+        with pytest.raises(ApiError, match="at most"):
+            normalize_predict_spec(spec)
+        with pytest.raises(ApiError, match="at most"):
+            api.predict_payload(spec)
+
+    def test_launch_size_bound_is_inclusive(self):
+        spec = normalize_predict_spec({"source": SAXPY,
+                                       "global_size": MAX_LAUNCH_SIZE,
+                                       "wg": MAX_LAUNCH_SIZE})
+        assert spec["global_size"] == spec["wg"] == MAX_LAUNCH_SIZE
 
     def test_integral_design_fields_still_accepted(self):
         spec = normalize_predict_spec({"workload": "polybench/atax/atax",

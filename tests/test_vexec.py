@@ -174,6 +174,157 @@ class TestDivergence:
             VectorizedExecutor(fn, buffers(), {}).run(NDRange(4, 4))
 
 
+def _spy_lane_runs(monkeypatch):
+    """Record the group count of every lane run: ``[n]`` is one merged
+    run over n groups, ``[n, 1, ..., 1]`` a merged run rolled back and
+    rerun group by group."""
+    runs = []
+    real = VectorizedExecutor._run_lanes
+
+    def spy(self, gids):
+        runs.append(len(gids))
+        return real(self, gids)
+
+    monkeypatch.setattr(VectorizedExecutor, "_run_lanes", spy)
+    return runs
+
+
+class TestMergedGroups:
+    def test_cross_group_raw_rolls_back(self, monkeypatch):
+        # Every group reads buf[l] before group 0 overwrites it: run in
+        # launch order, group 1 sees group 0's 7s; run merged it would
+        # read the initial zeros.
+        src = r"""
+        __kernel void k(__global int* buf, __global int* out) {
+            int l = get_local_id(0);
+            out[get_global_id(0)] = buf[l];
+            if (get_group_id(0) == 0)
+                buf[l] = 7;
+        }
+        """
+        runs = _spy_lane_runs(monkeypatch)
+        _, got = _compare(
+            src, "k",
+            lambda: {"buf": Buffer("buf", np.zeros(4, np.int32)),
+                     "out": Buffer("out", np.zeros(8, np.int32))},
+            {}, NDRange(8, 4))
+        assert runs == [2, 1, 1]
+        assert got.groups_executed == 2
+
+    def test_groups_run_different_barrier_counts(self, monkeypatch):
+        # The trip count, and so the number of barriers, is uniform
+        # within a group but differs between groups, and odd and even
+        # groups park at different barrier sites: each group is
+        # released at its own barriers.
+        src = r"""
+        __kernel void k(__global const int* n, __global int* out) {
+            __local int tmp[4];
+            int l = get_local_id(0);
+            int g = get_group_id(0);
+            int acc = 0;
+            for (int i = 0; i < n[g]; i++) {
+                tmp[l] = acc + i;
+                if (g % 2) {
+                    barrier(CLK_LOCAL_MEM_FENCE);
+                    acc += tmp[(l + 1) % 4];
+                } else {
+                    barrier(CLK_LOCAL_MEM_FENCE);
+                    acc -= tmp[(l + 3) % 4];
+                }
+                barrier(CLK_LOCAL_MEM_FENCE);
+            }
+            out[get_global_id(0)] = acc;
+        }
+        """
+        runs = _spy_lane_runs(monkeypatch)
+        ref, got = _compare(
+            src, "k",
+            lambda: {"n": Buffer("n", np.array([3, 0, 5, 1], np.int32)),
+                     "out": Buffer("out", np.zeros(16, np.int32))},
+            {}, NDRange(16, 4))
+        assert runs == [4]
+        assert got.barriers_per_item == ref.barriers_per_item == 10
+
+    def test_fault_in_last_group_matches_scalar(self, monkeypatch):
+        # Groups 0-2 store before group 3 reads out of bounds: the error
+        # is the scalar executor's, and no store survives the launch.
+        src = r"""
+        __kernel void k(__global const int* idx, __global const int* in,
+                        __global int* out) {
+            int gid = get_global_id(0);
+            out[gid] = in[idx[gid]];
+        }
+        """
+        idx = np.arange(16, dtype=np.int32)
+        idx[15] = 1000
+        fn = compile_opencl(src).get("k")
+
+        def buffers():
+            return {"idx": Buffer("idx", idx.copy()),
+                    "in": Buffer("in", np.arange(16, dtype=np.int32) + 1),
+                    "out": Buffer("out", np.zeros(16, np.int32))}
+
+        ref_bufs = buffers()
+        with pytest.raises(Exception) as ref:
+            KernelExecutor(fn, ref_bufs, {}).run(NDRange(16, 4))
+        runs = _spy_lane_runs(monkeypatch)
+        got_bufs = buffers()
+        with pytest.raises(Exception) as got:
+            VectorizedExecutor(fn, got_bufs, {}).run(NDRange(16, 4))
+        assert type(got.value) is type(ref.value)
+        assert str(got.value) == str(ref.value)
+        assert runs == [4, 1, 1, 1, 1]
+        for name, buf in buffers().items():
+            assert np.array_equal(got_bufs[name].data, buf.data)
+
+    def test_groups_own_their_local_arena(self, monkeypatch):
+        # Every group writes the same __local offset; each reads back
+        # only its own value, at the same trace address as alone.
+        src = r"""
+        __kernel void k(__global int* out) {
+            __local int cell[1];
+            if (get_local_id(0) == 0)
+                cell[0] = 10 * (get_group_id(0) + 1);
+            barrier(CLK_LOCAL_MEM_FENCE);
+            out[get_global_id(0)] = cell[0];
+        }
+        """
+        runs = _spy_lane_runs(monkeypatch)
+        _, got = _compare(
+            src, "k",
+            lambda: {"out": Buffer("out", np.zeros(12, np.int32))},
+            {}, NDRange(12, 4))
+        assert runs == [3]
+        local_addrs = {
+            a.addr for wi in range(len(got.traces))
+            for a in got.traces[wi] if a.space == "local"}
+        assert local_addrs == {64}
+
+
+    def test_local_atomics_stay_in_their_group(self, monkeypatch):
+        # Local atomics do not force the per-group loop: each group
+        # counts into its own arena.
+        src = r"""
+        __kernel void k(__global const int* in, __global int* out) {
+            __local int hits[1];
+            if (get_local_id(0) == 0)
+                hits[0] = 0;
+            barrier(CLK_LOCAL_MEM_FENCE);
+            if (in[get_global_id(0)] > 0)
+                atomic_inc(&hits[0]);
+            barrier(CLK_LOCAL_MEM_FENCE);
+            out[get_global_id(0)] = hits[0];
+        }
+        """
+        runs = _spy_lane_runs(monkeypatch)
+        flags = np.array([1, 0, 1, 1, 0, 0, 0, 1, 1, 1, 1, 1], np.int32)
+        _compare(src, "k",
+                 lambda: {"in": Buffer("in", flags.copy()),
+                          "out": Buffer("out", np.zeros(12, np.int32))},
+                 {}, NDRange(12, 4))
+        assert runs == [3]
+
+
 class TestStatePool:
     def test_pool_shrinks_to_current_work_group(self):
         src = r"""

@@ -109,3 +109,59 @@ def test_dynamic_kernel_predictions_are_engine_independent(
     ps = model.predict(s, design)
     assert pv.cycles == ps.cycles
     assert pv.bottleneck == ps.bottleneck
+
+
+#: at wg 16 the merged run of these kernels shows a cross-group global
+#: conflict, so the launch is rolled back and rerun group by group
+ROLLED_BACK_AT_WG16 = {"rodinia/bfs/bfs_1", "rodinia/bfs/bfs_2"}
+
+
+@pytest.mark.parametrize(
+    "workload", [w for w in ALL if w.qualified_name in DYNAMIC],
+    ids=[w.qualified_name for w in ALL if w.qualified_name in DYNAMIC])
+def test_full_profile_depth_matches_interpreter(workload, monkeypatch):
+    """Every dynamic kernel at wg 16 over the full profiling depth:
+    the merged lane run (or its per-group rollback) reproduces the
+    scalar executor's launch, traces and final buffers."""
+    from repro.analysis.kernel_info import DEFAULT_PROFILE_GROUPS
+
+    runs = []
+    real_run_lanes = VectorizedExecutor._run_lanes
+
+    def spy(self, gids):
+        runs.append(len(gids))
+        return real_run_lanes(self, gids)
+
+    monkeypatch.setattr(VectorizedExecutor, "_run_lanes", spy)
+    fn = workload.function()
+    for i, inst in enumerate(fn.instructions()):
+        inst.site_id = i
+    ndrange = workload.ndrange(16)
+    ref_buffers = workload.make_buffers()
+    got_buffers = workload.make_buffers()
+    ref = KernelExecutor(fn, ref_buffers, dict(workload.scalars)).run(
+        ndrange, max_groups=DEFAULT_PROFILE_GROUPS)
+    vex = VectorizedExecutor(fn, got_buffers, dict(workload.scalars))
+    got = vex.run(ndrange, max_groups=DEFAULT_PROFILE_GROUPS)
+
+    groups = ref.groups_executed
+    assert groups == DEFAULT_PROFILE_GROUPS
+    if vex._global_atomics:
+        assert runs == [1] * groups
+    elif workload.qualified_name in ROLLED_BACK_AT_WG16:
+        assert runs == [groups] + [1] * groups
+    else:
+        assert runs == [groups]
+    assert got.groups_executed == ref.groups_executed
+    assert got.work_items_executed == ref.work_items_executed
+    assert got.block_counts == ref.block_counts
+    assert got.trip_counts == ref.trip_counts
+    assert got.barriers_per_item == ref.barriers_per_item
+    assert len(got.traces) == len(ref.traces)
+    for wi in range(len(ref.traces)):
+        assert list(got.traces[wi]) == list(ref.traces[wi]), \
+            f"work-item {wi} trace differs"
+    for name in ref_buffers:
+        a, b = ref_buffers[name].data, got_buffers[name].data
+        assert np.array_equal(a, b, equal_nan=a.dtype.kind == "f"), \
+            f"buffer {name} contents differ"
