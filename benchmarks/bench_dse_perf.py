@@ -13,16 +13,34 @@ asserts that all three sweeps agree design-for-design and
 cycle-for-cycle, and writes the timings, speedups, and cache statistics
 to ``BENCH_dse_perf.json`` so the perf trajectory is tracked PR over PR.
 
+The two serial sweeps also record the PE model's scheduler work
+(``schedules``): block list-schedule runs, SMS searches and SMS
+placement attempts, plus the number of distinct block-schedule keys.
+The memoized sweep must run exactly one list schedule per distinct key;
+the benchmark fails otherwise.  (The forked pool's children keep their
+own counts, so the parallel sweep records none.)
+
+The full run adds a catalog-wide section (``catalog``): every catalog
+kernel's default design space swept by a fresh model per kernel (cold)
+and again by the same models (warm), with the seconds spent in the PE
+model, the memory model and the rest of ``FlexCL.predict`` (the
+Eqs. 5–12 composition), and the scheduler work of the cold pass.
+``--baseline`` copies the ``catalog`` section of a ``BENCH_dse_perf.json``
+written by this script on another checkout, such as the parent commit on
+the same machine, into ``catalog_baseline``.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_dse_perf.py            # full sweep
     PYTHONPATH=src python benchmarks/bench_dse_perf.py --small    # CI smoke
     PYTHONPATH=src python benchmarks/bench_dse_perf.py --jobs 4
+    PYTHONPATH=src python benchmarks/bench_dse_perf.py --baseline old.json
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import platform
@@ -34,12 +52,18 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np
 
+import repro.model.flexcl as flexcl
+import repro.model.pe as pe
+import repro.scheduling.sms as sms
 from repro.analysis import analyze_kernel
 from repro.devices import VIRTEX7
 from repro.dse import DesignSpace, explore
+from repro.evaluation import make_analyzer
 from repro.frontend import compile_opencl
 from repro.interp import Buffer, NDRange
+from repro.latency.optable import DSP_COST
 from repro.model import FlexCL
+from repro.workloads import all_workloads
 
 _KERNEL = r"""
 __kernel void stream(__global const float* a, __global const float* b,
@@ -81,16 +105,142 @@ def _space(small: bool, n: int) -> DesignSpace:
     return DesignSpace.default_for(n)
 
 
+class _Patched:
+    """Rebinds module attributes to wrappers while active."""
+
+    def __init__(self, bindings) -> None:
+        #: (module, attribute, wrapper factory taking the original)
+        self._bindings = bindings
+        self._saved = []
+
+    def __enter__(self):
+        for module, attr, wrap in self._bindings:
+            original = getattr(module, attr)
+            self._saved.append((module, attr, original))
+            setattr(module, attr, wrap(original))
+        return self
+
+    def __exit__(self, *exc) -> None:
+        for module, attr, original in reversed(self._saved):
+            setattr(module, attr, original)
+        self._saved.clear()
+
+
+class _SchedulerWork(_Patched):
+    """Counts the PE model's list-schedule runs, SMS searches and SMS
+    placement attempts, and the distinct block-schedule keys its
+    PE-row misses ask for: (block DFG, ports, DSP budget clamped to the
+    block's DSP cost)."""
+
+    def __init__(self) -> None:
+        self.counts = {"list_schedule_runs": 0, "sms_searches": 0,
+                       "sms_attempts": 0}
+        self._keys = set()
+        #: id -> block DFG, so that no id in a key is reused
+        self._pinned = {}
+        super().__init__([
+            (pe, "list_schedule", self._counted("list_schedule_runs")),
+            (pe, "swing_modulo_schedule", self._counted("sms_searches")),
+            (sms, "_try_schedule", self._counted("sms_attempts")),
+            (flexcl, "pe_model", self._keyed),
+        ])
+
+    def _counted(self, name):
+        def wrap(fn):
+            def counted(*args, **kwargs):
+                self.counts[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+        return wrap
+
+    def _keyed(self, fn):
+        def keyed(info, budget, *args, **kwargs):
+            for dfg in info.block_dfgs.values():
+                cost = sum(DSP_COST[n.op_class] for n in dfg.nodes)
+                self._pinned[id(dfg)] = dfg
+                self._keys.add((id(dfg), budget.ports,
+                                min(budget.dsp_budget, cost)))
+            return fn(info, budget, *args, **kwargs)
+        return keyed
+
+    def payload(self) -> dict:
+        return dict(self.counts, distinct_list_keys=len(self._keys))
+
+
+class _StageClock(_Patched):
+    """Seconds spent in ``FlexCL.predict`` and, within it, in the PE and
+    memory models while active."""
+
+    def __init__(self) -> None:
+        self.seconds = {"predict": 0.0, "pe": 0.0, "memory": 0.0}
+        super().__init__([
+            (FlexCL, "predict", self._timed("predict")),
+            (flexcl, "pe_model", self._timed("pe")),
+            (flexcl, "memory_model", self._timed("memory")),
+        ])
+
+    def _timed(self, stage):
+        def wrap(fn):
+            def timed(*args, **kwargs):
+                t0 = time.perf_counter()
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    self.seconds[stage] += time.perf_counter() - t0
+            return timed
+        return wrap
+
+
 def _sweep(space, analyzer, device, memoize: bool, jobs):
-    """Run one timed sweep with a fresh model; returns (result, model)."""
+    """Run one timed sweep with a fresh model; returns (result, seconds,
+    scheduler work or None for the forked pool)."""
     model = FlexCL(device, memoize=memoize)
-    start = time.perf_counter()
-    result = explore(space, analyzer,
-                     lambda info, d: model.predict(info, d).cycles,
-                     device, jobs=jobs,
-                     cache_stats=lambda: model.cache_stats)
-    elapsed = time.perf_counter() - start
-    return result, elapsed
+    work = _SchedulerWork() if jobs is None else None
+    with work or contextlib.nullcontext():
+        start = time.perf_counter()
+        result = explore(space, analyzer,
+                         lambda info, d: model.predict(info, d).cycles,
+                         device, jobs=jobs,
+                         cache_stats=lambda: model.cache_stats)
+        elapsed = time.perf_counter() - start
+    return result, elapsed, work and work.payload()
+
+
+def _catalog_pass(kernels, models) -> dict:
+    """Sweep every kernel's space once with its model; returns the
+    seconds per stage and the scheduler work."""
+    # The clock goes on first, so its PE time excludes the key counting.
+    with _StageClock() as clock, _SchedulerWork() as work:
+        start = time.perf_counter()
+        for name, (space, infos) in kernels.items():
+            explore(space, infos.get,
+                    lambda info, d, m=models[name]: m.predict(info,
+                                                              d).cycles,
+                    VIRTEX7)
+        total = time.perf_counter() - start
+    secs = clock.seconds
+    return {"seconds": {"pe": secs["pe"], "memory": secs["memory"],
+                        "compose": (secs["predict"] - secs["pe"]
+                                    - secs["memory"]),
+                        "total": total},
+            "schedules": work.payload()}
+
+
+def catalog_run() -> dict:
+    """Cold and warm per-stage seconds over every catalog kernel's
+    default design space (analyses are built first and not timed)."""
+    kernels = {}
+    for workload in all_workloads():
+        space = DesignSpace.default_for(workload.global_size)
+        analyze = make_analyzer(workload, VIRTEX7)
+        kernels[workload.qualified_name] = (
+            space, {wg: analyze(wg) for wg in space.work_group_sizes})
+    models = {name: FlexCL(VIRTEX7) for name in kernels}
+    cold = _catalog_pass(kernels, models)
+    warm = _catalog_pass(kernels, models)
+    return {"kernels": len(kernels),
+            "points": sum(s.size() for s, _ in kernels.values()),
+            "cold": cold, "warm": warm}
 
 
 def _signature(result):
@@ -115,18 +265,21 @@ def run(small: bool = False, jobs="auto", n: int = 4096) -> dict:
     analyzer = _make_analyzer(n)
     space = _space(small, n)
 
-    cold, t_cold = _sweep(space, analyzer, VIRTEX7,
-                          memoize=False, jobs=None)
-    memo, t_memo = _sweep(space, analyzer, VIRTEX7,
-                          memoize=True, jobs=None)
-    par, t_par = _sweep(space, analyzer, VIRTEX7,
-                        memoize=True, jobs=jobs)
+    cold, t_cold, work_cold = _sweep(space, analyzer, VIRTEX7,
+                                     memoize=False, jobs=None)
+    memo, t_memo, work_memo = _sweep(space, analyzer, VIRTEX7,
+                                     memoize=True, jobs=None)
+    par, t_par, _ = _sweep(space, analyzer, VIRTEX7,
+                           memoize=True, jobs=jobs)
 
     sig = _signature(cold)
     assert _signature(memo) == sig, \
         "memoized sweep diverged from the cold sweep"
     assert _signature(par) == sig, \
         "parallel sweep diverged from the serial sweep"
+    assert work_memo["list_schedule_runs"] \
+        == work_memo["distinct_list_keys"], \
+        f"memoized sweep repeated block list schedules: {work_memo}"
 
     stats = (par.cache_stats or memo.cache_stats)
     payload = {
@@ -150,8 +303,12 @@ def run(small: bool = False, jobs="auto", n: int = 4096) -> dict:
             "parallel_vs_memoized": t_memo / max(t_par, 1e-9),
         },
         "cache": _cache_payload(stats) if stats is not None else None,
+        "schedules": {"serial_cold": work_cold,
+                      "serial_memoized": work_memo},
         "identical_results": True,
     }
+    if not small:
+        payload["catalog"] = catalog_run()
     return payload
 
 
@@ -166,6 +323,9 @@ def main(argv=None) -> int:
     parser.add_argument("--output", default=None,
                         help="output JSON path "
                              "(default: BENCH_dse_perf.json at repo root)")
+    parser.add_argument("--baseline", default=None,
+                        help="a BENCH_dse_perf.json from another checkout "
+                             "whose catalog section to keep alongside")
     parser.add_argument("--min-speedup", type=float, default=None,
                         help="fail unless parallel+memoized beats the "
                              "cold serial sweep by this factor")
@@ -173,6 +333,9 @@ def main(argv=None) -> int:
 
     jobs = args.jobs if args.jobs == "auto" else int(args.jobs)
     payload = run(small=args.small, jobs=jobs, n=args.global_size)
+    if args.baseline:
+        baseline = json.loads(Path(args.baseline).read_text())
+        payload["catalog_baseline"] = baseline.get("catalog")
 
     out = Path(args.output) if args.output else \
         Path(__file__).resolve().parent.parent / "BENCH_dse_perf.json"
@@ -192,6 +355,20 @@ def main(argv=None) -> int:
         print(f"cache hit rate   : {payload['cache']['hit_rate']:.0%} "
               f"(pe {payload['cache']['pe_hit_rate']:.0%}, "
               f"memory {payload['cache']['memory_hit_rate']:.0%})")
+    for sweep, work in payload["schedules"].items():
+        print(f"{sweep:<17}: {work['list_schedule_runs']} list schedules "
+              f"({work['distinct_list_keys']} distinct), "
+              f"{work['sms_searches']} SMS searches, "
+              f"{work['sms_attempts']} placement attempts")
+    catalog = payload.get("catalog")
+    if catalog:
+        print(f"catalog ({catalog['kernels']} kernels, "
+              f"{catalog['points']} points):")
+        for unit in ("cold", "warm"):
+            secs = catalog[unit]["seconds"]
+            print(f"  {unit}: " + ", ".join(
+                f"{stage} {secs[stage]:.2f} s"
+                for stage in ("pe", "memory", "compose", "total")))
     print(f"[written to {out}]")
 
     if args.min_speedup is not None \

@@ -16,7 +16,7 @@ instead of hours or days".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Optional
 
 from repro.analysis.kernel_info import KernelInfo
 from repro.cache import (
@@ -105,6 +105,10 @@ class FlexCL:
     The rows live in an unbounded :class:`~repro.cache.hot.HotCache`
     (layers ``"pe"`` and ``"memory"``) keyed on the analysed kernel's
     identity; ``cache_stats`` reports its in-memory hit/miss counts.
+    Beneath the PE rows, each distinct block list schedule and SMS
+    search runs once per model (:mod:`repro.model.pe`), so PE-row
+    misses that differ only in work-group size, pipelining mode or an
+    unseen part of the budget reuse them.
 
     With a persistent *cache* (:class:`repro.cache.ArtifactCache`), the
     memoized rows and the profiled Table-1 pattern table are also read
@@ -135,6 +139,10 @@ class FlexCL:
         #: cap would evict rows mid-sweep
         self._memo = (HotCache(store=cache, max_entries=None)
                       if memoize else None)
+        #: distinct block list schedules and SMS results, shared across
+        #: PE-row misses (:func:`~repro.model.pe.pe_model`'s *shared*);
+        #: in memory only, and not counted in ``cache_stats``
+        self._schedules: Optional[dict] = {} if memoize else None
         self._pins: Dict[int, _Pin] = {}
         self._pattern_table = pattern_table_for(device, cache=cache)
         if not model_patterns:
@@ -157,6 +165,7 @@ class FlexCL:
         if self._memo is not None:
             self._memo.clear()
             self._pins.clear()
+            self._schedules.clear()
 
     def _memoized(self, layer: str, info: KernelInfo, key: tuple,
                   compute):
@@ -187,7 +196,7 @@ class FlexCL:
         return self._memoized(
             "pe", info, pe_memo_key(info, budget, pipelined, wg),
             lambda: pe_model(info, budget, pipelined=pipelined,
-                             wg_size=wg))
+                             wg_size=wg, shared=self._schedules))
 
     def _memory_model(self, info: KernelInfo,
                       design: Design) -> MemoryModelResult:

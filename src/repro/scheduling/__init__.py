@@ -5,8 +5,8 @@
 - :func:`compute_mii` — the minimum initiation interval,
   ``MII = max(RecMII, ResMII)`` (Eqs. 2–4).
 - :func:`swing_modulo_schedule` — Swing Modulo Scheduling, refining the
-  II above MII until every resource constraint is met and producing the
-  pipeline depth.
+  II above MII (starting no lower than :func:`issue_slot_bound`) until
+  every resource constraint is met and producing the pipeline depth.
 """
 
 from repro.scheduling.resources import ResourceBudget
@@ -18,7 +18,12 @@ from repro.scheduling.mii import (
     compute_res_mii,
     res_mii_dsp,
 )
-from repro.scheduling.sms import SMSResult, swing_modulo_schedule
+from repro.scheduling.sms import (
+    SMSResult,
+    issue_slot_bound,
+    sms_signature,
+    swing_modulo_schedule,
+)
 
 __all__ = [
     "MIIBreakdown",
@@ -28,7 +33,9 @@ __all__ = [
     "compute_mii",
     "compute_rec_mii",
     "compute_res_mii",
+    "issue_slot_bound",
     "list_schedule",
     "res_mii_dsp",
+    "sms_signature",
     "swing_modulo_schedule",
 ]

@@ -17,6 +17,7 @@ resolves slot-level conflicts between distinct static operations.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -27,9 +28,11 @@ from repro.scheduling.resources import ResourceBudget
 _MAX_II_FACTOR = 4.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class SMSResult:
-    """The modulo schedule found for a work-item pipeline."""
+    """The modulo schedule found for a work-item pipeline (read-only:
+    the PE model shares one result between every design whose graph,
+    port limits and MII match; see :func:`sms_signature`)."""
 
     ii: float                      # achieved initiation interval, cycles
     depth: float                   # pipeline depth D_comp^PE, cycles
@@ -68,13 +71,35 @@ def _swing_order(graph: DataFlowGraph, asap, alap) -> List[int]:
     return indices
 
 
+def sms_signature(graph: DataFlowGraph) -> tuple:
+    """Everything :func:`swing_modulo_schedule` reads of *graph*: each
+    node's op class, latency and edges, in node order.  Graphs with
+    equal signatures schedule alike under equal port limits and MII."""
+    return tuple((node.op_class, node.latency, tuple(node.preds),
+                  tuple(node.succs)) for node in graph.nodes)
+
+
+def issue_slot_bound(graph: DataFlowGraph, budget: ResourceBudget) -> int:
+    """The least II whose modulo reservation table has room for every
+    port-limited op: ``int(II)`` slots hold ``issue_limit(c)`` ops of
+    class c each, so any II below ``ceil(n_c / issue_limit(c))`` fails
+    placement for certain."""
+    bound = 1
+    for cls, count in Counter(node.op_class for node in graph.nodes).items():
+        limit = budget.issue_limit(cls)
+        if limit > 0:
+            bound = max(bound, math.ceil(count / limit))
+    return bound
+
+
 def swing_modulo_schedule(graph: DataFlowGraph, budget: ResourceBudget,
                           mii: float,
                           max_ii: Optional[float] = None) -> SMSResult:
     """Find (II, depth) for the work-item pipeline.
 
     Tries II = MII, MII+1, ... until a placement satisfying the modulo
-    reservation table and all dependence constraints exists.
+    reservation table and all dependence constraints exists, skipping
+    the IIs below :func:`issue_slot_bound`, which cannot place every op.
     """
     nodes = graph.nodes
     if not nodes:
@@ -82,7 +107,7 @@ def swing_modulo_schedule(graph: DataFlowGraph, budget: ResourceBudget,
     critical = graph.critical_path()
     if max_ii is None:
         max_ii = max(mii, critical) * _MAX_II_FACTOR + 8
-    ii = max(float(math.ceil(mii)), 1.0)
+    ii = float(max(math.ceil(mii), issue_slot_bound(graph, budget), 1))
     while ii <= max_ii:
         placed = _try_schedule(graph, budget, ii)
         if placed is not None:

@@ -347,3 +347,72 @@ def test_pe_memo_key_is_exact(name):
             assert a.cycles == b.cycles, d
             assert _pe_fields(a.pe) == _pe_fields(b.pe), d
     assert memo.cache_stats.hits["pe"] > 0
+
+
+def _structure(graph):
+    """Everything SMS reads of a graph, written out independently of
+    repro.scheduling.sms_signature."""
+    return tuple((n.op_class, n.latency, tuple(n.preds), tuple(n.succs))
+                 for n in graph.nodes)
+
+
+@pytest.mark.parametrize("name", SAMPLE)
+def test_pe_schedules_run_once_per_distinct_key(name, monkeypatch):
+    """One model's sweep over every work-group size, starved budgets
+    included, runs one list schedule per distinct (block DFG, ports,
+    DSP budget clamped to the block's DSP cost) and one SMS search per
+    distinct (function DFG structure, ports, MII), and its PE results
+    equal the unshared model's."""
+    import repro.model.pe as pe
+    from repro.latency.optable import DSP_COST
+    from repro.scheduling import compute_mii
+
+    w = BY_NAME[name]
+    space = DesignSpace.default_for(w.global_size)
+    points = []
+    for wg in space.work_group_sizes:
+        info = analyze_kernel(w.function(), w.make_buffers(),
+                              dict(w.scalars), w.ndrange(wg), VIRTEX7)
+        points += [(info, d) for d in space if d.work_group_size == wg
+                   and check_feasibility(info, d, VIRTEX7) is None]
+        points += [(info, Design(work_group_size=wg, num_pe=pe_count,
+                                 num_cu=16, work_item_pipeline=pipelined))
+                   for pe_count in (16, 32, 64)
+                   for pipelined in (True, False)]
+
+    list_keys, sms_keys = set(), set()
+    for info, d in points:
+        budget = ResourceBudget.for_pe(VIRTEX7, d.effective_pe_slots,
+                                       d.num_cu)
+        for dfg in info.block_dfgs.values():
+            cost = sum(DSP_COST[n.op_class] for n in dfg.nodes)
+            list_keys.add((id(dfg), budget.ports,
+                           min(budget.dsp_budget, cost)))
+        if d.work_item_pipeline:
+            mii = compute_mii(info.function_dfg, budget, info.traces,
+                              info.dsp_cost_per_wi).mii
+            sms_keys.add((_structure(info.function_dfg), budget.ports,
+                          mii))
+
+    runs = {"list": 0, "sms": 0}
+
+    def counted(kind, fn):
+        def run(*args, **kwargs):
+            runs[kind] += 1
+            return fn(*args, **kwargs)
+        return run
+
+    monkeypatch.setattr(pe, "list_schedule",
+                        counted("list", pe.list_schedule))
+    monkeypatch.setattr(pe, "swing_modulo_schedule",
+                        counted("sms", pe.swing_modulo_schedule))
+    shared = FlexCL(VIRTEX7)
+    results = [shared.predict(info, d).pe for info, d in points]
+    assert runs == {"list": len(list_keys), "sms": len(sms_keys)}
+    # Sharing must be real: strictly fewer runs than PE-row misses ask.
+    assert runs["list"] < sum(len(info.block_dfgs) for info, _ in points)
+
+    plain = FlexCL(VIRTEX7, memoize=False)
+    for (info, d), pe_result in zip(points, results):
+        assert _pe_fields(pe_result) == _pe_fields(plain.predict(info,
+                                                                 d).pe), d
