@@ -20,6 +20,12 @@ The memoized sweep must run exactly one list schedule per distinct key;
 the benchmark fails otherwise.  (The forked pool's children keep their
 own counts, so the parallel sweep records none.)
 
+Every run also checks the memoized model's memory row for each
+work-group size and pipelining mode of the sweep against a per-group
+reference: each work-group's reconstructed stream coalesced and
+classified on its own, summed over the window.  The model does that
+work once per distinct stream, so the two must agree count for count.
+
 The full run adds a catalog-wide section (``catalog``): every catalog
 kernel's default design space swept by a fresh model per kernel (cold)
 and again by the same models (warm), with the seconds spent in the PE
@@ -55,8 +61,11 @@ import numpy as np
 import repro.model.flexcl as flexcl
 import repro.model.pe as pe
 import repro.scheduling.sms as sms
-from repro.analysis import analyze_kernel
+from repro.analysis import GroupStreamExtrapolator, analyze_kernel
 from repro.devices import VIRTEX7
+from repro.dram import BankMapping
+from repro.dram.coalesce import coalesce_packed
+from repro.dram.patterns import classify_packed
 from repro.dse import DesignSpace, explore
 from repro.evaluation import make_analyzer
 from repro.frontend import compile_opencl
@@ -193,7 +202,7 @@ class _StageClock(_Patched):
 
 def _sweep(space, analyzer, device, memoize: bool, jobs):
     """Run one timed sweep with a fresh model; returns (result, seconds,
-    scheduler work or None for the forked pool)."""
+    scheduler work or None for the forked pool, model)."""
     model = FlexCL(device, memoize=memoize)
     work = _SchedulerWork() if jobs is None else None
     with work or contextlib.nullcontext():
@@ -203,7 +212,48 @@ def _sweep(space, analyzer, device, memoize: bool, jobs):
                          device, jobs=jobs,
                          cache_stats=lambda: model.cache_stats)
         elapsed = time.perf_counter() - start
-    return result, elapsed, work and work.payload()
+    return result, elapsed, work and work.payload(), model
+
+
+def _per_group_memory_row(info, device, pipelined: bool) -> tuple:
+    """(pattern counts, requests and accesses per group) of the window,
+    each group's stream coalesced and classified on its own."""
+    extrapolator = GroupStreamExtrapolator(info.traces.global_traces,
+                                           pipelined=pipelined)
+    mapping = BankMapping.for_device(device)
+    window = min(info.num_work_groups, 96)
+    counts, requests, accesses = {}, 0, 0
+    for g in range(window):
+        stream = extrapolator.stream(g)
+        rk, ra, rn = coalesce_packed(stream.kind, stream.addr,
+                                     stream.nbytes,
+                                     device.mem_access_unit_bits)
+        for p, n in classify_packed(rk, ra, rn, mapping).counts.items():
+            counts[p] = counts.get(p, 0) + n
+        requests += rk.shape[0]
+        accesses += len(stream)
+    return counts, round(requests / window), round(accesses / window)
+
+
+def _check_memory_rows(result, analyzer, model, device) -> int:
+    """Assert that *model*'s memory row of every work-group size and
+    pipelining mode among the sweep's feasible designs equals the
+    per-group reference; returns the number of rows checked."""
+    seen = set()
+    for e in result.feasible:
+        d = e.design
+        key = (d.work_group_size, d.work_item_pipeline)
+        if key in seen:
+            continue
+        seen.add(key)
+        info = analyzer(d.work_group_size)
+        row = model.predict(info, d).memory
+        got = (row.pattern_counts.counts, row.requests_per_group,
+               row.accesses_per_group)
+        assert got == _per_group_memory_row(info, device, key[1]), \
+            f"memory row of {d.signature()} differs from the per-group " \
+            f"reference"
+    return len(seen)
 
 
 def _catalog_pass(kernels, models) -> dict:
@@ -265,12 +315,12 @@ def run(small: bool = False, jobs="auto", n: int = 4096) -> dict:
     analyzer = _make_analyzer(n)
     space = _space(small, n)
 
-    cold, t_cold, work_cold = _sweep(space, analyzer, VIRTEX7,
-                                     memoize=False, jobs=None)
-    memo, t_memo, work_memo = _sweep(space, analyzer, VIRTEX7,
-                                     memoize=True, jobs=None)
-    par, t_par, _ = _sweep(space, analyzer, VIRTEX7,
-                           memoize=True, jobs=jobs)
+    cold, t_cold, work_cold, _ = _sweep(space, analyzer, VIRTEX7,
+                                        memoize=False, jobs=None)
+    memo, t_memo, work_memo, model = _sweep(space, analyzer, VIRTEX7,
+                                            memoize=True, jobs=None)
+    par, t_par, _, _ = _sweep(space, analyzer, VIRTEX7,
+                              memoize=True, jobs=jobs)
 
     sig = _signature(cold)
     assert _signature(memo) == sig, \
@@ -280,6 +330,7 @@ def run(small: bool = False, jobs="auto", n: int = 4096) -> dict:
     assert work_memo["list_schedule_runs"] \
         == work_memo["distinct_list_keys"], \
         f"memoized sweep repeated block list schedules: {work_memo}"
+    memory_rows = _check_memory_rows(memo, analyzer, model, VIRTEX7)
 
     stats = (par.cache_stats or memo.cache_stats)
     payload = {
@@ -306,6 +357,7 @@ def run(small: bool = False, jobs="auto", n: int = 4096) -> dict:
         "schedules": {"serial_cold": work_cold,
                       "serial_memoized": work_memo},
         "identical_results": True,
+        "memory_rows_checked": memory_rows,
     }
     if not small:
         payload["catalog"] = catalog_run()
@@ -355,6 +407,8 @@ def main(argv=None) -> int:
         print(f"cache hit rate   : {payload['cache']['hit_rate']:.0%} "
               f"(pe {payload['cache']['pe_hit_rate']:.0%}, "
               f"memory {payload['cache']['memory_hit_rate']:.0%})")
+    print(f"memory rows      : {payload['memory_rows_checked']} equal "
+          f"to the per-group reference")
     for sweep, work in payload["schedules"].items():
         print(f"{sweep:<17}: {work['list_schedule_runs']} list schedules "
               f"({work['distinct_list_keys']} distinct), "

@@ -11,9 +11,10 @@ The coalescer consumes the interleaved access stream the hardware sees
 address-contiguous accesses into requests of at most the AXI memory
 access unit (512 bits on the paper's platform).  Streams arrive as
 columns (:class:`~repro.analysis.packed.PackedStream`):
-:func:`coalesce_packed_groups` batches a whole window of groups for the
-memory model, and :func:`coalesce_stream` hands one group's requests to
-the simulator's DRAM controller as :class:`CoalescedRequest` objects.
+:func:`request_starts` finds where each request begins, which the
+memory model reuses for shifted copies of a stream, and
+:func:`coalesce_stream` hands one group's requests to the simulator's
+DRAM controller as :class:`CoalescedRequest` objects.
 """
 
 from __future__ import annotations
@@ -79,104 +80,74 @@ def _uniform_requests(brk: np.ndarray, nbytes: np.ndarray,
         return None
     k = max(unit_bytes // nb, 1)
     run_starts = np.flatnonzero(brk)
-    run_len = np.diff(run_starts, append=brk.shape[0])
-    per_run = (run_len + k - 1) // k
-    if int(per_run.max()) == 1:
+    run_len = _lengths(run_starts, brk.shape[0])
+    if int(run_len.max()) <= k:
         return run_starts, run_len * nb
-    # Split runs longer than one unit into k-access requests.
-    run_ix = np.repeat(np.arange(run_starts.shape[0]), per_run)
+    # Split runs longer than one unit into k-access requests: request j
+    # of the stream, the i-th of run r, starts at run_starts[r] + k * i,
+    # which is (run_starts[r] - k * first_of[r]) + k * j.
+    per_run = (run_len + k - 1) // k
     first_of = np.cumsum(per_run) - per_run
-    req_starts = (run_starts[run_ix]
-                  + k * (np.arange(run_ix.shape[0]) - first_of[run_ix]))
-    return req_starts, np.diff(req_starts, append=brk.shape[0]) * nb
+    req_starts = np.repeat(run_starts - k * first_of, per_run) \
+        + k * np.arange(int(per_run.sum()))
+    return req_starts, _lengths(req_starts, brk.shape[0]) * nb
+
+
+def _lengths(starts: np.ndarray, n: int) -> np.ndarray:
+    """Length of each of the consecutive slices *starts* begins, the
+    last ending at *n*."""
+    out = np.empty_like(starts)
+    np.subtract(starts[1:], starts[:-1], out=out[:-1])
+    out[-1] = n - starts[-1]
+    return out
+
+
+def request_starts(kind: np.ndarray, addr: np.ndarray,
+                   nbytes: np.ndarray, unit_bits: int = 512
+                   ) -> Tuple[np.ndarray, np.ndarray]:
+    """Greedy left-to-right merging as ``(starts, sizes)``: the index of
+    each request's first access and the bytes it covers.
+
+    A request grows while the next access has the same kind, starts
+    where the request ends and still fits in one access unit.  Where
+    requests start depends only on where contiguous same-kind runs break
+    and on the access sizes, never on the addresses themselves, so a
+    shifted copy of a stream that breaks its runs at the same places has
+    the same request starts."""
+    unit_bytes = max(unit_bits // 8, 1)
+    n = int(kind.shape[0])
+    if n == 0:
+        return np.empty(0, np.intp), np.empty(0, np.int64)
+    brk = _breaks(kind, addr, nbytes)
+    uniform = _uniform_requests(brk, nbytes, unit_bytes)
+    if uniform is not None:
+        return uniform
+    # Mixed sizes (rare): greedy scalar pass over the columns.
+    nb_l = nbytes.tolist()
+    brk_l = brk.tolist()
+    starts: List[int] = []
+    sizes: List[int] = []
+    cur_s = cur_b = 0
+    for i in range(n):
+        b = nb_l[i]
+        if brk_l[i] or cur_b + b > unit_bytes:
+            if cur_b:
+                starts.append(cur_s)
+                sizes.append(cur_b)
+            cur_s = i
+            cur_b = 0
+        cur_b += b
+    if cur_b:
+        starts.append(cur_s)
+        sizes.append(cur_b)
+    return np.array(starts, np.intp), np.array(sizes, np.int64)
 
 
 def coalesce_packed(kind: np.ndarray, addr: np.ndarray,
                     nbytes: np.ndarray, unit_bits: int = 512
                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Columnar coalescer: greedy left-to-right merging, returned as
-    ``(kind, addr, nbytes)`` request arrays (kind 0 = read, 1 = write).
-
-    A request grows while the next access has the same kind, starts
-    where the request ends and still fits in one access unit."""
-    unit_bytes = max(unit_bits // 8, 1)
-    n = int(kind.shape[0])
-    if n == 0:
-        return (np.empty(0, np.uint8), np.empty(0, np.int64),
-                np.empty(0, np.int64))
-    brk = _breaks(kind, addr, nbytes)
-    uniform = _uniform_requests(brk, nbytes, unit_bytes)
-    if uniform is not None:
-        req_starts, req_nbytes = uniform
-        return (kind[req_starts].astype(np.uint8),
-                addr[req_starts].astype(np.int64), req_nbytes)
-    # Mixed sizes (rare): greedy scalar pass over the columns.
-    kind_l = kind.tolist()
-    addr_l = addr.tolist()
-    nb_l = nbytes.tolist()
-    brk_l = brk.tolist()
-    out_k: List[int] = []
-    out_a: List[int] = []
-    out_n: List[int] = []
-    cur_a = cur_b = 0
-    for i in range(n):
-        b = nb_l[i]
-        if brk_l[i] or cur_b + b > unit_bytes:
-            if cur_b:
-                out_k.append(kind_l[i - 1])
-                out_a.append(cur_a)
-                out_n.append(cur_b)
-            cur_a = addr_l[i]
-            cur_b = 0
-        cur_b += b
-    if cur_b:
-        out_k.append(kind_l[n - 1])
-        out_a.append(cur_a)
-        out_n.append(cur_b)
-    return (np.array(out_k, np.uint8), np.array(out_a, np.int64),
-            np.array(out_n, np.int64))
-
-
-def coalesce_packed_groups(kind: np.ndarray, addr: np.ndarray,
-                           nbytes: np.ndarray, group: np.ndarray,
-                           unit_bits: int = 512
-                           ) -> Tuple[np.ndarray, np.ndarray,
-                                      np.ndarray, np.ndarray]:
-    """Batched coalescer over many independent streams at once.
-
-    *group* labels each access with its stream; runs never merge across
-    a group boundary.  Returns ``(kind, addr, nbytes, group)`` request
-    arrays — exactly the concatenation of :func:`coalesce_packed` run
-    per group, with each request labelled by its source group.
-    """
-    unit_bytes = max(unit_bits // 8, 1)
-    n = int(kind.shape[0])
-    if n == 0:
-        return (np.empty(0, np.uint8), np.empty(0, np.int64),
-                np.empty(0, np.int64), np.empty(0, np.int64))
-    new_group = np.empty(n, bool)
-    new_group[0] = True
-    new_group[1:] = group[1:] != group[:-1]
-    # Uniform access size across the whole batch is the common case:
-    # every group replays the same sites, and a group change is one
-    # more run break.
-    uniform = _uniform_requests(_breaks(kind, addr, nbytes) | new_group,
-                                nbytes, unit_bytes)
-    if uniform is not None:
-        req_starts, req_nbytes = uniform
-        return (kind[req_starts].astype(np.uint8),
-                addr[req_starts].astype(np.int64), req_nbytes,
-                group[req_starts].astype(np.int64))
-    # Mixed sizes (rare): delegate to the per-group scalar coalescer.
-    bounds = np.append(np.flatnonzero(new_group), n)
-    out = [[], [], [], []]
-    for i in range(bounds.shape[0] - 1):
-        lo, hi = int(bounds[i]), int(bounds[i + 1])
-        rk, ra, rn = coalesce_packed(kind[lo:hi], addr[lo:hi],
-                                     nbytes[lo:hi], unit_bits)
-        out[0].append(rk)
-        out[1].append(ra)
-        out[2].append(rn)
-        out[3].append(np.full(rk.shape[0], group[lo], np.int64))
-    return (np.concatenate(out[0]), np.concatenate(out[1]),
-            np.concatenate(out[2]), np.concatenate(out[3]))
+    """Columnar coalescer (:func:`request_starts`), returned as
+    ``(kind, addr, nbytes)`` request arrays (kind 0 = read, 1 = write)."""
+    starts, sizes = request_starts(kind, addr, nbytes, unit_bits)
+    return (kind[starts].astype(np.uint8, copy=False),
+            addr[starts].astype(np.int64, copy=False), sizes)

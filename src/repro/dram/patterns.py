@@ -9,6 +9,7 @@ bank's open row buffer.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -135,7 +136,8 @@ def classify_bank_stream(requests: Sequence[CoalescedRequest],
 def classify_packed(kind: np.ndarray, addr: np.ndarray,
                     nbytes: np.ndarray,
                     mapping: BankMapping,
-                    group: Optional[np.ndarray] = None) -> PatternCounts:
+                    group: Optional[np.ndarray] = None,
+                    weight: Optional[np.ndarray] = None) -> PatternCounts:
     """Columnar Table 1 classification: identical counts to
     :func:`classify_bank_stream` fed the same request sequence.
 
@@ -146,10 +148,13 @@ def classify_packed(kind: np.ndarray, addr: np.ndarray,
     per-request hit test into pure run bookkeeping on the sorted-by-bank
     block sequence.
 
-    With *group* (one label per request) many independent streams are
+    With *group* (one non-decreasing label per request, so each
+    stream's requests are contiguous) many independent streams are
     classified in one batch: bank state is per (group, bank), so the
     result equals summing per-group classifications — each group sees
-    cold banks, exactly as if classified alone."""
+    cold banks, exactly as if classified alone.  *weight* (indexed by
+    group label) multiplies each group's counts, so a stream that
+    several work-groups replay is classified once."""
     assert ROW_WINDOW == 2, "packed classifier models the LRU-2 window"
     counts = PatternCounts()
     n_req = int(kind.shape[0])
@@ -157,44 +162,51 @@ def classify_packed(kind: np.ndarray, addr: np.ndarray,
         return counts
     ib = mapping.interleave_bytes
     start_blk = _floordiv(addr, ib)
-    per_req = _floordiv(addr + np.maximum(nbytes, 1) + ib - 1,
-                        ib) - start_blk
-    if int(per_req.max()) == 1:
+    # A request reaches past its first block when its offset in that
+    # block plus its size exceeds the block (a zero-byte request covers
+    # its first block only, like a one-byte one).
+    reach = addr & (ib - 1) if ib & (ib - 1) == 0 else addr % ib
+    reach += nbytes
+    if int(reach.max()) <= ib:
         # Every request fits in one interleave block (the common case):
         # the block sequence is the request sequence.
         blocks, kinds, lead = start_blk, kind, None
     else:
-        total = int(per_req.sum())
-        req_ix = np.repeat(np.arange(n_req), per_req)
+        per_req = _floordiv(addr + np.maximum(nbytes, 1) + ib - 1,
+                            ib) - start_blk
         first_of = np.cumsum(per_req) - per_req
-        offs = np.arange(total) - first_of[req_ix]
-        blocks = start_blk[req_ix] + offs
+        offs = np.arange(int(per_req.sum())) \
+            - np.repeat(first_of, per_req)
+        blocks = np.repeat(start_blk, per_req) + offs
         lead = offs == 0
-        kinds = kind[req_ix]
+        kinds = np.repeat(kind, per_req)
         if group is not None:
-            group = group[req_ix]
+            group = np.repeat(group, per_req)
     total = int(blocks.shape[0])
 
     nb = mapping.num_banks
-    swiz = blocks ^ (blocks >> 3) ^ (blocks >> 6)
-    bank = swiz & (nb - 1) if nb & (nb - 1) == 0 else swiz % nb
-    row = _floordiv(blocks, nb * (mapping.row_bytes // ib))
-
-    # Bank state is per (group, bank): sort on one combined key.  A
-    # stable sort keeps each bank's request order, which is what the
-    # bank state machine consumes; the narrowest key dtype lets numpy
-    # radix-sort it.
-    if group is None:
-        key = bank
+    if nb & (nb - 1) == 0:
+        # The low log2(nb) bits of the swizzle read the low
+        # log2(nb) + 6 block bits: look the bank up.
+        bank = _bank_table(nb)[blocks & (64 * nb - 1)]
     else:
-        key = (group - int(group.min())) * nb + bank
-    key = key.astype(np.min_scalar_type(int(key.max())), copy=False)
-    order = np.argsort(key, kind="stable")
-    k_sorted = key[order]
+        swiz = blocks ^ (blocks >> 3) ^ (blocks >> 6)
+        bank = (swiz % nb).astype(np.min_scalar_type(nb - 1))
+
+    # Bank state is per (group, bank).  Requests arrive group-major, so
+    # a stable sort on the bank alone (a one-byte radix sort) orders
+    # them by (bank, group, position), and each bank segment keeps its
+    # requests in stream order, which the bank state machine consumes.
+    order = np.argsort(bank, kind="stable")
+    b_s = bank[order]
     seg_new = np.empty(total, bool)
     seg_new[0] = True
-    seg_new[1:] = k_sorted[1:] != k_sorted[:-1]
-    r_s = row[order]
+    np.not_equal(b_s[1:], b_s[:-1], out=seg_new[1:])
+    if group is not None:
+        g_s = group[order]
+        seg_new[1:] |= g_s[1:] != g_s[:-1]
+    r_s = blocks[order]
+    r_s = _floordiv(r_s, nb * (mapping.row_bytes // ib), out=r_s)
     k_s = kinds[order].astype(np.uint8, copy=False)
     # previous request kind seen by this bank (cold banks read)
     prev_k = np.empty(total, np.uint8)
@@ -205,7 +217,7 @@ def classify_packed(kind: np.ndarray, addr: np.ndarray,
     # bank's run hits the open row
     run_new = np.empty(total, bool)
     run_new[0] = True
-    run_new[1:] = r_s[1:] != r_s[:-1]
+    np.not_equal(r_s[1:], r_s[:-1], out=run_new[1:])
     run_new |= seg_new
     # a block opening a new run hits only the second open row: the row
     # of the run before the previous one, in the same bank segment
@@ -216,21 +228,47 @@ def classify_packed(kind: np.ndarray, addr: np.ndarray,
         np.zeros(min(run_row.shape[0], 2), bool),
         ~run_seg[2:] & ~run_seg[1:-1] & (run_row[2:] == run_row[:-2])))
 
-    codes = (~hit).view(np.uint8) * 4 + 2 * k_s + prev_k
+    # pattern code: miss * 4 + 2 * kind + previous kind
+    codes = k_s * 2
+    codes += prev_k
+    codes += (~hit).view(np.uint8) * 4
     if lead is not None:
-        codes = codes[lead[order]]
-    binc = np.bincount(codes, minlength=8)
+        keep = lead[order]
+        codes = codes[keep]
+        if weight is not None:
+            g_s = g_s[keep]
+    if weight is None:
+        binc = np.bincount(codes, minlength=8)
+    else:
+        # per-group counts, then their weighted sum (exact integers)
+        key = g_s.astype(np.intp)
+        key <<= 3
+        key += codes
+        binc = weight @ np.bincount(
+            key, minlength=8 * weight.shape[0]).reshape(-1, 8)
     for j, p in enumerate(PATTERNS):
         counts.counts[p] = int(binc[j])
     return counts
 
 
-def _floordiv(x: np.ndarray, d: int) -> np.ndarray:
+@functools.lru_cache(maxsize=None)
+def _bank_table(num_banks: int) -> np.ndarray:
+    """Bank of every ``log2(num_banks) + 6``-bit block index under the
+    XOR swizzle of :meth:`BankMapping.bank_of` (*num_banks* a power of
+    two)."""
+    blocks = np.arange(64 * num_banks)
+    swiz = blocks ^ (blocks >> 3) ^ (blocks >> 6)
+    return (swiz & (num_banks - 1)).astype(
+        np.min_scalar_type(num_banks - 1))
+
+
+def _floordiv(x: np.ndarray, d: int,
+              out: Optional[np.ndarray] = None) -> np.ndarray:
     """``x // d``; a shift when *d* is a power of two (exact for every
     integer, negative ones included)."""
     if d & (d - 1) == 0:
-        return x >> (d.bit_length() - 1)
-    return x // d
+        return np.right_shift(x, d.bit_length() - 1, out=out)
+    return np.floor_divide(x, d, out=out)
 
 
 def _covered_blocks(req: CoalescedRequest,

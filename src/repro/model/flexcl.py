@@ -16,7 +16,7 @@ instead of hours or days".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.analysis.kernel_info import KernelInfo
 from repro.cache import (
@@ -144,6 +144,9 @@ class FlexCL:
         #: in memory only, and not counted in ``cache_stats``
         self._schedules: Optional[dict] = {} if memoize else None
         self._pins: Dict[int, _Pin] = {}
+        #: per-PE budgets by (effective PE slots, compute units): the
+        #: budget is a pure function of them and the device
+        self._budgets: Dict[Tuple[int, int], ResourceBudget] = {}
         self._pattern_table = pattern_table_for(device, cache=cache)
         if not model_patterns:
             avg = (sum(self._pattern_table.latencies.values())
@@ -222,8 +225,11 @@ class FlexCL:
                 f"not match the analysed configuration "
                 f"{info.work_group_size}; re-run kernel analysis")
         device = self.device
-        budget = ResourceBudget.for_pe(
-            device, design.effective_pe_slots, design.num_cu)
+        shape = (design.effective_pe_slots, design.num_cu)
+        budget = self._budgets.get(shape)
+        if budget is None:
+            budget = self._budgets[shape] = ResourceBudget.for_pe(
+                device, *shape)
 
         pe = self._pe_model(info, design, budget)
         cu = cu_model(info, device, pe, design.effective_pe_slots,

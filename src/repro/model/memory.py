@@ -8,18 +8,30 @@ into one of Table 1's eight patterns, and prices the per-work-item
 latency:
 
     L_mem^wi = Σ_patterns ΔT_p · N_p        (Eq. 9, per work-item)
+
+The streams come from the one reconstruction the System Run simulator
+also executes (:class:`~repro.analysis.GroupStreamExtrapolator`), read
+as its plan: every group of the window is a profiled stand-in plus a
+shift.  The model does its work once per distinct stream.  Each
+stand-in is coalesced once; a shifted copy reuses the stand-in's
+request starts whenever the shift leaves its runs intact (always, for
+one address delta), and only its request addresses move; copies that
+break their runs elsewhere are coalesced once per distinct set of
+breaks.  Groups that replay a stand-in unchanged are classified once,
+with their pattern counts weighted by how many groups replay it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.analysis.kernel_info import KernelInfo
-from repro.analysis.streams import GroupStreamExtrapolator
-from repro.dram.coalesce import coalesce_packed_groups
+from repro.analysis.packed import PackedStream
+from repro.analysis.streams import GroupStreamExtrapolator, Shift
+from repro.dram.coalesce import request_starts
 from repro.dram.mapping import BankMapping
 from repro.dram.microbench import (
     PatternLatencyTable,
@@ -96,27 +108,142 @@ def memory_model(info: KernelInfo, device,
     # per-group cap) so data-sparse kernels — where only a few groups
     # touch memory at all — average correctly over their idle groups.
     window = min(info.num_work_groups, 96)
-    streams = [s for s in (extrapolator.stream(g) for g in range(window))
-               if len(s)]
-    if not streams:
+    plan = extrapolator.plan(window)
+    if not plan:
         return MemoryModelResult(latency_per_wi=0.0,
                                  pattern_counts=PatternCounts())
 
-    # Coalesce and classify the whole window in one pass.  Bank state is
-    # per (group, bank) and Eq. 9 is linear in the pattern counts, so
-    # the summed window latency is the weighted latency of the merged
-    # counts.
     unit = device.mem_access_unit_bits if coalescing else 8
-    gix = np.repeat(np.arange(len(streams)), [len(s) for s in streams])
-    rk, ra, rn, rg = coalesce_packed_groups(
-        np.concatenate([s.kind for s in streams]),
-        np.concatenate([s.addr for s in streams]),
-        np.concatenate([s.nbytes for s in streams]), gix, unit)
-    counts = classify_packed(rk, ra, rn, mapping, group=rg)
+    streams, total_requests, total_accesses = _window_streams(
+        extrapolator, plan, unit)
+    # Classify the distinct streams, a batch of whole streams at a time.
+    # Bank state is per (stream, bank) and Eq. 9 is linear in the
+    # pattern counts, so the summed window latency is the weighted
+    # latency of the merged counts, each stream's counts weighted by the
+    # groups it stands for.
+    counts = PatternCounts()
+    for kind, addr, nbytes, group, weight in _batches(streams):
+        batch = classify_packed(kind, addr, nbytes, mapping, group=group,
+                                weight=weight)
+        for p, n in batch.counts.items():
+            counts.add(p, n)
     return MemoryModelResult(
         latency_per_wi=(table.weighted_latency(counts)
                         / (window * info.work_group_size)),
         pattern_counts=counts,
-        requests_per_group=round(int(rk.shape[0]) / window),
-        accesses_per_group=round(int(gix.shape[0]) / window),
+        requests_per_group=round(total_requests / window),
+        accesses_per_group=round(total_accesses / window),
     )
+
+
+def _window_streams(extrapolator: GroupStreamExtrapolator,
+                    plan: List[Tuple[int, Shift]], unit_bits: int):
+    """The coalesced requests of the window's distinct streams.
+
+    Returns ``(kind, addr, nbytes, weight)`` per distinct stream, with
+    *weight* the work-groups it stands for, plus the window's request
+    and access totals.  Groups replaying a stand-in unchanged are one
+    stream.  Each stand-in is coalesced once for its own runs, and its
+    shifted copies reuse those request starts and sizes at shifted
+    addresses whenever they break their runs at the same places
+    (:func:`_split_by_runs`); copies that break elsewhere are coalesced
+    once per distinct set of breaks.
+    """
+    replays: Dict[int, int] = {}
+    shifted: Dict[int, List[int]] = {}
+    delta = 0
+    for index, shift in plan:
+        if shift is None:
+            replays[index] = replays.get(index, 0) + 1
+        else:
+            delta = shift[0]         # one delta per reconstruction
+            shifted.setdefault(index, []).append(shift[1])
+
+    own_runs: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+
+    def coalesced(index: int, steps: Optional[int]):
+        s = extrapolator.stand_in(index)
+        if steps is not None:
+            return request_starts(s.kind, s.addr + delta * steps,
+                                  s.nbytes, unit_bits)
+        if index not in own_runs:
+            own_runs[index] = request_starts(s.kind, s.addr, s.nbytes,
+                                             unit_bits)
+        return own_runs[index]
+
+    streams = []
+    total_requests = total_accesses = 0
+    for index, count in replays.items():
+        s = extrapolator.stand_in(index)
+        starts, nbytes = coalesced(index, None)
+        streams.append((s.kind[starts], s.addr[starts], nbytes, count))
+        total_requests += count * int(starts.shape[0])
+        total_accesses += count * len(s)
+    for index, steps in shifted.items():
+        s = extrapolator.stand_in(index)
+        for copies, sample in _split_by_runs(s, delta, np.array(steps)):
+            starts, nbytes = coalesced(index, sample)
+            moved = delta if np.ndim(delta) == 0 else delta[starts]
+            kind = s.kind[starts]
+            streams += [(kind, addr, nbytes, 1) for addr in
+                        s.addr[starts] + moved * copies[:, None]]
+            total_requests += copies.shape[0] * int(starts.shape[0])
+            total_accesses += copies.shape[0] * len(s)
+    return streams, total_requests, total_accesses
+
+
+#: requests per classifier call: whole streams up to about this many,
+#: so that the classifier's temporaries stay cache-sized
+_BATCH_REQUESTS = 1 << 16
+
+
+def _batches(streams):
+    """``classify_packed`` columns ``(kind, addr, nbytes, group,
+    weight)`` for consecutive whole *streams*, about
+    :data:`_BATCH_REQUESTS` requests at a time."""
+    batch, size = [], 0
+    for stream in streams:
+        batch.append(stream)
+        size += stream[0].shape[0]
+        if size >= _BATCH_REQUESTS:
+            yield _columns(batch)
+            batch, size = [], 0
+    if batch:
+        yield _columns(batch)
+
+
+def _columns(batch):
+    group = np.repeat(
+        np.arange(len(batch), dtype=np.min_scalar_type(len(batch) - 1)),
+        [s[0].shape[0] for s in batch])
+    return (np.concatenate([s[0] for s in batch]),
+            np.concatenate([s[1] for s in batch]),
+            np.concatenate([s[2] for s in batch]), group,
+            np.array([s[3] for s in batch], np.int64))
+
+
+def _split_by_runs(stand_in: PackedStream, delta, steps: np.ndarray):
+    """Split the steps of *stand_in*'s shifted copies by where their
+    contiguous same-kind runs break.  Yields ``(steps, sample)``:
+    *sample* is None for copies that break where the stand-in does, else
+    one of the steps, whose copy breaks like every copy in the split.
+
+    Only address differences decide breaks, so a scalar delta moves
+    none, and per-access deltas can change contiguity only at the
+    adjacent same-kind pairs whose deltas differ."""
+    if np.ndim(delta) == 0:
+        yield steps, None
+        return
+    kind, addr, nbytes = stand_in.kind, stand_in.addr, stand_in.nbytes
+    at = np.flatnonzero((kind[1:] == kind[:-1])
+                        & (delta[1:] != delta[:-1]))
+    gap = addr[at + 1] - addr[at] - nbytes[at]
+    contiguous = gap + (delta[at + 1] - delta[at]) * steps[:, None] == 0
+    keeps = (contiguous == (gap == 0)).all(axis=1)
+    if keeps.any():
+        yield steps[keeps], None
+    splits: Dict[bytes, List[int]] = {}
+    for step, row in zip(steps[~keeps].tolist(), contiguous[~keeps]):
+        splits.setdefault(row.tobytes(), []).append(step)
+    for copies in splits.values():
+        yield np.array(copies), copies[0]

@@ -32,12 +32,13 @@ from typing import Callable, Dict, Optional
 from repro.analysis.dfg import DataFlowGraph
 from repro.analysis.kernel_info import KernelInfo
 from repro.analysis.loops import LoopInfo, LoopNest
-from repro.ir.function import Function
+from repro.ir.function import BasicBlock, Function
 from repro.latency.optable import DSP_COST
 from repro.scheduling import (
     ResourceBudget,
     SMSResult,
     compute_mii,
+    graph_rec_mii,
     list_schedule,
     res_mii_dsp,
     sms_signature,
@@ -121,6 +122,18 @@ def _modulo_schedule(graph: DataFlowGraph, budget: ResourceBudget,
     return result
 
 
+def _rec_mii(info: KernelInfo, shared: Optional[dict]) -> Optional[float]:
+    """RecMII, computed once per function DFG and recurrence set in
+    *shared* (None without *shared*: :func:`compute_mii` computes it)."""
+    if shared is None:
+        return None
+    recurrences = info.traces.recurrences
+    key = ("rec_mii",) + tuple((r.load_site, r.store_site, r.distance)
+                               for r in recurrences)
+    return _per_graph(shared, key, info.function_dfg,
+                      lambda g: graph_rec_mii(g, recurrences))
+
+
 def critical_path_depth(fn: Function, block_latencies: Dict[str, float],
                         loop_nest: LoopNest) -> float:
     """D_comp^PE: summed block latencies along the CDFG critical path.
@@ -130,13 +143,14 @@ def critical_path_depth(fn: Function, block_latencies: Dict[str, float],
     nested loops); if/else arms contribute the longer arm.
     """
     memo: Dict[str, float] = {}
+    blocks = {b.name: b for b in fn.blocks}
 
     def loop_latency(loop: LoopInfo) -> float:
         key = f"loop:{loop.header}"
         if key in memo:
             return memo[key]
         per_iter = _longest_path(
-            fn, block_latencies, loop_nest,
+            blocks, block_latencies, loop_nest,
             entry=loop.header, within=loop.blocks, current_loop=loop,
             loop_latency_fn=loop_latency)
         total = loop.trip_count * per_iter \
@@ -144,18 +158,19 @@ def critical_path_depth(fn: Function, block_latencies: Dict[str, float],
         memo[key] = total
         return total
 
-    return _longest_path(fn, block_latencies, loop_nest,
+    return _longest_path(blocks, block_latencies, loop_nest,
                          entry=fn.entry.name, within=None,
                          current_loop=None, loop_latency_fn=loop_latency)
 
 
-def _longest_path(fn: Function, block_latencies: Dict[str, float],
+def _longest_path(blocks: Dict[str, BasicBlock],
+                  block_latencies: Dict[str, float],
                   loop_nest: LoopNest, entry: str,
                   within: Optional[set], current_loop: Optional[LoopInfo],
                   loop_latency_fn) -> float:
-    """Longest latency path from *entry*, collapsing loops nested below
-    *current_loop* and never leaving *within* (when given)."""
-    blocks = {b.name: b for b in fn.blocks}
+    """Longest latency path from *entry* over *blocks* (by name),
+    collapsing loops nested below *current_loop* and never leaving
+    *within* (when given)."""
     best: Dict[str, float] = {}
 
     def visit(name: str, on_stack: set) -> float:
@@ -174,7 +189,7 @@ def _longest_path(fn: Function, block_latencies: Dict[str, float],
                 and (current_loop is None
                      or header_loop.header != current_loop.header):
             node_latency = loop_latency_fn(header_loop)
-            successors = _loop_exits(fn, header_loop)
+            successors = _loop_exits(blocks, header_loop)
         else:
             node_latency = block_latencies.get(name, 0.0)
             successors = [s.name for s in block.successors()]
@@ -193,9 +208,8 @@ def _longest_path(fn: Function, block_latencies: Dict[str, float],
     return visit(entry, frozenset())
 
 
-def _loop_exits(fn: Function, loop: LoopInfo) -> list:
+def _loop_exits(blocks: Dict[str, BasicBlock], loop: LoopInfo) -> list:
     exits = []
-    blocks = {b.name: b for b in fn.blocks}
     for name in loop.blocks:
         block = blocks.get(name)
         if block is None:
@@ -245,7 +259,8 @@ def pe_model(info: KernelInfo, budget: ResourceBudget,
 
     if pipelined:
         mii = compute_mii(info.function_dfg, budget, info.traces,
-                          info.dsp_cost_per_wi)
+                          info.dsp_cost_per_wi,
+                          rec_mii=_rec_mii(info, shared))
         sms = _modulo_schedule(info.function_dfg, budget, mii.mii, shared)
         ii = sms.ii
         rec_mii, res_mii = mii.rec_mii, mii.res_mii

@@ -16,6 +16,7 @@ from repro.scheduling.mii import (
     compute_mii,
     compute_rec_mii,
     compute_res_mii,
+    graph_rec_mii,
     res_mii_dsp,
 )
 from repro.scheduling.sms import (
@@ -33,6 +34,7 @@ __all__ = [
     "compute_mii",
     "compute_rec_mii",
     "compute_res_mii",
+    "graph_rec_mii",
     "issue_slot_bound",
     "list_schedule",
     "res_mii_dsp",

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 from repro.analysis.dfg import DataFlowGraph
 from repro.analysis.memtrace import Recurrence, TraceAnalysis
@@ -87,18 +87,27 @@ def compute_rec_mii(graph: DataFlowGraph,
     return float(rec_mii)
 
 
+def graph_rec_mii(graph: DataFlowGraph,
+                  recurrences: Sequence[Recurrence]) -> float:
+    """RecMII of *graph*'s profiled *recurrences*: it reads neither the
+    budget nor the design."""
+    return compute_rec_mii(graph, recurrences, _site_index(graph))
+
+
 def compute_mii(graph: DataFlowGraph, budget: ResourceBudget,
                 traces: TraceAnalysis,
-                dsp_cost_per_wi: float) -> MIIBreakdown:
-    """MII = max(RecMII, ResMII) (Eq. 2)."""
-    site_to_node = _site_index(graph)
+                dsp_cost_per_wi: float,
+                rec_mii: Optional[float] = None) -> MIIBreakdown:
+    """MII = max(RecMII, ResMII) (Eq. 2).  A *rec_mii* already computed
+    for this graph and these recurrences (:func:`graph_rec_mii`) is
+    used as is."""
     breakdown = compute_res_mii(
         budget,
         local_reads_per_wi=traces.local_reads_per_wi,
         local_writes_per_wi=traces.local_writes_per_wi,
         dsp_cost_per_wi=dsp_cost_per_wi)
-    breakdown.rec_mii = compute_rec_mii(graph, traces.recurrences,
-                                        site_to_node)
+    breakdown.rec_mii = (graph_rec_mii(graph, traces.recurrences)
+                         if rec_mii is None else rec_mii)
     return breakdown
 
 

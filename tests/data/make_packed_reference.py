@@ -9,7 +9,10 @@ then derives, per kernel:
 - per-site statistics, per-work-item access counts and recurrences;
 - per-group stream lengths and digests, pipelined on and off, for the
   profiled groups and three extrapolated ones;
-- coalesced-request and Table 1 pattern counts of groups 0 and 1.
+- coalesced-request and Table 1 pattern counts of groups 0 and 1;
+- the memory model's full-window row of the global accesses, per mode
+  (pipelined or sequential, coalescing on or off): the window, its
+  summed requests and accesses, and its Table 1 pattern counts.
 
 The reference works access by access, sharing no code with the
 columnar pipeline, so the golden pins the columnar results to an
@@ -40,8 +43,13 @@ MAPPING = BankMapping(num_banks=8, row_bytes=1024, interleave_bytes=64)
 OUT = Path(__file__).with_name("packed_reference.json")
 
 
+WINDOW_CAP = 96             # groups the memory model prices at most
+UNIT_BYTES = 64             # the 512-bit memory access unit
+
+
 def object_traces(name: str):
-    """Per-work-item ``MemAccess`` traces and the work-group size."""
+    """Per-work-item ``MemAccess`` traces, the work-group size and the
+    NDRange's work-group count."""
     w = {w.qualified_name: w for w in registry.all_workloads()}[name]
     fn = w.function()
     for i, inst in enumerate(fn.instructions()):
@@ -49,7 +57,7 @@ def object_traces(name: str):
     ndrange = w.ndrange()
     launch = KernelExecutor(fn, w.make_buffers(), dict(w.scalars)).run(
         ndrange, max_groups=MAX_GROUPS)
-    return launch.traces, ndrange.work_group_size
+    return launch.traces, ndrange.work_group_size, ndrange.num_work_groups
 
 
 def stream_digest(kinds, addrs, sizes) -> str:
@@ -166,7 +174,7 @@ def extrapolated_streams(traces, wg, pipelined, count):
     return out
 
 
-def coalesce(stream, unit_bytes=64):
+def coalesce(stream, unit_bytes=UNIT_BYTES):
     """Greedy merge of same-kind contiguous accesses up to one unit."""
     reqs = []
     for kind, addr, nbytes in stream:
@@ -179,8 +187,26 @@ def coalesce(stream, unit_bytes=64):
     return [CoalescedRequest(*r) for r in reqs]
 
 
+def window_row(traces, wg, num_groups, pipelined, unit_bytes) -> dict:
+    """Eq. 9's ingredients over the first ``min(num_groups, 96)`` groups
+    of the global accesses: the object-per-access reconstruction,
+    coalesced and classified group by group."""
+    gtraces = [[a for a in t if a.space == "global"] for t in traces]
+    window = min(num_groups, WINDOW_CAP)
+    patterns = {}
+    requests = accesses = 0
+    for stream in extrapolated_streams(gtraces, wg, pipelined, window):
+        reqs = coalesce(stream, unit_bytes)
+        for p, c in classify_bank_stream(reqs, MAPPING).counts.items():
+            patterns[p.name] = patterns.get(p.name, 0) + c
+        requests += len(reqs)
+        accesses += len(stream)
+    return {"window": window, "requests": requests, "accesses": accesses,
+            "patterns": {p: c for p, c in patterns.items() if c}}
+
+
 def kernel_reference(name: str) -> dict:
-    traces, wg = object_traces(name)
+    traces, wg, num_groups = object_traces(name)
     n = len(traces)
     sites, addrs, proto = site_table(traces)
     counts = {f"{sp}_{k}s": sum(a.space == sp and a.kind == k
@@ -189,7 +215,7 @@ def kernel_reference(name: str) -> dict:
     ref = {"wg_size": wg, "work_items": n, "sites": sites,
            "recurrences": recurrences(addrs, proto, n),
            "per_wi": counts, "streams": {}, "requests": {},
-           "patterns": {}}
+           "patterns": {}, "rows": {}}
     for mode, pipelined in (("pipelined", True), ("sequential", False)):
         streams = extrapolated_streams(traces, wg, pipelined,
                                        n // wg + EXTRA_GROUPS)
@@ -204,6 +230,9 @@ def kernel_reference(name: str) -> dict:
             {p.name: c for p, c in classify_bank_stream(r, MAPPING)
              .counts.items() if c}
             for r in reqs]
+        for suffix, unit_bytes in (("", UNIT_BYTES), ("/uncoalesced", 1)):
+            ref["rows"][mode + suffix] = window_row(
+                traces, wg, num_groups, pipelined, unit_bytes)
     return ref
 
 

@@ -1,13 +1,14 @@
 """The columnar (packed) trace pipeline against a golden recorded from
 the object-per-access reference: analysis, stream extrapolation,
-coalescing and bank classification must reproduce
-``tests/data/packed_reference.json`` (regenerate it with
+coalescing, bank classification and the memory model's window rows
+must reproduce ``tests/data/packed_reference.json`` (regenerate it with
 ``tests/data/make_packed_reference.py``) on the interpreter's traces."""
 
 import hashlib
 import json
 import pickle
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -175,6 +176,34 @@ class TestDramEquivalence:
 
 
 class TestModelEquivalence:
+    @pytest.mark.parametrize("mode", ["pipelined", "sequential",
+                                      "pipelined/uncoalesced",
+                                      "sequential/uncoalesced"])
+    def test_memory_row_identical(self, traced, reference, mode):
+        """``memory_model`` over the whole window reproduces the
+        object-per-access row (a window below the 96-group cap is the
+        NDRange's group count)."""
+        from repro.devices import VIRTEX7
+        from repro.model.memory import memory_model, pattern_table_for
+        traces, wg, packed = traced
+        want = reference["rows"][mode]
+        window = want["window"]
+        info = SimpleNamespace(
+            traces=SimpleNamespace(global_traces=packed.global_view()),
+            num_work_groups=window, work_group_size=wg)
+        table = pattern_table_for(VIRTEX7)
+        got = memory_model(info, VIRTEX7,
+                           pipelined=mode.startswith("pipelined"),
+                           coalescing=not mode.endswith("uncoalesced"),
+                           table=table)
+        counts = {p.name: n for p, n in got.pattern_counts.counts.items()
+                  if n}
+        assert counts == want["patterns"]
+        assert got.requests_per_group == round(want["requests"] / window)
+        assert got.accesses_per_group == round(want["accesses"] / window)
+        assert got.latency_per_wi == (table.weighted_latency(
+            got.pattern_counts) / (window * wg))
+
     def test_prediction_identical_static_vs_interpreted(
             self, scalar_reference):
         from repro.analysis import analyze_kernel

@@ -1,22 +1,29 @@
-"""Property-based tests for the DRAM substrate."""
+"""Property-based tests for the DRAM substrate and the memory model's
+window pipeline."""
+
+import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.packed import PackedStream, pack_group
+from repro.analysis.packed import PackedStream, PackedTraces, pack_group
+from repro.analysis.streams import GroupStreamExtrapolator
+from repro.devices import KU060, VIRTEX7
 from repro.dram import BankMapping, classify_bank_stream
 from repro.dram.coalesce import (
     CoalescedRequest,
     coalesce_packed,
-    coalesce_packed_groups,
     coalesce_stream,
     coalescing_factor,
 )
 from repro.dram.controller import DRAMController
-from repro.dram.patterns import PATTERNS, classify_packed
+from repro.dram.patterns import PATTERNS, PatternCounts, classify_packed
 from repro.devices.device import DRAMTiming
 from repro.interp.executor import MemAccess
+from repro.model.memory import memory_model, pattern_table_for
 
 MAPPING = BankMapping(num_banks=8, row_bytes=1024, interleave_bytes=64)
 
@@ -146,14 +153,38 @@ def _per_group_counts(kind, addr, nbytes, group, mapping):
     return expect
 
 
+def _classify_group_major(kind, addr, nbytes, group, mapping):
+    """``classify_packed`` with each group's requests made contiguous
+    (its input order); a stable sort keeps each group's own order."""
+    order = np.argsort(group, kind="stable")
+    return classify_packed(kind[order], addr[order], nbytes[order],
+                           mapping, group=group[order])
+
+
 class TestPackedClassificationProperties:
     """``classify_packed`` against the per-request bank state machine."""
 
     @given(packed_columns(request_sizes), mappings)
     @settings(max_examples=80)
     def test_groups_classify_independently(self, cols, mapping):
-        got = classify_packed(*cols[:3], mapping, group=cols[3])
+        got = _classify_group_major(*cols, mapping)
         assert _as_dict(got) == _per_group_counts(*cols, mapping)
+
+    @given(packed_columns(request_sizes, contiguous_groups=True),
+           mappings, st.lists(st.integers(1, 5), min_size=4, max_size=4))
+    @settings(max_examples=60)
+    def test_weights_multiply_group_counts(self, cols, mapping, weight):
+        got = classify_packed(*cols[:3], mapping, group=cols[3],
+                              weight=np.array(weight, np.int64))
+        expect = {p: 0 for p in PATTERNS}
+        for g in np.unique(cols[3]).tolist():
+            sel = cols[3] == g
+            one = classify_bank_stream(
+                _requests(*(c[sel] for c in cols[:3])), mapping)
+            for p in PATTERNS:
+                expect[p] += weight[g] * one[p]
+        assert _as_dict(got) == expect
+        assert all(type(n) is int for n in got.counts.values())
 
     @given(packed_columns(request_sizes), mappings)
     @settings(max_examples=80)
@@ -171,7 +202,7 @@ class TestPackedClassificationProperties:
         kind, addr, nbytes, group = cols
         # 8-aligned addresses keep every 1-8 byte request in its block
         addr = addr - addr % 8
-        got = classify_packed(kind, addr, nbytes, mapping, group=group)
+        got = _classify_group_major(kind, addr, nbytes, group, mapping)
         assert _as_dict(got) == _per_group_counts(kind, addr, nbytes,
                                                   group, mapping)
 
@@ -184,38 +215,207 @@ class TestPackedClassificationProperties:
 
 
 class TestPackedCoalescingProperties:
-    """The batched coalescer is the per-group coalescer, concatenated."""
+    """The columnar coalescer is the greedy access-by-access merge."""
 
     @staticmethod
-    def _per_group(kind, addr, nbytes, group, unit):
-        out = [[], [], [], []]
-        if group.shape[0] == 0:
-            return out
-        bounds = np.flatnonzero(np.diff(group)) + 1
-        for lo, hi in zip([0, *bounds.tolist()],
-                          [*bounds.tolist(), group.shape[0]]):
-            rk, ra, rn = coalesce_packed(kind[lo:hi], addr[lo:hi],
-                                         nbytes[lo:hi], unit)
-            out[0] += rk.tolist()
-            out[1] += ra.tolist()
-            out[2] += rn.tolist()
-            out[3] += [int(group[lo])] * rk.shape[0]
-        return out
+    def _greedy(kind, addr, nbytes, unit):
+        unit_bytes = max(unit // 8, 1)
+        reqs = []
+        for k, a, n in zip(kind.tolist(), addr.tolist(), nbytes.tolist()):
+            last = reqs[-1] if reqs else None
+            if last and last[0] == k and last[1] + last[2] == a \
+                    and last[2] + n <= unit_bytes:
+                last[2] += n
+            else:
+                reqs.append([k, a, n])
+        return [list(c) for c in zip(*reqs)] if reqs else [[], [], []]
 
-    @given(packed_columns(sizes, contiguous_groups=True),
-           st.sampled_from([8, 64, 512]))
+    @given(packed_columns(sizes), st.sampled_from([8, 64, 512]))
     @settings(max_examples=80)
     def test_mixed_sizes(self, cols, unit):
-        got = coalesce_packed_groups(*cols, unit)
-        assert [c.tolist() for c in got] == self._per_group(*cols, unit)
+        got = coalesce_packed(*cols[:3], unit)
+        assert [c.tolist() for c in got] == self._greedy(*cols[:3], unit)
 
-    @given(sizes.flatmap(lambda nb: packed_columns(
-               st.just(nb), contiguous_groups=True)),
+    @given(sizes.flatmap(lambda nb: packed_columns(st.just(nb))),
            st.sampled_from([8, 64, 512]))
     @settings(max_examples=80)
     def test_uniform_size(self, cols, unit):
-        got = coalesce_packed_groups(*cols, unit)
-        assert [c.tolist() for c in got] == self._per_group(*cols, unit)
+        got = coalesce_packed(*cols[:3], unit)
+        assert [c.tolist() for c in got] == self._greedy(*cols[:3], unit)
+
+
+#: Virtex-7 (8 banks), KU060 (16 banks) and a geometry whose bank count
+#: and interleave block are not powers of two
+DEVICES = [VIRTEX7, KU060, dataclasses.replace(
+    VIRTEX7, name="six-bank", dram_banks=6, dram_row_bytes=960,
+    dram_interleave_bytes=48)]
+TABLE = pattern_table_for(VIRTEX7)
+
+
+@st.composite
+def window_traces(draw):
+    """Profiled work-groups that drive every branch of the window plan.
+
+    Each site's address moves by a per-group delta: one delta for all
+    sites shifts whole groups by a scalar, distinct ones by per-access
+    deltas, which may or may not keep the stand-in's contiguous runs.
+    Groups may be empty, shortened (so no pair matches, or the stand-in
+    for a congruence class has another length: replays) or scrambled;
+    sizes may be mixed and unaligned addresses make requests cross
+    interleave blocks."""
+    wg = draw(st.integers(1, 4))
+    scalar = draw(st.booleans())
+    shared_delta = draw(st.sampled_from([0, 4, 60, 64, 4096, -128]))
+    sites = []
+    base = draw(st.integers(0, 1 << 12))
+    for _ in range(draw(st.integers(1, 4))):
+        nb = draw(st.sampled_from([4, 4, 4, 8, 2, 48]))
+        sites.append((
+            draw(st.integers(0, 1)),                  # kind
+            base, nb,
+            draw(st.sampled_from([nb, nb, 0, 2 * nb, 256])),  # lane stride
+            shared_delta if scalar else draw(
+                st.sampled_from([0, 4, 8, 16, 64, 4096, -64]))))
+        # the next site may start where this one ends (runs that a
+        # per-access shift can break) or a little past it
+        base += draw(st.sampled_from([0, nb, 4, wg * nb, 512, 100]))
+    groups = []
+    for g in range(draw(st.integers(1, 4))):
+        shape = draw(st.sampled_from(
+            ["same", "same", "same", "empty", "short", "scrambled"]))
+        lanes = []
+        for lane in range(wg):
+            trace = []
+            if shape != "empty":
+                for kind, site_base, nb, stride, delta in sites:
+                    addr = site_base + lane * stride + g * delta
+                    if shape == "scrambled":
+                        addr = draw(st.integers(0, 1 << 12))
+                    trace.append(MemAccess("read" if kind == 0 else "write",
+                                           addr, nb, "buf"))
+            if shape == "short" and lane == wg - 1:
+                trace = trace[:-1]
+            lanes.append(trace)
+        groups.append(pack_group(lanes))
+    return SimpleNamespace(
+        traces=SimpleNamespace(global_traces=PackedTraces(groups, wg)),
+        num_work_groups=draw(st.integers(1, 40)), work_group_size=wg)
+
+
+def per_group_row(info, device, pipelined, coalescing):
+    """Eq. 9's ingredients summed group by group over ``stream(g)``."""
+    extrapolator = GroupStreamExtrapolator(info.traces.global_traces,
+                                           pipelined=pipelined)
+    mapping = BankMapping.for_device(device)
+    unit = device.mem_access_unit_bits if coalescing else 8
+    window = min(info.num_work_groups, 96)
+    counts = PatternCounts()
+    requests = accesses = 0
+    for g in range(window):
+        stream = extrapolator.stream(g)
+        rk, ra, rn = coalesce_packed(stream.kind, stream.addr,
+                                     stream.nbytes, unit)
+        for p, n in classify_packed(rk, ra, rn, mapping).counts.items():
+            counts.add(p, n)
+        requests += rk.shape[0]
+        accesses += len(stream)
+    return counts, round(requests / window), round(accesses / window), \
+        TABLE.weighted_latency(counts) / (window * info.work_group_size)
+
+
+def assert_row_is_per_group_sum(info, device, pipelined, coalescing):
+    got = memory_model(info, device, pipelined=pipelined,
+                       coalescing=coalescing, table=TABLE)
+    counts, requests, accesses, latency = per_group_row(
+        info, device, pipelined, coalescing)
+    assert got.pattern_counts.counts == counts.counts
+    assert all(type(n) is int for n in got.pattern_counts.counts.values())
+    assert (got.requests_per_group, got.accesses_per_group,
+            got.latency_per_wi) == (requests, accesses, latency)
+
+
+class TestWindowModelProperties:
+    """``memory_model`` does its work once per distinct stream; the
+    result must be the per-group sum over the reconstructed streams."""
+
+    @pytest.mark.parametrize("device", DEVICES, ids=lambda d: d.name)
+    @given(info=window_traces(), pipelined=st.booleans(),
+           coalescing=st.booleans())
+    @settings(max_examples=120, deadline=None)
+    def test_row_is_per_group_sum(self, device, info, pipelined,
+                                  coalescing):
+        assert_row_is_per_group_sum(info, device, pipelined, coalescing)
+
+
+#: catalog kernels and work-group sizes whose windows between them take
+#: every branch of the plan: scalar shift, per-access shift that keeps
+#: or breaks the stand-in's runs, periodic and fallback replay, empty
+#: profiled groups and block-crossing requests (no catalog kernel mixes
+#: access sizes; the property test above covers that)
+CATALOG_SAMPLE = [("rodinia/gaussian/fan2", 256),
+                  ("polybench/jacobi-2d/jacobi2d", 32),
+                  ("rodinia/bfs/bfs_2", 64)]
+
+
+@pytest.fixture(scope="module")
+def catalog_infos():
+    from repro.evaluation import make_analyzer
+    from repro.workloads import registry
+    by_name = {w.qualified_name: w for w in registry.all_workloads()}
+    return {name: make_analyzer(by_name[name], VIRTEX7)(wg)
+            for name, wg in CATALOG_SAMPLE}
+
+
+def _runs(stream):
+    """Where the stream's contiguous same-kind runs break."""
+    kind, addr, nbytes = stream.kind, stream.addr, stream.nbytes
+    return ((kind[1:] != kind[:-1])
+            | (addr[1:] != addr[:-1] + nbytes[:-1])).tolist()
+
+
+def plan_branches(info, pipelined):
+    """The plan branches the window of *info* takes."""
+    extrapolator = GroupStreamExtrapolator(info.traces.global_traces,
+                                           pipelined=pipelined)
+    n = extrapolator.profiled_groups
+    taken = {"empty"} if any(len(extrapolator.stand_in(i)) == 0
+                             for i in range(n)) else set()
+    for g in range(min(info.num_work_groups, 96)):
+        index, shift = extrapolator.placement(g)
+        stand_in, stream = extrapolator.stand_in(index), \
+            extrapolator.stream(g)
+        if shift is None and g >= n:
+            taken.add("fallback replay" if extrapolator.period is None
+                      else "periodic replay")
+        elif shift is not None and np.ndim(shift[0]) == 0:
+            taken.add("scalar shift")
+        elif shift is not None:
+            taken.add("runs kept" if _runs(stream) == _runs(stand_in)
+                      else "runs broken")
+        rk, ra, rn = coalesce_packed(stream.kind, stream.addr,
+                                     stream.nbytes)
+        if (ra % 64 + rn > 64).any():
+            taken.add("block crossing")
+    return taken
+
+
+class TestWindowModelCatalog:
+    @pytest.mark.parametrize("name", [n for n, _ in CATALOG_SAMPLE])
+    @pytest.mark.parametrize("pipelined", [True, False])
+    @pytest.mark.parametrize("coalescing", [True, False])
+    def test_row_is_per_group_sum(self, catalog_infos, name, pipelined,
+                                  coalescing):
+        for device in DEVICES:
+            assert_row_is_per_group_sum(catalog_infos[name], device,
+                                        pipelined, coalescing)
+
+    def test_sample_takes_every_branch(self, catalog_infos):
+        taken = set().union(*(plan_branches(info, pipelined)
+                              for info in catalog_infos.values()
+                              for pipelined in (True, False)))
+        assert taken == {"empty", "scalar shift", "runs kept",
+                         "runs broken", "periodic replay",
+                         "fallback replay", "block crossing"}
 
 
 class TestControllerProperties:
