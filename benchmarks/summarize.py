@@ -37,10 +37,6 @@ HEADLINES = [
      "KU060 HotSpot error", "9.7%"),
     ("robustness_ku060", r"pathfinder\s+dynproc\s+([\d.]+)",
      "KU060 pathfinder error", "13.6%"),
-    ("surrogate", r"held-out Spearman: ([\d.]+)",
-     "surrogate held-out Spearman", ">=0.90"),
-    ("surrogate", r"instant p50: ([\d.]+) ms",
-     "serve instant-tier p50 (ms)", "<1ms"),
 ]
 
 

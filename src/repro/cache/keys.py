@@ -35,7 +35,6 @@ SCHEMA_VERSIONS: Dict[str, int] = {
     "pe": 2,         # PEModelResult rows, keyed by model.pe.pe_memo_key
     "memory": 1,     # MemoryModelResult rows spilled from FlexCL's memo
     "table1": 1,     # per-device PatternLatencyTable (Table 1)
-    "surrogate": 1,  # trained surrogate model artefacts (repro.surrogate)
 }
 
 

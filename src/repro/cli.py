@@ -15,9 +15,7 @@
     python -m repro workloads [--suite rodinia]
     python -m repro patterns [--device virtex7]
     python -m repro suite [--suite rodinia] [--jobs N|auto] [--limit K]
-        [--programs] [--export-features PATH]
-    python -m repro surrogate train|info [--device virtex7]
-        [--suite rodinia --limit K --designs D] [--from-features PATH]
+        [--programs]
     python -m repro cache stats|clear|path [--cache-dir DIR] [--json]
     python -m repro serve [--host H --port P --jobs N]
         [--executor auto|process|thread] [--queue-limit N]
@@ -274,8 +272,7 @@ def _predict_spec(args) -> dict:
     spec.update(wg=args.wg, pe=args.pe, cu=args.cu,
                 vector=args.vector, mode=args.mode,
                 pipeline=not args.no_pipeline,
-                simulate=args.simulate,
-                tier=getattr(args, "tier", "exact"))
+                simulate=args.simulate)
     return spec
 
 
@@ -306,21 +303,6 @@ def cmd_predict(args) -> int:
         print(f"workload : {payload['workload']}")
     print(f"design   : {design}")
     print(f"device   : {payload['device']}")
-    if payload["tier"] == "instant":
-        surro = payload["surrogate"]
-        print("tier     : instant (learned surrogate, approximate)")
-        print(f"cycles   : {pred['cycles']:,.0f} "
-              f"({pred['seconds']*1e3:.3f} ms at "
-              f"{pred['clock_mhz']:.0f} MHz)")
-        print(f"interval : [{pred['cycles_lo']:,.0f}, "
-              f"{pred['cycles_hi']:,.0f}] cycles "
-              f"(~95%, sigma_log {pred['sigma_log']:.3f})")
-        print(f"model    : {surro['stumps']} stumps over "
-              f"{surro['features']} features, "
-              f"{surro['rows']} training rows "
-              f"({surro['kernels']} kernels)")
-        _print_cache_line(cache)
-        return 0
     if "traces" in payload:
         print(f"traces   : {payload['traces']['provenance']} "
               f"(summary: {payload['traces']['summary']})")
@@ -460,9 +442,6 @@ def cmd_suite(args) -> int:
     from repro.evaluation import run_suite
     from repro.serve import api as serve_api
 
-    if args.json and args.export_features:
-        raise CLIError("--export-features writes NDJSON to its own "
-                       "file; drop --json")
     spec = {"suite": args.suite, "limit": args.limit,
             "designs": args.designs, "device": args.device}
     cache = _open_cache(args)
@@ -476,12 +455,7 @@ def cmd_suite(args) -> int:
         raise _cli_error(exc) from None
     device = device_by_name(args.device)
     result = run_suite(catalog, device, jobs=args.jobs, cache=cache,
-                       designs_per_kernel=args.designs,
-                       collect_features=bool(args.export_features))
-    if args.export_features:
-        from repro.surrogate import export_features
-        written = export_features(args.export_features, result)
-        print(f"wrote {written} feature rows to {args.export_features}")
+                       designs_per_kernel=args.designs)
     by_workload = result.by_workload()
     for name in sorted(by_workload):
         preds = by_workload[name]
@@ -520,72 +494,6 @@ def _suite_programs(device, cache) -> None:
               f"dram {dram.cycles:>14,.0f}  "
               f"pipe {pipe.cycles:>14,.0f} cycles  "
               f"({len(graph.stages)} stages)")
-
-
-def cmd_surrogate(args) -> int:
-    """Run the `surrogate` subcommand: train or inspect the learned
-    latency surrogate behind ``predict --tier instant`` (see
-    docs/SURROGATE.md)."""
-    from repro.devices import device_by_name
-
-    device = device_by_name(args.device)
-    cache = _open_cache(args)
-    if cache is None:
-        raise CLIError("the surrogate artifact lives in the persistent "
-                       "cache; remove --no-cache (or set "
-                       "REPRO_CACHE_DIR)")
-    if args.action == "info":
-        from repro.surrogate import load_model
-        model = load_model(cache, device, args.tag)
-        if model is None:
-            print(f"no trained surrogate for device '{device.name}' "
-                  f"(tag '{args.tag}'); run 'repro surrogate train'")
-            return 1
-        for key, value in sorted(model.describe().items()):
-            print(f"{key:<15}: {value}")
-        return 0
-
-    from repro.surrogate import (
-        load_feature_file,
-        save_model,
-        train_with_holdout,
-        training_rows,
-    )
-    if args.from_features:
-        from repro.surrogate import FeatureSchemaError
-        try:
-            X, cycles, kernels = load_feature_file(args.from_features)
-        except (OSError, FeatureSchemaError) as exc:
-            raise CLIError(str(exc)) from None
-        print(f"loaded {len(cycles)} rows from {args.from_features}")
-    else:
-        from repro.evaluation import default_suite_workloads, run_suite
-        try:
-            catalog = default_suite_workloads(args.suite, args.limit)
-        except ValueError as exc:
-            raise CLIError(str(exc)) from None
-        result = run_suite(catalog, device, jobs=args.jobs, cache=cache,
-                           designs_per_kernel=args.designs,
-                           collect_features=True)
-        X, cycles, kernels = training_rows(result)
-        print(f"collected {len(cycles)} rows from "
-              f"{result.workloads_evaluated} workloads in "
-              f"{result.elapsed_seconds:.1f}s")
-    if not len(cycles):
-        raise CLIError("no training rows were produced")
-    model, report = train_with_holdout(X, cycles, kernels,
-                                       rounds=args.rounds,
-                                       seed=args.seed)
-    save_model(cache, model, device, args.tag)
-    print(f"trained on {model.n_rows} rows "
-          f"({len(model.trained_on)} kernels), "
-          f"sigma_log {model.sigma:.3f}")
-    if report.test_rows:
-        print(f"held-out Spearman {report.spearman_overall:.4f} over "
-              f"{report.test_rows} rows "
-              f"({len(report.held_out)} kernels held out)")
-    print(f"saved surrogate for '{device.name}' (tag '{args.tag}')")
-    return 0
 
 
 def cmd_cache(args) -> int:
@@ -755,12 +663,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="disable work-item pipelining")
     p.add_argument("--simulate", action="store_true",
                    help="also run the System Run simulator")
-    p.add_argument("--tier", default="exact",
-                   choices=["exact", "instant"],
-                   help="answer tier: the exact analytical model "
-                        "(default) or the trained surrogate's "
-                        "approximate answer with confidence bounds "
-                        "(requires 'repro surrogate train')")
     add_json_arg(p)
     p.set_defaults(func=cmd_predict)
 
@@ -842,42 +744,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--programs", action="store_true",
                    help="also evaluate every multi-kernel program "
                         "end-to-end (dram and pipe realizations)")
-    p.add_argument("--export-features", metavar="PATH",
-                   help="also dump every prediction's surrogate "
-                        "feature vector + cycles as NDJSON training "
-                        "data (see docs/SURROGATE.md)")
     add_json_arg(p)
     add_cache_args(p)
     p.set_defaults(func=cmd_suite)
-
-    p = sub.add_parser("surrogate",
-                       help="train or inspect the learned latency "
-                            "surrogate behind 'predict --tier instant'")
-    p.add_argument("action", choices=["train", "info"])
-    p.add_argument("--device", default="virtex7",
-                   choices=["virtex7", "ku060"])
-    p.add_argument("--tag", default="default",
-                   help="artifact tag (multiple surrogates per device)")
-    p.add_argument("--suite", choices=["rodinia", "polybench"],
-                   help="training catalog slice (default: both suites)")
-    p.add_argument("--limit", type=int, default=0, metavar="K",
-                   help="train on only the first K kernels (0 = all)")
-    p.add_argument("--designs", type=int, default=32, metavar="D",
-                   help="sampled design points per kernel")
-    p.add_argument("--rounds", type=int, default=400, metavar="R",
-                   help="boosted-stump rounds")
-    p.add_argument("--seed", type=int, default=0,
-                   help="recorded in the artifact (training itself is "
-                        "deterministic)")
-    p.add_argument("--from-features", metavar="PATH",
-                   help="train from an NDJSON export "
-                        "('suite --export-features PATH') instead of "
-                        "running the evaluation suite")
-    p.add_argument("--jobs", "-j", type=_jobs_arg, default=None,
-                   metavar="N",
-                   help="worker processes for the training suite run")
-    add_cache_args(p)
-    p.set_defaults(func=cmd_surrogate)
 
     p = sub.add_parser("cache", help="inspect or clear the persistent "
                                      "analysis cache")

@@ -39,10 +39,6 @@ class SuitePrediction:
     #: "vectorized" / "scalar"); provenance only — rows() stays a
     #: 3-tuple so prediction equality checks are engine-agnostic
     trace_source: str = "scalar"
-    #: architecture-independent feature vector of this (kernel, design)
-    #: point, in :data:`repro.surrogate.FEATURE_NAMES` order — only
-    #: populated by ``run_suite(..., collect_features=True)``
-    features: Optional[Tuple[float, ...]] = None
 
     def row(self) -> Tuple[str, str, float]:
         return (self.workload, self.design, self.cycles)
@@ -82,8 +78,7 @@ class SuiteResult:
 
 
 def _evaluate_workload(workload: Workload, device, cache,
-                       designs_per_kernel: int,
-                       collect_features: bool = False
+                       designs_per_kernel: int
                        ) -> List[SuitePrediction]:
     """Analyse one workload and predict its sampled design points."""
     analyzer = make_analyzer(workload, device, cache=cache)
@@ -96,17 +91,11 @@ def _evaluate_workload(workload: Workload, device, cache,
         info = analyzer(design.work_group_size)
         if info is None:
             continue
-        features: Optional[Tuple[float, ...]] = None
-        if collect_features:
-            from repro.surrogate.features import feature_vector
-            features = tuple(float(v)
-                             for v in feature_vector(info, design))
         out.append(SuitePrediction(
             workload=workload.qualified_name,
             design=design.signature(),
             cycles=model.predict(info, design).cycles,
-            trace_source=getattr(info, "trace_source", "scalar"),
-            features=features))
+            trace_source=getattr(info, "trace_source", "scalar")))
     return out
 
 
@@ -118,11 +107,10 @@ _SUITE_STATE: Optional[tuple] = None
 def _run_suite_shard(indices: List[int]
                      ) -> Tuple[List[Tuple[int, List[SuitePrediction]]],
                                 StoreStats]:
-    (workloads, device, cache, designs_per_kernel,
-     collect_features) = _SUITE_STATE
+    workloads, device, cache, designs_per_kernel = _SUITE_STATE
     before = cache.stats.copy() if cache is not None else StoreStats()
     out = [(i, _evaluate_workload(workloads[i], device, cache,
-                                  designs_per_kernel, collect_features))
+                                  designs_per_kernel))
            for i in indices]
     after = cache.stats.copy() if cache is not None else StoreStats()
     return out, after - before
@@ -130,8 +118,7 @@ def _run_suite_shard(indices: List[int]
 
 def run_suite(workloads: Sequence[Workload], device,
               jobs=None, cache=None,
-              designs_per_kernel: int = 8,
-              collect_features: bool = False) -> SuiteResult:
+              designs_per_kernel: int = 8) -> SuiteResult:
     """Predict *designs_per_kernel* sampled design points for every
     workload in *workloads* on *device*.
 
@@ -141,10 +128,6 @@ def run_suite(workloads: Sequence[Workload], device,
     store cooperatively and warm runs are embarrassingly fast.  Results
     are returned in catalog order and are identical for any *jobs*
     value and any cache state.
-
-    *collect_features* attaches the architecture-independent surrogate
-    feature vector to every prediction (see :mod:`repro.surrogate`) —
-    the training-data hook behind ``repro suite --export-features``.
     """
     start = time.perf_counter()
     workloads = list(workloads)
@@ -160,8 +143,7 @@ def run_suite(workloads: Sequence[Workload], device,
         n_jobs = min(n_jobs, len(workloads))
         shards = [list(range(s, len(workloads), n_jobs))
                   for s in range(n_jobs)]
-        _SUITE_STATE = (workloads, device, cache, designs_per_kernel,
-                        collect_features)
+        _SUITE_STATE = (workloads, device, cache, designs_per_kernel)
         try:
             ctx = multiprocessing.get_context("fork")
             with concurrent.futures.ProcessPoolExecutor(
@@ -185,7 +167,7 @@ def run_suite(workloads: Sequence[Workload], device,
         for workload in workloads:
             result.predictions.extend(
                 _evaluate_workload(workload, device, cache,
-                                   designs_per_kernel, collect_features))
+                                   designs_per_kernel))
         if before is not None:
             result.store_stats = cache.stats - before
 

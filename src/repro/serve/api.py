@@ -22,8 +22,12 @@ Request shapes (all fields beyond the required ones have defaults):
     {"source": "<OpenCL C>", "kernel": "saxpy", "global_size": 4096,
      "wg": 64, "pe": 1, "cu": 1, "vector": 1, "mode": "pipeline",
      "pipeline": true, "wg_pipeline": false, "device": "virtex7",
-     "args": {"alpha": 2.0}, "simulate": false, "tier": "exact"}
+     "args": {"alpha": 2.0}, "simulate": false}
     {"workload": "rodinia/nw/nw1", "wg": 16}         # catalog form
+
+The exact analytical model is the only answer path: a ``"tier"`` field
+other than ``"exact"`` is refused, and every predict payload carries
+``"tier": "exact"``.
 
 ``explore`` (every feasible design of the default space, exactly)::
 
@@ -62,10 +66,6 @@ from repro.cache.hot import HotCache
 #: design parameters shared by the predict spec and the CLI flags
 COMM_MODES = ("pipeline", "barrier")
 REALIZATION_MODES = ("dram", "pipe", "both")
-#: /predict answer tiers: the exact analytical model, or the learned
-#: surrogate's approximate-but-instant answer with confidence bounds
-PREDICT_TIERS = ("exact", "instant")
-
 #: upper bound on a request's ``global_size`` and ``wg``: buffers hold
 #: ``global_size`` elements and the profiler's lane vectors are a few
 #: work-groups long, so larger launches are refused before anything is
@@ -200,13 +200,13 @@ def normalize_predict_spec(spec: dict) -> dict:
         pipeline=_as_bool(spec, "pipeline", True),
         wg_pipeline=_as_bool(spec, "wg_pipeline", False),
         simulate=_as_bool(spec, "simulate", False),
-        tier=_choice(spec, "tier", "exact", PREDICT_TIERS),
     )
+    if (spec.get("tier") or "exact") != "exact":
+        raise ApiError("the instant tier is retired; the exact model "
+                       "answers /predict")
     if min(out["wg"], out["pe"], out["cu"], out["vector"]) < 1:
         raise ApiError("design parameters must be positive")
     _launch_size(out["wg"], "wg")
-    if out["tier"] == "instant" and out["simulate"]:
-        raise ApiError("'simulate' requires the exact tier")
     return out
 
 
@@ -424,12 +424,9 @@ def spec_design(spec):
 
 
 def predict_payload(spec: dict, cache=None,
-                    module_memo: Optional[HotCache] = None,
-                    instant_memo: Optional[HotCache] = None) -> dict:
+                    module_memo: Optional[HotCache] = None) -> dict:
     """Model one design point; the payload behind ``predict --json``
-    and ``POST /predict``.  ``"tier": "instant"`` routes to the learned
-    surrogate (:func:`instant_predict_payload`) instead of the exact
-    analytical model."""
+    and ``POST /predict``."""
     from repro.analysis import analyze_kernel
     from repro.devices import device_by_name
     from repro.dse import check_feasibility
@@ -438,10 +435,6 @@ def predict_payload(spec: dict, cache=None,
     from repro.model.area import estimate_area
 
     spec = normalize_predict_spec(spec)
-    if spec["tier"] == "instant":
-        return instant_predict_payload(spec, cache=cache,
-                                       module_memo=module_memo,
-                                       instant_memo=instant_memo)
     device = device_by_name(spec["device"])
     fn, workload = resolve_kernel(spec, module_memo)
     global_size = _spec_global_size(spec, workload)
@@ -506,101 +499,6 @@ def predict_payload(spec: dict, cache=None,
             "model_error": abs(prediction.cycles - actual.cycles)
             / actual.cycles,
         }
-    return payload
-
-
-def _require_surrogate(cache, device):
-    """The trained surrogate for *device*, or a client-facing error
-    telling the caller how to get one."""
-    from repro.surrogate import load_model
-    model = load_model(cache, device) if cache is not None else None
-    if model is None:
-        raise ApiError(
-            f"no trained surrogate for device '{device.name}' "
-            "(or the cache is disabled); run 'repro surrogate train' "
-            "first")
-    return model
-
-
-def instant_predict_payload(spec: dict, cache=None,
-                            module_memo: Optional[HotCache] = None,
-                            instant_memo: Optional[HotCache] = None) -> dict:
-    """Approximate /predict answer from the learned surrogate.
-
-    Mirrors the exact payload's skeleton (kernel/device/design/
-    feasibility) but the prediction carries surrogate cycles plus
-    lognormal confidence bounds instead of the analytical model's
-    breakdown.  *instant_memo* (a :class:`~repro.cache.hot.HotCache`
-    owned by the caller, typically the serve daemon) memoizes the
-    loaded model and the per-work-group-size kernel analyses, which is
-    what makes warm repeat requests sub-millisecond.
-    """
-    from repro.analysis import analyze_kernel
-    from repro.devices import device_by_name
-    from repro.dse import check_feasibility
-    from repro.interp import NDRange
-    from repro.surrogate.features import feature_vector
-
-    spec = normalize_predict_spec(spec)
-    if spec["tier"] != "instant":
-        raise ApiError("instant_predict_payload needs tier='instant'")
-    device = device_by_name(spec["device"])
-    memo = instant_memo if instant_memo is not None else HotCache()
-
-    _, model = memo.get("instant-model", device.name)
-    if model is None:
-        model = _require_surrogate(cache, device)
-        memo.put("instant-model", device.name, model,
-                 write_through=False)
-
-    fn, workload = resolve_kernel(spec, module_memo)
-    global_size = _spec_global_size(spec, workload)
-    design = spec_design(spec)
-    payload: dict = {
-        "kernel": fn.name,
-        "device": device.name,
-        "global_size": global_size,
-        "design": _design_payload(design),
-        "tier": "instant",
-    }
-    if workload is not None:
-        payload["workload"] = workload.qualified_name
-    if global_size % spec["wg"] != 0:
-        payload["feasible"] = False
-        payload["reason"] = "work-group size does not divide the NDRange"
-        return payload
-
-    info_slot = (spec["workload"] or function_fingerprint(fn),
-                 device.name, global_size, spec["wg"],
-                 tuple(sorted(spec["args"].items())))
-    _, info = memo.get("instant-info", info_slot)
-    if info is None:
-        buffers, scalars = _spec_inputs(fn, workload, global_size,
-                                        spec["args"])
-        info = analyze_kernel(fn, buffers, scalars,
-                              NDRange(global_size, spec["wg"]), device,
-                              cache=cache)
-        memo.put("instant-info", info_slot, info, write_through=False)
-
-    reason = check_feasibility(info, design, device)
-    if reason is not None:
-        payload["feasible"] = False
-        payload["reason"] = reason
-        return payload
-
-    payload["feasible"] = True
-    x = np.asarray(feature_vector(info, design), dtype=np.float64)
-    cycles = float(model.predict_cycles(x[None, :])[0])
-    lo, hi = model.confidence(cycles)
-    payload["prediction"] = {
-        "cycles": cycles,
-        "cycles_lo": float(lo),
-        "cycles_hi": float(hi),
-        "sigma_log": float(model.sigma),
-        "seconds": cycles / (device.clock_mhz * 1e6),
-        "clock_mhz": device.clock_mhz,
-    }
-    payload["surrogate"] = model.describe()
     return payload
 
 
@@ -891,8 +789,7 @@ def request_key(endpoint: str, spec: dict,
             _spec_global_size(spec, workload),
             spec_design(spec).signature(),
             sorted(spec["args"].items()),
-            spec["simulate"], spec["tier"],
-            spec["workload"] or "")
+            spec["simulate"], spec["workload"] or "")
     if endpoint == "explore":
         spec = normalize_explore_spec(spec)
         fn, workload = resolve_kernel(spec, module_memo)

@@ -12,10 +12,10 @@ profiling, or model evaluation for repeated questions:
   a content fingerprint (canonical IR + design point + device), never
   request text — attach to the one in-flight evaluation and all
   receive its bytes (or its error);
-- **bounded worker pool**: cold evaluations run on a forked process
-  pool (or threads, ``--executor thread``) sized by ``--jobs``;
-  explore/suite requests are sharded across it and can stream NDJSON
-  progress;
+- **bounded worker pool**: cold evaluations — every /predict answer is
+  the exact analytical model's — run on a forked process pool (or
+  threads, ``--executor thread``) sized by ``--jobs``; explore/suite
+  requests are sharded across it and can stream NDJSON progress;
 - **backpressure**: when the admission queue is full new evaluations
   are refused with ``503`` + ``Retry-After`` instead of queueing
   unboundedly (cache hits and coalesced attaches are always admitted).
@@ -51,9 +51,9 @@ from repro.serve.pool import WorkerPool
 #: ever be a mistake or abuse; real specs are a few KiB)
 MAX_BODY_BYTES = 8 * 1024 * 1024
 DEFAULT_QUEUE_LIMIT = 64
-#: capacity of the memory-only memo holding compiled inline sources and
-#: instant-tier kernel analyses (each distinct source or ``args`` map
-#: adds one entry, so it must be bounded like the hot tier)
+#: capacity of the memory-only memo holding compiled inline sources
+#: (each distinct source adds one entry, so it must be bounded like the
+#: hot tier)
 MEMO_ENTRIES = 256
 
 
@@ -90,10 +90,9 @@ class PredictionServer:
         shared = None if config.no_cache else self.hot
         self.pool = WorkerPool(jobs=config.jobs, mode=config.executor,
                                shared_cache=shared)
-        #: compiled inline sources plus the instant tier's surrogate
-        #: models and kernel analyses (what makes warm instant answers
-        #: sub-ms); an LRU of its own, so a flood of distinct sources
-        #: never evicts rendered responses from the hot tier
+        #: compiled inline sources, keyed for request identity; an LRU
+        #: of its own, so a flood of distinct sources never evicts
+        #: rendered responses from the hot tier
         self._memo = HotCache(max_entries=MEMO_ENTRIES)
         self._inflight: Dict[str, asyncio.Future] = {}
         self._active = 0              # evaluations admitted, not done
@@ -142,15 +141,12 @@ class PredictionServer:
     async def answer(self, endpoint: str, spec: dict
                      ) -> Tuple[bytes, str]:
         """Answer one cacheable request: returns ``(body, outcome)``
-        with outcome 'hot' | 'coalesced' | 'evaluated' | 'instant'.
+        with outcome 'hot' | 'coalesced' | 'evaluated'.
 
         The fast path never enters the worker pool; only a genuinely
         new evaluation consumes an admission slot, so a loaded server
         keeps answering warm and duplicate requests while refusing new
-        work.  Instant-tier predicts also bypass the pool: the
-        surrogate scores them on a helper thread against the server's
-        own memo, so a warm instant answer costs one feature vector and
-        one matrix product.
+        work.
         """
         key = request_key(endpoint, spec, self._memo)
         found, body = self.hot.get("response", key)
@@ -165,8 +161,6 @@ class PredictionServer:
                 f"admission queue full "
                 f"({self._active}/{self.config.queue_limit} "
                 f"evaluations in flight)")
-        instant = (endpoint == "predict"
-                   and spec.get("tier", "exact") == "instant")
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()
         # Waiters with no reader left must not surface "exception never
@@ -176,14 +170,8 @@ class PredictionServer:
         self._inflight[key] = future
         self._active += 1
         try:
-            if instant:
-                cache = None if self.config.no_cache else self.hot
-                payload = await asyncio.to_thread(
-                    api.instant_predict_payload, spec, cache,
-                    self._memo, self._memo)
-            else:
-                payload = await asyncio.wrap_future(
-                    self.pool.submit(self._task_for(endpoint, spec)))
+            payload = await asyncio.wrap_future(
+                self.pool.submit(self._task_for(endpoint, spec)))
             body = encode_body(payload)
         except BaseException as exc:
             # A failed computation is never cached; every coalesced
@@ -194,7 +182,7 @@ class PredictionServer:
             self._harvest_trace_paths(payload)
             self.hot.put("response", key, body, write_through=False)
             future.set_result(body)
-            return body, "instant" if instant else "evaluated"
+            return body, "evaluated"
         finally:
             self._active -= 1
             self._inflight.pop(key, None)

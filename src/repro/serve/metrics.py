@@ -1,9 +1,12 @@
 """Serve-side observability: latency windows and request counters.
 
 Everything here is in-process bookkeeping for the ``/metrics``
-endpoint.  Counters are guarded by a lock because completions land from
-worker-pool callback threads as well as the event loop; none of it is
-on the hot path of a cached request beyond one lock acquisition.
+endpoint: per-endpoint request counts with each answer's source (hot
+tier, coalesced, or freshly evaluated), latency percentiles, the
+coalescing rate, and trace-engine provenance.  Counters are guarded by
+a lock because completions land from worker-pool callback threads as
+well as the event loop; none of it is on the hot path of a cached
+request beyond one lock acquisition.
 """
 
 from __future__ import annotations
@@ -71,14 +74,10 @@ class EndpointMetrics:
         self.hot_hits = 0
         self.coalesced = 0
         self.evaluations = 0
-        self.instant = 0
         self.latency = LatencyWindow()
-        #: latency of instant-tier answers alone, so the surrogate's
-        #: sub-millisecond story is visible next to the mixed window
-        self.instant_latency = LatencyWindow()
 
     def snapshot(self) -> Dict[str, object]:
-        out = {
+        return {
             "requests": self.requests,
             "errors": self.errors,
             "hot_hits": self.hot_hits,
@@ -86,10 +85,6 @@ class EndpointMetrics:
             "evaluations": self.evaluations,
             "latency": self.latency.snapshot(),
         }
-        if self.instant:
-            out["instant"] = self.instant
-            out["instant_latency"] = self.instant_latency.snapshot()
-        return out
 
 
 class ServerMetrics:
@@ -118,8 +113,7 @@ class ServerMetrics:
     def observe(self, name: str, status: int, latency_ms: float,
                 outcome: Optional[str] = None) -> None:
         """Record one finished request.  *outcome* attributes the
-        response source: 'hot', 'coalesced', 'evaluated', or 'instant'
-        (a surrogate-tier answer that never entered the worker pool)."""
+        response source: 'hot', 'coalesced' or 'evaluated'."""
         ep = self.endpoint(name)
         with self._lock:
             ep.requests += 1
@@ -131,11 +125,7 @@ class ServerMetrics:
                 ep.coalesced += 1
             elif outcome == "evaluated":
                 ep.evaluations += 1
-            elif outcome == "instant":
-                ep.instant += 1
         ep.latency.observe(latency_ms)
-        if outcome == "instant":
-            ep.instant_latency.observe(latency_ms)
         self.count_response(status)
 
     def count_trace_paths(self, counts: Dict[str, int]) -> None:
@@ -146,15 +136,6 @@ class ServerMetrics:
             for source, n in counts.items():
                 self.trace_paths[source] = \
                     self.trace_paths.get(source, 0) + n
-
-    def tiers_summary(self) -> Dict[str, object]:
-        """How answers split between the exact analytical model and the
-        surrogate's instant tier (fresh computations only — hot hits
-        re-serve whichever tier produced the cached body)."""
-        with self._lock:
-            instant = sum(e.instant for e in self._endpoints.values())
-            exact = sum(e.evaluations for e in self._endpoints.values())
-        return {"instant": instant, "exact": exact}
 
     def coalescing_summary(self) -> Dict[str, object]:
         with self._lock:
@@ -185,6 +166,5 @@ class ServerMetrics:
             "rejected": rejected,
             "endpoints": endpoints,
             "coalescing": self.coalescing_summary(),
-            "tiers": self.tiers_summary(),
             "trace_paths": trace_paths,
         }

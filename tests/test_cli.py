@@ -408,6 +408,19 @@ class TestStaticTraceFlag:
                 assert "unrecognized arguments" \
                     in capsys.readouterr().err
 
+    def test_retired_tier_flag_is_a_usage_error(self):
+        """The exact model is the only answer path: ``--tier`` is an
+        unrecognized argument, exit 2 with no traceback."""
+        import subprocess
+        import sys
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "predict", "--workload",
+             "polybench/atax/atax", "--tier", "instant"],
+            capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert "unrecognized arguments: --tier" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestVersion:
     def test_version_flag(self, capsys):

@@ -34,6 +34,7 @@ __kernel void saxpy(__global float *x, __global float *y,
 """
 
 PREDICT_SPEC = {"source": SAXPY, "global_size": 128, "wg": 32}
+STATIC_WORKLOAD = "rodinia/backprop/layer"
 
 #: request bodies that parse as JSON (``json.loads`` accepts the
 #: non-standard ``Infinity``/``NaN`` literals) but name no valid
@@ -68,6 +69,9 @@ HOSTILE_BODIES = {
     "wg-huge": (
         "/predict", json.dumps({"workload": "polybench/atax/atax",
                                 "wg": MAX_LAUNCH_SIZE + 1})),
+    "tier-instant": (
+        "/predict", json.dumps({"workload": "polybench/atax/atax",
+                                "tier": "instant"})),
 }
 
 
@@ -197,7 +201,7 @@ class TestBasics:
         the exhaustive sweep, byte for byte."""
         spec = {"source": SAXPY, "global_size": 32, "top": 3}
         status, retired = _post(server.url, "/explore",
-                                dict(spec, prefilter="surrogate",
+                                dict(spec, prefilter="ranked",
                                      top_k=8), timeout=300)
         assert status == 200
         status, plain = _post(server.url, "/explore", spec, timeout=300)
@@ -235,6 +239,23 @@ class TestBasics:
         assert "p50_ms" in m["endpoints"]["predict"]["latency"]
         assert 0.0 <= m["coalescing"]["rate"] <= 1.0
         assert m["cache"]["tiers"]["hot"]["capacity"] == 2048
+        assert "tiers" not in m
+
+    def test_exact_payload_carries_tier(self):
+        from repro.serve import api
+        payload = api.predict_payload(
+            {"workload": STATIC_WORKLOAD, "wg": 16})
+        assert payload["tier"] == "exact"
+
+    def test_request_key_ignores_retired_explore_fields(self):
+        """The retired explore ``prefilter``/``top_k`` fields are
+        unknown fields now, so they do not move the explore key."""
+        from repro.serve import api
+        ex = {"workload": STATIC_WORKLOAD}
+        assert api.request_key("explore", ex) == api.request_key(
+            "explore", dict(ex, prefilter="ranked"))
+        assert api.request_key("explore", ex) == api.request_key(
+            "explore", dict(ex, prefilter="ranked", top_k=128))
 
 
 class TestCoalescing:
