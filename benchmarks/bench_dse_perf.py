@@ -1,24 +1,21 @@
-"""DSE throughput benchmark: serial vs parallel, cold vs memoized.
+"""DSE throughput benchmark: cold vs memoized.
 
-Times a full design-space sweep of one kernel three ways —
+Times a full design-space sweep of one kernel two ways —
 
-- ``serial_cold``     : one process, sub-model memoization off (the
-  seed's per-point evaluation path: every design recomputes the PE
-  schedule and the memory model);
-- ``serial_memoized`` : one process, sub-model memoization on;
-- ``parallel_memoized``: memoization on, sharded by work-group size
-  across a forked process pool (``jobs='auto'``);
+- ``serial_cold``     : sub-model memoization off (the seed's per-point
+  evaluation path: every design recomputes the PE schedule and the
+  memory model);
+- ``serial_memoized`` : sub-model memoization on;
 
-asserts that all three sweeps agree design-for-design and
-cycle-for-cycle, and writes the timings, speedups, and cache statistics
-to ``BENCH_dse_perf.json`` so the perf trajectory is tracked PR over PR.
+asserts that both sweeps agree design-for-design and cycle-for-cycle,
+and writes the timings, speedup, and cache statistics to
+``BENCH_dse_perf.json`` so the perf trajectory is tracked PR over PR.
 
-The two serial sweeps also record the PE model's scheduler work
-(``schedules``): block list-schedule runs, SMS searches and SMS
-placement attempts, plus the number of distinct block-schedule keys.
-The memoized sweep must run exactly one list schedule per distinct key;
-the benchmark fails otherwise.  (The forked pool's children keep their
-own counts, so the parallel sweep records none.)
+Both sweeps also record the PE model's scheduler work (``schedules``):
+block list-schedule runs, SMS searches and SMS placement attempts, plus
+the number of distinct block-schedule keys.  The memoized sweep must
+run exactly one list schedule per distinct key; the benchmark fails
+otherwise.
 
 Every run also checks the memoized model's memory row for each
 work-group size and pipelining mode of the sweep against a per-group
@@ -39,14 +36,12 @@ Usage::
 
     PYTHONPATH=src python benchmarks/bench_dse_perf.py            # full sweep
     PYTHONPATH=src python benchmarks/bench_dse_perf.py --small    # CI smoke
-    PYTHONPATH=src python benchmarks/bench_dse_perf.py --jobs 4
     PYTHONPATH=src python benchmarks/bench_dse_perf.py --baseline old.json
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import os
 import platform
@@ -200,19 +195,17 @@ class _StageClock(_Patched):
         return wrap
 
 
-def _sweep(space, analyzer, device, memoize: bool, jobs):
+def _sweep(space, analyzer, device, memoize: bool):
     """Run one timed sweep with a fresh model; returns (result, seconds,
-    scheduler work or None for the forked pool, model)."""
+    scheduler work, model)."""
     model = FlexCL(device, memoize=memoize)
-    work = _SchedulerWork() if jobs is None else None
-    with work or contextlib.nullcontext():
+    with _SchedulerWork() as work:
         start = time.perf_counter()
         result = explore(space, analyzer,
                          lambda info, d: model.predict(info, d).cycles,
-                         device, jobs=jobs,
-                         cache_stats=lambda: model.cache_stats)
+                         device, cache_stats=lambda: model.cache_stats)
         elapsed = time.perf_counter() - start
-    return result, elapsed, work and work.payload(), model
+    return result, elapsed, work.payload(), model
 
 
 def _per_group_memory_row(info, device, pipelined: bool) -> tuple:
@@ -309,49 +302,40 @@ def _cache_payload(stats) -> dict:
     return out
 
 
-def run(small: bool = False, jobs="auto", n: int = 4096) -> dict:
+def run(small: bool = False, n: int = 4096) -> dict:
     if small:
         n = min(n, 256)
     analyzer = _make_analyzer(n)
     space = _space(small, n)
 
     cold, t_cold, work_cold, _ = _sweep(space, analyzer, VIRTEX7,
-                                        memoize=False, jobs=None)
+                                        memoize=False)
     memo, t_memo, work_memo, model = _sweep(space, analyzer, VIRTEX7,
-                                            memoize=True, jobs=None)
-    par, t_par, _, _ = _sweep(space, analyzer, VIRTEX7,
-                              memoize=True, jobs=jobs)
+                                            memoize=True)
 
-    sig = _signature(cold)
-    assert _signature(memo) == sig, \
+    assert _signature(memo) == _signature(cold), \
         "memoized sweep diverged from the cold sweep"
-    assert _signature(par) == sig, \
-        "parallel sweep diverged from the serial sweep"
     assert work_memo["list_schedule_runs"] \
         == work_memo["distinct_list_keys"], \
         f"memoized sweep repeated block list schedules: {work_memo}"
     memory_rows = _check_memory_rows(memo, analyzer, model, VIRTEX7)
 
-    stats = (par.cache_stats or memo.cache_stats)
+    stats = memo.cache_stats
     payload = {
         "kernel": "stream",
         "global_size": n,
         "space_size": space.size(),
         "feasible": len(cold.feasible),
         "small": small,
-        "jobs": par.jobs,
         "cpu_count": os.cpu_count(),
         "platform": platform.platform(),
         "python": platform.python_version(),
         "seconds": {
             "serial_cold": t_cold,
             "serial_memoized": t_memo,
-            "parallel_memoized": t_par,
         },
         "speedup": {
             "memoized_vs_cold": t_cold / max(t_memo, 1e-9),
-            "parallel_vs_cold": t_cold / max(t_par, 1e-9),
-            "parallel_vs_memoized": t_memo / max(t_par, 1e-9),
         },
         "cache": _cache_payload(stats) if stats is not None else None,
         "schedules": {"serial_cold": work_cold,
@@ -368,9 +352,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--small", action="store_true",
                         help="tiny space for CI smoke runs")
-    parser.add_argument("--jobs", default="auto",
-                        help="worker processes for the parallel sweep "
-                             "(int or 'auto')")
     parser.add_argument("--global-size", type=int, default=4096)
     parser.add_argument("--output", default=None,
                         help="output JSON path "
@@ -378,13 +359,9 @@ def main(argv=None) -> int:
     parser.add_argument("--baseline", default=None,
                         help="a BENCH_dse_perf.json from another checkout "
                              "whose catalog section to keep alongside")
-    parser.add_argument("--min-speedup", type=float, default=None,
-                        help="fail unless parallel+memoized beats the "
-                             "cold serial sweep by this factor")
     args = parser.parse_args(argv)
 
-    jobs = args.jobs if args.jobs == "auto" else int(args.jobs)
-    payload = run(small=args.small, jobs=jobs, n=args.global_size)
+    payload = run(small=args.small, n=args.global_size)
     if args.baseline:
         baseline = json.loads(Path(args.baseline).read_text())
         payload["catalog_baseline"] = baseline.get("catalog")
@@ -400,9 +377,6 @@ def main(argv=None) -> int:
     print(f"serial cold      : {secs['serial_cold']:8.2f} s")
     print(f"serial memoized  : {secs['serial_memoized']:8.2f} s "
           f"({speed['memoized_vs_cold']:.1f}x)")
-    print(f"parallel memoized: {secs['parallel_memoized']:8.2f} s "
-          f"({speed['parallel_vs_cold']:.1f}x, "
-          f"{payload['jobs']} workers)")
     if payload["cache"]:
         print(f"cache hit rate   : {payload['cache']['hit_rate']:.0%} "
               f"(pe {payload['cache']['pe_hit_rate']:.0%}, "
@@ -424,13 +398,6 @@ def main(argv=None) -> int:
                 f"{stage} {secs[stage]:.2f} s"
                 for stage in ("pe", "memory", "compose", "total")))
     print(f"[written to {out}]")
-
-    if args.min_speedup is not None \
-            and speed["parallel_vs_cold"] < args.min_speedup:
-        print(f"FAIL: parallel+memoized speedup "
-              f"{speed['parallel_vs_cold']:.1f}x < "
-              f"required {args.min_speedup:.1f}x", file=sys.stderr)
-        return 1
     return 0
 
 

@@ -37,7 +37,6 @@ Usage::
 
     PYTHONPATH=src python benchmarks/bench_suite_cache.py           # full catalog
     PYTHONPATH=src python benchmarks/bench_suite_cache.py --small   # CI smoke
-    PYTHONPATH=src python benchmarks/bench_suite_cache.py --jobs 4
 """
 
 from __future__ import annotations
@@ -97,13 +96,13 @@ def _scalar_reference():
         harness.analyze_kernel = original
 
 
-def _run(workloads, jobs, designs, cache, reference=False):
+def _run(workloads, designs, cache, reference=False):
     """One timed suite run; *reference* profiles every kernel with the
     scalar interpreter instead of the engine chain."""
     _fresh_process_state()
     with _scalar_reference() if reference else contextlib.nullcontext():
         t0 = time.perf_counter()
-        result = run_suite(workloads, VIRTEX7, jobs=jobs, cache=cache,
+        result = run_suite(workloads, VIRTEX7, cache=cache,
                            designs_per_kernel=designs)
         return result, time.perf_counter() - t0
 
@@ -124,44 +123,41 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--small", action="store_true",
                     help="CI smoke: first 6 kernels, relaxed speedup bar")
-    ap.add_argument("--jobs", default=2,
-                    help="worker processes (int or 'auto')")
     ap.add_argument("--designs", type=int, default=8,
                     help="sampled design points per kernel")
     ap.add_argument("--suite", choices=["rodinia", "polybench"],
                     default=None)
     args = ap.parse_args()
-    jobs = args.jobs if args.jobs == "auto" else int(args.jobs)
 
     limit = 6 if args.small else 0
     workloads = default_suite_workloads(args.suite, limit)
     print(f"suite-cache benchmark: {len(workloads)} workloads, "
-          f"{args.designs} designs/kernel, jobs={jobs}")
+          f"{args.designs} designs/kernel")
 
     cache_root = Path(tempfile.mkdtemp(prefix="repro-suite-cache-"))
     try:
         # 0. Scalar-interpreter-only cold path: the original baseline
         #    (no synthesis, no lane vectorization).
-        interp, t_interp = _run(workloads, jobs, args.designs, None,
+        interp, t_interp = _run(workloads, args.designs, None,
                                 reference=True)
         print(f"interp   : {t_interp:7.2f}s "
               f"({len(interp.predictions)} predictions, "
               f"scalar reference)")
 
         # 1. No cache at all: the reference behaviour and timings.
-        uncached, t_uncached = _run(workloads, jobs, args.designs, None)
+        uncached, t_uncached = _run(workloads, args.designs, None)
         print(f"uncached : {t_uncached:7.2f}s "
               f"({len(uncached.predictions)} predictions)")
 
         # 2. Cold: empty store, populate while evaluating.
         cold_cache = ArtifactCache(cache_root)
-        cold, t_cold = _run(workloads, jobs, args.designs, cold_cache)
+        cold, t_cold = _run(workloads, args.designs, cold_cache)
         print(f"cold     : {t_cold:7.2f}s "
               f"({cold.store_stats.summary()})")
 
         # 3. Warm: what every later process pays.
         warm_cache = ArtifactCache(cache_root)
-        warm, t_warm = _run(workloads, jobs, args.designs, warm_cache)
+        warm, t_warm = _run(workloads, args.designs, warm_cache)
         hit_rate = warm.store_stats.hit_rate
         print(f"warm     : {t_warm:7.2f}s "
               f"({warm.store_stats.summary()})")
@@ -190,9 +186,9 @@ def main() -> int:
         # vectorized executor applies; measuring each in isolation
         # keeps one engine's win from diluting the other's ratio.
         static_wl, dynamic_wl = _split_subsets(workloads)
-        s_interp, t_s_interp = _run(static_wl, jobs, args.designs, None,
+        s_interp, t_s_interp = _run(static_wl, args.designs, None,
                                     reference=True)
-        s_auto, t_s_auto = _run(static_wl, jobs, args.designs, None)
+        s_auto, t_s_auto = _run(static_wl, args.designs, None)
         assert s_interp.rows() == s_auto.rows()
         static_speedup = (t_s_interp / t_s_auto if t_s_auto > 0
                           else float("inf"))
@@ -200,14 +196,14 @@ def main() -> int:
               f"kernels): {static_speedup:.1f}x "
               f"({t_s_interp:.2f}s -> {t_s_auto:.2f}s)")
 
-        d_scalar, t_d_scalar = _run(dynamic_wl, jobs, args.designs,
+        d_scalar, t_d_scalar = _run(dynamic_wl, args.designs,
                                     None, reference=True)
-        d_vec, t_d_vec = _run(dynamic_wl, jobs, args.designs, None)
+        d_vec, t_d_vec = _run(dynamic_wl, args.designs, None)
         assert d_scalar.rows() == d_vec.rows(), \
             "vectorized predictions diverged from scalar on the " \
             "dynamic subset"
-        assert d_vec.trace_sources() == \
-            {"vectorized": len(d_vec.predictions)}, \
+        assert {p.trace_source for p in d_vec.predictions} \
+            == {"vectorized"}, \
             "dynamic subset fell back off the vectorized engine"
         dynamic_speedup = (t_d_scalar / t_d_vec if t_d_vec > 0
                            else float("inf"))
@@ -230,7 +226,6 @@ def main() -> int:
         payload = {
             "benchmark": "suite_cache",
             "small": args.small,
-            "jobs": max(cold.jobs, 1),
             "workloads": len(workloads),
             "designs_per_kernel": args.designs,
             "predictions": len(cold.predictions),

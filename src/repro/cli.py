@@ -100,6 +100,38 @@ def _jobs_arg(value: str):
     return jobs
 
 
+def _sweep_payload(endpoint: str, spec: dict, cache, jobs) -> dict:
+    """An ``explore`` or ``suite`` payload.  One worker evaluates the
+    whole request in this process, so one model shares its rows across
+    every work-group size.  More workers run the daemon's shard tasks
+    on a process-mode :class:`~repro.serve.pool.WorkerPool`, which adds
+    each worker's store counters to *cache*."""
+    import os
+
+    from repro.serve import api
+
+    workers = os.cpu_count() if jobs == "auto" else jobs or 1
+    tasks = api.shard_tasks(endpoint, spec) if workers > 1 else []
+    if len(tasks) < 2:
+        if endpoint == "explore":
+            return api.explore_payload(spec, cache)
+        return api.suite_payload(spec, cache)
+    from repro.cache.hot import HotCache
+    from repro.serve.pool import WorkerPool
+
+    pool = WorkerPool(jobs=min(workers, len(tasks)), mode="process",
+                      shared_cache=HotCache(store=cache)
+                      if cache is not None else None)
+    try:
+        futures = [pool.submit(dict(
+            task, no_cache=cache is None,
+            cache_dir=str(cache.root) if cache is not None else None))
+            for task in tasks]
+        return api.assemble(endpoint, spec, [f.result() for f in futures])
+    finally:
+        pool.shutdown()
+
+
 def _open_cache(args):
     """The persistent cache the command should use (None = disabled)."""
     from repro.cache import open_cache
@@ -340,8 +372,7 @@ def cmd_explore(args) -> int:
     spec["top"] = args.top
     cache = _open_cache(args)
     try:
-        payload = serve_api.explore_payload(spec, cache=cache,
-                                            jobs=args.jobs)
+        payload = _sweep_payload("explore", spec, cache, args.jobs)
     except serve_api.ApiError as exc:
         raise _cli_error(exc) from None
     if args.json:
@@ -438,42 +469,40 @@ def cmd_workloads(args) -> int:
 def cmd_suite(args) -> int:
     """Run the `suite` subcommand: batch-evaluate the workload catalog
     through the shared persistent cache."""
+    import time
+
     from repro.devices import device_by_name
-    from repro.evaluation import run_suite
     from repro.serve import api as serve_api
 
     spec = {"suite": args.suite, "limit": args.limit,
             "designs": args.designs, "device": args.device}
     cache = _open_cache(args)
+    start = time.perf_counter()
     try:
-        if args.json:
-            print(serve_api.canonical_json(serve_api.suite_payload(
-                spec, cache=cache, jobs=args.jobs)))
-            return 0
-        catalog = serve_api.suite_catalog(spec)
+        payload = _sweep_payload("suite", spec, cache, args.jobs)
     except serve_api.ApiError as exc:
         raise _cli_error(exc) from None
-    device = device_by_name(args.device)
-    result = run_suite(catalog, device, jobs=args.jobs, cache=cache,
-                       designs_per_kernel=args.designs)
-    by_workload = result.by_workload()
+    elapsed = time.perf_counter() - start
+    if args.json:
+        print(serve_api.canonical_json(payload))
+        return 0
+    by_workload: Dict[str, List[dict]] = {}
+    for row in payload["rows"]:
+        by_workload.setdefault(row["workload"], []).append(row)
     for name in sorted(by_workload):
-        preds = by_workload[name]
-        best = min(preds, key=lambda p: p.cycles)
-        print(f"{name:<44} {len(preds):>3} designs   "
-              f"best {best.cycles:>14,.0f} cycles  ({best.design})")
-    workers = f" on {result.jobs} workers" if result.jobs > 1 else ""
-    print(f"\n{result.workloads_evaluated} workloads, "
-          f"{len(result.predictions)} predictions in "
-          f"{result.elapsed_seconds:.1f}s{workers}")
-    sources = result.trace_sources()
+        rows = by_workload[name]
+        best = min(rows, key=lambda r: r["cycles"])
+        print(f"{name:<44} {len(rows):>3} designs   "
+              f"best {best['cycles']:>14,.0f} cycles  ({best['design']})")
+    print(f"\n{payload['workloads']} workloads, "
+          f"{payload['predictions']} predictions in {elapsed:.1f}s")
+    sources = payload["trace_paths"]
     if sources:
         print("trace paths: " + "  ".join(
             f"{k}={sources[k]}" for k in sorted(sources)))
-    if result.store_stats is not None and result.store_stats.lookups:
-        print(result.store_stats.summary())
+    _print_cache_line(cache)
     if args.programs:
-        _suite_programs(device, cache)
+        _suite_programs(device_by_name(payload["device"]), cache)
     return 0
 
 

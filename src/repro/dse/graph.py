@@ -103,7 +103,7 @@ def explore_program(program, device,
                     depths: Tuple[int, ...] = DEFAULT_DEPTHS,
                     top_k: int = 3,
                     space: Optional[Callable[[object], DesignSpace]] = None,
-                    cache=None, jobs=None,
+                    cache=None,
                     model: "Optional[FlexCL]" = None
                     ) -> GraphExplorationResult:
     """Jointly explore *program*'s stages, realizations, and depths.
@@ -140,7 +140,7 @@ def explore_program(program, device,
 
         sweep = explore(stage_space, cached_analyze,
                         lambda info, d: model.predict(info, d).cycles,
-                        device, jobs=jobs)
+                        device)
         result.stage_sweeps[stage] = sweep
         top = [e.design for e in sweep.ranked()[:max(top_k, 1)]]
         if not top:

@@ -1,12 +1,16 @@
-"""Parallel batch evaluation of the whole workload catalog.
+"""Batch evaluation of the whole workload catalog.
 
 :func:`run_suite` is the front end the persistent cache was built for:
-it fans the Rodinia/PolyBench catalog across a forked process pool,
-analyses every kernel at every feasible work-group size, and predicts a
-deterministic sample of design points per kernel with the FlexCL model.
-All workers share one on-disk :class:`~repro.cache.ArtifactCache`, so
-the first (cold) run populates the store and every later run — in this
-process or any other — warm-starts in seconds.
+it analyses every Rodinia/PolyBench kernel at every feasible work-group
+size and predicts a deterministic sample of design points per kernel
+with the FlexCL model.  Everything goes through one on-disk
+:class:`~repro.cache.ArtifactCache`, so the first (cold) run populates
+the store and every later run — in this process or any other —
+warm-starts in seconds.
+
+The run is serial.  ``suite --jobs N`` and the serve daemon fan the
+catalog out as one ``suite-shard`` task per workload over
+:mod:`repro.serve.pool`, whose workers share the same disk store.
 
 Predictions are pure functions of (kernel, design, device): a warm
 suite run is row-for-row bit-identical to a cold or uncached one, which
@@ -15,13 +19,11 @@ suite run is row-for-row bit-identical to a cold or uncached one, which
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cache.store import StoreStats
-from repro.dse.explorer import resolve_jobs
 from repro.dse.space import DesignSpace
 from repro.evaluation.harness import make_analyzer, sample_designs
 from repro.model import FlexCL
@@ -50,10 +52,8 @@ class SuiteResult:
 
     predictions: List[SuitePrediction] = field(default_factory=list)
     elapsed_seconds: float = 0.0
-    jobs: int = 1
     workloads_evaluated: int = 0
-    #: persistent-store counters aggregated across all workers
-    #: (None when the suite ran uncached)
+    #: persistent-store counters of the run (None when it ran uncached)
     store_stats: Optional[StoreStats] = None
 
     def rows(self) -> List[Tuple[str, str, float]]:
@@ -65,15 +65,6 @@ class SuiteResult:
         out: Dict[str, List[SuitePrediction]] = {}
         for p in self.predictions:
             out.setdefault(p.workload, []).append(p)
-        return out
-
-    def trace_sources(self) -> Dict[str, int]:
-        """Prediction counts per trace engine, e.g.
-        ``{"synth": 410, "vectorized": 96}`` — how each analysis
-        behind each prediction got its traces."""
-        out: Dict[str, int] = {}
-        for p in self.predictions:
-            out[p.trace_source] = out.get(p.trace_source, 0) + 1
         return out
 
 
@@ -99,78 +90,23 @@ def _evaluate_workload(workload: Workload, device, cache,
     return out
 
 
-#: fork-inherited worker context (workload factories hold closures, so
-#: nothing here may cross a pickle boundary)
-_SUITE_STATE: Optional[tuple] = None
-
-
-def _run_suite_shard(indices: List[int]
-                     ) -> Tuple[List[Tuple[int, List[SuitePrediction]]],
-                                StoreStats]:
-    workloads, device, cache, designs_per_kernel = _SUITE_STATE
-    before = cache.stats.copy() if cache is not None else StoreStats()
-    out = [(i, _evaluate_workload(workloads[i], device, cache,
-                                  designs_per_kernel))
-           for i in indices]
-    after = cache.stats.copy() if cache is not None else StoreStats()
-    return out, after - before
-
-
-def run_suite(workloads: Sequence[Workload], device,
-              jobs=None, cache=None,
+def run_suite(workloads: Sequence[Workload], device, cache=None,
               designs_per_kernel: int = 8) -> SuiteResult:
     """Predict *designs_per_kernel* sampled design points for every
-    workload in *workloads* on *device*.
-
-    *jobs* fans workloads out over forked worker processes (``'auto'``
-    = one per core, capped at the workload count); all workers read and
-    write the shared persistent *cache*, so parallel cold runs warm the
-    store cooperatively and warm runs are embarrassingly fast.  Results
-    are returned in catalog order and are identical for any *jobs*
-    value and any cache state.
+    workload in *workloads* on *device*, in catalog order, reading and
+    writing the persistent *cache*.  Results are identical for any
+    cache state.
     """
     start = time.perf_counter()
     workloads = list(workloads)
-    n_jobs = resolve_jobs(jobs, limit=len(workloads))
     result = SuiteResult(workloads_evaluated=len(workloads))
-
-    use_parallel = (n_jobs > 1 and len(workloads) > 1
-                    and "fork" in multiprocessing.get_all_start_methods())
-    if use_parallel:
-        import concurrent.futures
-
-        global _SUITE_STATE
-        n_jobs = min(n_jobs, len(workloads))
-        shards = [list(range(s, len(workloads), n_jobs))
-                  for s in range(n_jobs)]
-        _SUITE_STATE = (workloads, device, cache, designs_per_kernel)
-        try:
-            ctx = multiprocessing.get_context("fork")
-            with concurrent.futures.ProcessPoolExecutor(
-                    max_workers=n_jobs, mp_context=ctx) as pool:
-                outcomes = list(pool.map(_run_suite_shard, shards))
-        finally:
-            _SUITE_STATE = None
-        merged: List[Optional[List[SuitePrediction]]] = \
-            [None] * len(workloads)
-        total = StoreStats()
-        for entries, stats in outcomes:
-            total = total + stats
-            for index, preds in entries:
-                merged[index] = preds
-        for preds in merged:
-            result.predictions.extend(preds or [])
-        result.jobs = n_jobs
-        result.store_stats = total if cache is not None else None
-    else:
-        before = cache.stats.copy() if cache is not None else None
-        for workload in workloads:
-            result.predictions.extend(
-                _evaluate_workload(workload, device, cache,
-                                   designs_per_kernel))
-        if before is not None:
-            result.store_stats = cache.stats - before
-
+    before = cache.stats.copy() if cache is not None else None
+    for workload in workloads:
+        result.predictions.extend(
+            _evaluate_workload(workload, device, cache,
+                               designs_per_kernel))
+    if before is not None:
+        result.store_stats = cache.stats - before
     result.elapsed_seconds = time.perf_counter() - start
     return result
 

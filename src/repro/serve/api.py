@@ -532,24 +532,13 @@ def make_spec_analyzer(spec: dict, fn, workload, device, cache=None
     return analyze
 
 
-def explore_work_group_sizes(spec: dict) -> List[int]:
-    """The work-group-size shards of an explore sweep, in design-space
-    enumeration order (the server fans one pool task out per size)."""
-    from repro.dse import DesignSpace
-    spec = normalize_explore_spec(spec)
-    _, workload = resolve_kernel(spec)
-    space = DesignSpace.default_for(_spec_global_size(spec, workload))
-    return list(space.work_group_sizes)
-
-
 def explore_rows(spec: dict, cache=None,
-                 wg_sizes: Optional[Sequence[int]] = None,
-                 jobs=None) -> List[dict]:
+                 wg_sizes: Optional[Sequence[int]] = None) -> List[dict]:
     """Evaluate every design of the default space whose work-group size
     is in *wg_sizes* (None = all), through
-    :func:`repro.dse.explorer.explore` on *jobs* workers.  Rows carry
-    their full-space enumeration index so sharded results reassemble
-    into exactly the serial order."""
+    :func:`repro.dse.explorer.explore`.  Rows carry their full-space
+    enumeration index so sharded results reassemble into exactly the
+    serial order."""
     from dataclasses import replace
 
     from repro.devices import device_by_name
@@ -571,7 +560,7 @@ def explore_rows(spec: dict, cache=None,
     result = explore(
         space, analyze,
         lambda info, design: model.predict(info, design).cycles,
-        device, jobs=jobs)
+        device)
     return [{"index": index[e.design], "design": e.design.signature(),
              "work_group_size": e.design.work_group_size,
              "feasible": e.feasible,
@@ -607,11 +596,10 @@ def explore_payload_from_rows(spec: dict, rows: List[dict]) -> dict:
     return payload
 
 
-def explore_payload(spec: dict, cache=None, jobs=None) -> dict:
-    """Evaluate the whole space on *jobs* workers, then assemble."""
+def explore_payload(spec: dict, cache=None) -> dict:
+    """Evaluate the whole space in this process, then assemble."""
     spec = normalize_explore_spec(spec)
-    return explore_payload_from_rows(spec,
-                                     explore_rows(spec, cache, jobs=jobs))
+    return explore_payload_from_rows(spec, explore_rows(spec, cache))
 
 
 # ---------------------------------------------------------------------
@@ -714,12 +702,11 @@ def suite_catalog(spec: dict):
 
 
 def suite_shard_rows(spec: dict, cache=None,
-                     indices: Optional[Sequence[int]] = None,
-                     jobs=None) -> List[Tuple[int, List[dict]]]:
+                     indices: Optional[Sequence[int]] = None
+                     ) -> List[Tuple[int, List[dict]]]:
     """Evaluate the catalog workloads at *indices* (None = all) through
-    :func:`repro.evaluation.run_suite` on *jobs* workers, returning
-    ``(catalog_index, rows)`` pairs for order-stable reassembly across
-    pool workers."""
+    :func:`repro.evaluation.run_suite`, returning ``(catalog_index,
+    rows)`` pairs for order-stable reassembly across pool workers."""
     from repro.devices import device_by_name
     from repro.evaluation import run_suite
 
@@ -728,7 +715,7 @@ def suite_shard_rows(spec: dict, cache=None,
     device = device_by_name(spec["device"])
     if indices is None:
         indices = range(len(catalog))
-    result = run_suite([catalog[i] for i in indices], device, jobs=jobs,
+    result = run_suite([catalog[i] for i in indices], device,
                        cache=cache, designs_per_kernel=spec["designs"])
     by_workload = result.by_workload()
     return [(i, [{"workload": p.workload, "design": p.design,
@@ -764,10 +751,43 @@ def suite_payload_from_rows(spec: dict,
     }
 
 
-def suite_payload(spec: dict, cache=None, jobs=None) -> dict:
-    """Evaluate the whole slice on *jobs* workers, then assemble."""
-    return suite_payload_from_rows(
-        spec, suite_shard_rows(spec, cache, jobs=jobs))
+def suite_payload(spec: dict, cache=None) -> dict:
+    """Evaluate the whole slice in this process, then assemble."""
+    return suite_payload_from_rows(spec, suite_shard_rows(spec, cache))
+
+
+# ---------------------------------------------------------------------
+# sharded explore/suite (the daemon's pool and ``--jobs``)
+# ---------------------------------------------------------------------
+
+def shard_tasks(endpoint: str, spec: dict) -> List[dict]:
+    """The pool tasks of a sharded explore or suite request: one
+    ``explore-shard`` per work-group size, or one ``suite-shard`` per
+    catalog workload.  Each task's ``label`` names its shard in
+    progress events; :func:`run_task` ignores it."""
+    if endpoint == "explore":
+        from repro.dse import DesignSpace
+        normalized = normalize_explore_spec(spec)
+        _, workload = resolve_kernel(normalized)
+        space = DesignSpace.default_for(
+            _spec_global_size(normalized, workload))
+        return [{"op": "explore-shard", "spec": spec, "wg_sizes": [wg],
+                 "label": {"work_group_size": wg}}
+                for wg in space.work_group_sizes]
+    if endpoint == "suite":
+        return [{"op": "suite-shard", "spec": spec, "indices": [i],
+                 "label": {"workload": workload.qualified_name}}
+                for i, workload in enumerate(suite_catalog(spec))]
+    raise ApiError(f"endpoint {endpoint!r} does not stream")
+
+
+def assemble(endpoint: str, spec: dict, results: Sequence[list]) -> dict:
+    """The final payload from the results of :func:`shard_tasks`' tasks,
+    in any completion order: byte-identical to the unsharded one."""
+    merged = [item for result in results for item in result]
+    if endpoint == "explore":
+        return explore_payload_from_rows(spec, merged)
+    return suite_payload_from_rows(spec, merged)
 
 
 # ---------------------------------------------------------------------

@@ -132,11 +132,10 @@ class PredictionServer:
 
     # -- core: cacheable + coalesced endpoints -------------------------
 
-    def _task_for(self, endpoint: str, spec: dict) -> dict:
-        task = {"op": endpoint, "spec": spec,
-                "cache_dir": self.config.cache_dir,
-                "no_cache": self.config.no_cache}
-        return task
+    def _with_store(self, task: dict) -> dict:
+        """*task* plus the store its process worker should open."""
+        return dict(task, cache_dir=self.config.cache_dir,
+                    no_cache=self.config.no_cache)
 
     async def answer(self, endpoint: str, spec: dict
                      ) -> Tuple[bytes, str]:
@@ -171,7 +170,8 @@ class PredictionServer:
         self._active += 1
         try:
             payload = await asyncio.wrap_future(
-                self.pool.submit(self._task_for(endpoint, spec)))
+                self.pool.submit(self._with_store(
+                    {"op": endpoint, "spec": spec})))
             body = encode_body(payload)
         except BaseException as exc:
             # A failed computation is never cached; every coalesced
@@ -216,49 +216,23 @@ class PredictionServer:
             raise BusyError("admission queue full")
         self._active += 1
         try:
-            if endpoint == "explore":
-                shards = api.explore_work_group_sizes(spec)
-                await emit({"event": "start", "endpoint": endpoint,
-                            "shards": len(shards)})
-                tasks = [asyncio.wrap_future(self.pool.submit(
-                    dict(self._task_for("explore-shard", spec),
-                         wg_sizes=[wg]))) for wg in shards]
-                rows = []
-                done = 0
-                for coro in asyncio.as_completed(tasks):
-                    shard_rows = await coro
-                    rows.extend(shard_rows)
-                    done += 1
-                    wg = (shard_rows[0]["work_group_size"]
-                          if shard_rows else None)
-                    await emit({"event": "shard", "completed": done,
-                                "total": len(shards),
-                                "work_group_size": wg,
-                                "rows": len(shard_rows)})
-                payload = api.explore_payload_from_rows(spec, rows)
-            elif endpoint == "suite":
-                catalog = api.suite_catalog(spec)
-                await emit({"event": "start", "endpoint": endpoint,
-                            "shards": len(catalog)})
-                tasks = [asyncio.wrap_future(self.pool.submit(
-                    dict(self._task_for("suite-shard", spec),
-                         indices=[i])))
-                    for i in range(len(catalog))]
-                shards = []
-                done = 0
-                for coro in asyncio.as_completed(tasks):
-                    result = await coro
-                    shards.extend(result)
-                    done += 1
-                    index, rows = result[0]
-                    await emit({"event": "shard", "completed": done,
-                                "total": len(catalog),
-                                "workload": catalog[index].qualified_name,
-                                "rows": len(rows)})
-                payload = api.suite_payload_from_rows(spec, shards)
-            else:
-                raise ApiError(
-                    f"endpoint {endpoint!r} does not stream")
+            tasks = api.shard_tasks(endpoint, spec)
+            await emit({"event": "start", "endpoint": endpoint,
+                        "shards": len(tasks)})
+
+            async def run(task: dict):
+                return task, await asyncio.wrap_future(
+                    self.pool.submit(self._with_store(task)))
+
+            results = []
+            for coro in asyncio.as_completed([run(t) for t in tasks]):
+                task, result = await coro
+                results.append(result)
+                rows = result if endpoint == "explore" else result[0][1]
+                await emit({"event": "shard", "completed": len(results),
+                            "total": len(tasks), **task["label"],
+                            "rows": len(rows)})
+            payload = api.assemble(endpoint, spec, results)
             self._harvest_trace_paths(payload)
             await emit({"event": "result", "payload": payload})
         finally:

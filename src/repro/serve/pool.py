@@ -1,14 +1,18 @@
-"""The daemon's bounded worker pool.
+"""The project's one worker pool, behind the daemon and ``--jobs``.
 
 Model evaluation is CPU-bound Python, so the default executor is a
 forked :class:`~concurrent.futures.ProcessPoolExecutor` sized by
-``--jobs`` — the same strategy as ``explore --jobs`` and
-``suite --jobs``.  Each forked worker opens its own handle on the
-shared *disk* store (content-addressed + atomic writes make concurrent
-stores safe), and everything it computes lands there for the parent
-and future workers to reuse.  Each task also returns its handle's
-counter delta, which the pool adds to the daemon's store handle, so
-``/metrics`` counts the workers' hits, misses and puts.
+``--jobs``.  ``explore --jobs N`` and ``suite --jobs N`` submit the
+daemon's own ``explore-shard`` / ``suite-shard`` tasks
+(:func:`repro.serve.api.shard_tasks`) to a process-mode pool, so the
+CLI and the daemon share one fan-out path; ``explore()`` and
+``run_suite()`` themselves are serial.  Each forked worker opens its
+own handle on the shared *disk* store (content-addressed + atomic
+writes make concurrent stores safe), and everything it computes lands
+there for the parent and future workers to reuse.  Each task also returns its handle's
+counter delta, which the pool adds to the store handle under
+*shared_cache*, so ``/metrics`` and the CLI's store line count the
+workers' hits, misses and puts.
 
 ``--executor thread`` swaps in a :class:`ThreadPoolExecutor` whose
 workers share the parent's in-memory :class:`~repro.cache.hot.HotCache`

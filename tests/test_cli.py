@@ -145,48 +145,86 @@ class TestHostileInput:
 
 
 class TestJobsThroughApi:
-    """``--json``/``--workload`` sweeps go through ``repro.serve.api``;
-    ``--jobs`` must fan them out, with output byte-equal to serial."""
+    """``explore --jobs N`` and ``suite --jobs N`` submit the daemon's
+    shard tasks to the one worker pool, with output byte-equal to
+    serial; without ``--jobs`` (or with 1) nothing enters the pool."""
 
     def _json(self, capsys, argv):
         assert main(argv) == 0
         return capsys.readouterr().out
 
-    def test_explore_json_fans_out(self, saxpy_file, capsys,
-                                   monkeypatch):
-        import repro.dse.explorer as explorer
-        calls = []
-        parallel = explorer._explore_parallel
+    @pytest.fixture
+    def submitted(self, monkeypatch):
+        from repro.serve.pool import WorkerPool
+        ops = []
+        submit = WorkerPool.submit
 
-        def spy(*args, **kwargs):
-            calls.append(args[-2])
-            return parallel(*args, **kwargs)
+        def spy(pool, task):
+            ops.append((pool.mode, task["op"]))
+            return submit(pool, task)
 
-        monkeypatch.setattr(explorer, "_explore_parallel", spy)
+        monkeypatch.setattr(WorkerPool, "submit", spy)
+        return ops
+
+    def test_explore_json_fans_out(self, saxpy_file, capsys, submitted):
         argv = ["explore", saxpy_file, "--global-size", "256",
                 "--json", "--no-cache"]
         serial = self._json(capsys, argv)
-        assert calls == []
+        assert self._json(capsys, argv + ["--jobs", "1"]) == serial
+        assert submitted == []
         fanned = self._json(capsys, argv + ["--jobs", "2"])
-        assert calls == [2]
+        # one task per work-group size: 16, 32, 64, 128 and 256
+        assert submitted == [("process", "explore-shard")] * 5
         assert fanned == serial
 
-    def test_suite_json_fans_out(self, capsys, monkeypatch):
-        import repro.evaluation as evaluation
-        jobs = []
-        run_suite = evaluation.run_suite
-
-        def spy(*args, **kwargs):
-            jobs.append(kwargs.get("jobs"))
-            return run_suite(*args, **kwargs)
-
-        monkeypatch.setattr(evaluation, "run_suite", spy)
+    def test_suite_json_fans_out(self, capsys, submitted):
         argv = ["suite", "--suite", "polybench", "--limit", "2",
                 "--designs", "2", "--json", "--no-cache"]
         serial = self._json(capsys, argv)
+        assert self._json(capsys, argv + ["--jobs", "1"]) == serial
+        assert submitted == []
         fanned = self._json(capsys, argv + ["--jobs", "2"])
-        assert jobs == [None, 2]
+        assert submitted == [("process", "suite-shard")] * 2
         assert fanned == serial
+
+
+class TestJobsArg:
+    """``--jobs`` takes a positive worker count or ``auto``."""
+
+    def test_bad_worker_counts_exit_2(self, capsys):
+        for command in (["explore", "--workload", "polybench/atax/atax"],
+                        ["suite"]):
+            for value in ("0", "-3", "x"):
+                with pytest.raises(SystemExit) as exc:
+                    main(command + ["--jobs", value, "--no-cache"])
+                assert exc.value.code == 2
+                err = capsys.readouterr().err
+                errors = [line for line in err.splitlines()
+                          if "error:" in line]
+                assert len(errors) == 1
+                assert errors[0].startswith(
+                    f"repro {command[0]}: error: argument --jobs")
+                assert "Traceback" not in err
+
+    def test_auto_is_accepted(self, capsys, monkeypatch):
+        """``auto`` means one worker per core, capped at the number of
+        shards."""
+        from repro.serve.pool import WorkerPool
+        sizes = []
+        submit = WorkerPool.submit
+
+        def spy(pool, task):
+            sizes.append(pool.jobs)
+            return submit(pool, task)
+
+        monkeypatch.setattr(WorkerPool, "submit", spy)
+        argv = ["suite", "--suite", "polybench", "--limit", "2",
+                "--designs", "1", "--json", "--no-cache"]
+        assert main(argv + ["--jobs", "auto"]) == 0
+        auto = capsys.readouterr().out
+        assert main(argv) == 0
+        assert auto == capsys.readouterr().out
+        assert all(size <= 2 for size in sizes)
 
 
 @pytest.fixture

@@ -1,19 +1,23 @@
-"""Tests for the high-throughput DSE engine: parallel exploration,
-sub-model memoization, and exploration-result caching."""
+"""Tests for the high-throughput DSE engine: sharded exploration on the
+worker pool, sub-model memoization, and exploration-result caching."""
 
 import numpy as np
 import pytest
 
 from repro.analysis import analyze_kernel
+from repro.cache import ArtifactCache
+from repro.cache.hot import HotCache
+from repro.cli import main
 from repro.devices import VIRTEX7
-from repro.dse import DesignSpace, EvaluatedDesign, ExplorationResult, explore
-from repro.dse.explorer import resolve_jobs
+from repro.dse import DesignSpace, EvaluatedDesign, ExplorationResult
 from repro.dse.space import Design, check_feasibility
 from repro.frontend import compile_opencl
 from repro.interp import Buffer, NDRange
 from repro.model import FlexCL
 from repro.model.memo import CacheStats
 from repro.scheduling import ResourceBudget
+from repro.serve import api
+from repro.serve.pool import WorkerPool
 from test_packed_model import BY_NAME, SAMPLE
 
 SRC = r"""
@@ -40,91 +44,93 @@ def _analyzer(n=256):
     return analyze
 
 
-SPACE = DesignSpace(work_group_sizes=(16, 32, 64),
-                    pe_counts=(1, 2), cu_counts=(1, 2),
-                    vector_widths=(1,))
+SPEC = {"source": SRC, "kernel": "k", "global_size": 256}
+
+
+def _pooled_rows(spec, jobs, cache=None):
+    """Every explore row of *spec*, evaluated as the daemon's
+    ``explore-shard`` tasks on a process-mode worker pool, in
+    enumeration order."""
+    pool = WorkerPool(jobs=jobs, mode="process",
+                      shared_cache=HotCache(store=cache) if cache else None)
+    try:
+        futures = [pool.submit(dict(
+            task, no_cache=cache is None,
+            cache_dir=str(cache.root) if cache else None))
+            for task in api.shard_tasks("explore", spec)]
+        results = [f.result() for f in futures]
+    finally:
+        pool.shutdown()
+    assert api.assemble("explore", spec, results) \
+        == api.explore_payload(spec)
+    return sorted((row for rows in results for row in rows),
+                  key=lambda row: row["index"])
 
 
 class TestParallelExplore:
+    """``explore --jobs N`` fans the sweep out as one pool task per
+    work-group size; every sharded row must equal the serial one."""
+
     def test_parallel_matches_serial_exactly(self):
         """Same designs, same cycles, same order — bit-identical."""
-        analyze = _analyzer()
-        model = FlexCL(VIRTEX7)
-
-        def evaluator(info, d):
-            return model.predict(info, d).cycles
-
-        serial = explore(SPACE, analyze, evaluator, VIRTEX7)
-        parallel = explore(SPACE, analyze, evaluator, VIRTEX7, jobs=3)
-        assert len(serial.evaluated) == len(parallel.evaluated)
-        for s, p in zip(serial.evaluated, parallel.evaluated):
-            assert s.design == p.design
-            assert s.cycles == p.cycles          # exact, not approx
-            assert s.feasible == p.feasible
-            assert s.reject_reason == p.reject_reason
-        assert parallel.jobs > 1
+        serial = api.explore_rows(SPEC)
+        assert _pooled_rows(SPEC, jobs=3) == serial
+        assert len({row["work_group_size"] for row in serial}) == 5
 
     def test_parallel_infeasible_wg_matches_serial(self):
-        analyze = _analyzer(n=256)
-        model = FlexCL(VIRTEX7)
-        space = DesignSpace(work_group_sizes=(48, 64),  # 48 ∤ 256
-                            pe_counts=(1,), cu_counts=(1,),
-                            vector_widths=(1,))
+        """A shard whose analysis fails (here: out-of-bounds reads once
+        a work-group exceeds 64 items) comes back as infeasible rows."""
+        spec = dict(SPEC, source=r"""
+        __kernel void k(__global float* a, int n) {
+            int i = get_global_id(0);
+            float v = a[i];
+            if (get_local_size(0) > 64) v += a[i + n];
+            a[i] = v;
+        }""")
+        rows = _pooled_rows(spec, jobs=2)
+        assert rows == api.explore_rows(spec)
+        failed = {row["work_group_size"] for row in rows
+                  if row["reason"] == "analysis failed for this "
+                                      "work-group size"}
+        assert failed == {128, 256}
+        assert any(row["feasible"] for row in rows)
 
-        def evaluator(info, d):
-            return model.predict(info, d).cycles
+    def test_single_wg_size_falls_back_to_serial(self, tmp_path, capsys,
+                                                 monkeypatch):
+        """No listed work-group size divides 40 work-items, so the space
+        has one size: ``--jobs 4`` has nothing to fan out and evaluates
+        in this process."""
+        submitted = []
+        monkeypatch.setattr(WorkerPool, "submit",
+                            lambda pool, task: submitted.append(task))
+        spec = dict(SPEC, global_size=40)
+        assert len(api.shard_tasks("explore", spec)) == 1
+        path = tmp_path / "k.cl"
+        path.write_text(SRC)
+        assert main(["explore", str(path), "--global-size", "40",
+                     "--json", "--no-cache", "--jobs", "4"]) == 0
+        assert submitted == []
+        assert '"feasible"' in capsys.readouterr().out
 
-        serial = explore(space, analyze, evaluator, VIRTEX7)
-        parallel = explore(space, analyze, evaluator, VIRTEX7, jobs=2)
-        assert [(e.design, e.cycles, e.feasible, e.reject_reason)
-                for e in serial.evaluated] \
-            == [(e.design, e.cycles, e.feasible, e.reject_reason)
-                for e in parallel.evaluated]
+    def test_parallel_collects_cache_stats(self, tmp_path, capsys):
+        """Each worker's store counters reach the parent's handle: one
+        analysis miss and put per work-group size on a cold store, one
+        hit each on a warm one, and the CLI's store line counts them."""
+        cold = ArtifactCache(tmp_path / "store")
+        _pooled_rows(SPEC, jobs=3, cache=cold)
+        assert cold.stats.misses["analysis"] == 5
+        assert cold.stats.puts["analysis"] == 5
+        warm = ArtifactCache(tmp_path / "store")
+        _pooled_rows(SPEC, jobs=3, cache=warm)
+        assert warm.stats.hits["analysis"] == 5
+        assert not warm.stats.misses
 
-    def test_single_wg_size_falls_back_to_serial(self):
-        analyze = _analyzer()
-        model = FlexCL(VIRTEX7)
-        space = DesignSpace(work_group_sizes=(64,), pe_counts=(1,),
-                            cu_counts=(1,), vector_widths=(1,))
-        result = explore(space, analyze,
-                         lambda info, d: model.predict(info, d).cycles,
-                         VIRTEX7, jobs=4)
-        assert result.jobs == 1          # nothing to shard
-        assert result.evaluated
-
-    def test_parallel_collects_cache_stats(self):
-        analyze = _analyzer()
-        model = FlexCL(VIRTEX7)
-        result = explore(SPACE, analyze,
-                         lambda info, d: model.predict(info, d).cycles,
-                         VIRTEX7, jobs=3,
-                         cache_stats=lambda: model.cache_stats)
-        assert result.cache_stats is not None
-        stats = result.cache_stats
-        n_feasible = len(result.feasible)
-        # One PE and one memory lookup per feasible (evaluated) design.
-        assert stats.hits["pe"] + stats.misses["pe"] == n_feasible
-        assert stats.hits["memory"] + stats.misses["memory"] \
-            == n_feasible
-        assert stats.total_hits > 0
-
-    def test_resolve_jobs(self):
-        assert resolve_jobs(None) == 1
-        assert resolve_jobs(1) == 1
-        assert resolve_jobs(4) == 4
-        assert resolve_jobs("auto") >= 1
-        assert resolve_jobs(0) >= 1
-        with pytest.raises(ValueError):
-            resolve_jobs(-2)
-
-    def test_resolve_jobs_caps_auto_at_shard_count(self):
-        assert resolve_jobs(None) == 1
-        assert resolve_jobs(3) == 3
-        assert resolve_jobs("auto", limit=2) <= 2
-        # explicit requests are honoured even above the limit
-        assert resolve_jobs(7, limit=2) == 7
-        with pytest.raises(ValueError):
-            resolve_jobs(-1)
+        path = tmp_path / "k.cl"
+        path.write_text(SRC)
+        assert main(["explore", str(path), "--global-size", "256",
+                     "--cache-dir", str(tmp_path / "cli"),
+                     "--jobs", "2"]) == 0
+        assert "analysis 0/5" in capsys.readouterr().out
 
 
 class TestMemoization:

@@ -1,5 +1,8 @@
 """Integration tests: warm-start pipeline, batch evaluator, cache CLI."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -66,10 +69,10 @@ class TestRunSuite:
     def test_cold_then_warm_identical_and_hot(self, tmp_path, workloads):
         root = tmp_path / "store"
         _fresh_memos()
-        cold = run_suite(workloads, VIRTEX7, jobs=1,
+        cold = run_suite(workloads, VIRTEX7,
                          cache=ArtifactCache(root), designs_per_kernel=3)
         _fresh_memos()
-        warm = run_suite(workloads, VIRTEX7, jobs=1,
+        warm = run_suite(workloads, VIRTEX7,
                          cache=ArtifactCache(root), designs_per_kernel=3)
         assert cold.rows() == warm.rows()
         assert len(warm.rows()) == len(workloads) * 3
@@ -78,32 +81,38 @@ class TestRunSuite:
 
     def test_uncached_matches_cached(self, tmp_path, workloads):
         _fresh_memos()
-        plain = run_suite(workloads, VIRTEX7, jobs=1, cache=None,
+        plain = run_suite(workloads, VIRTEX7, cache=None,
                           designs_per_kernel=3)
         assert plain.store_stats is None
         _fresh_memos()
-        cached = run_suite(workloads, VIRTEX7, jobs=1,
+        cached = run_suite(workloads, VIRTEX7,
                            cache=ArtifactCache(tmp_path),
                            designs_per_kernel=3)
         assert plain.rows() == cached.rows()
 
-    def test_parallel_matches_serial(self, tmp_path, workloads):
-        _fresh_memos()
-        serial = run_suite(workloads, VIRTEX7, jobs=1,
-                           cache=ArtifactCache(tmp_path / "a"),
-                           designs_per_kernel=3)
-        _fresh_memos()
-        parallel = run_suite(workloads, VIRTEX7, jobs=2,
-                             cache=ArtifactCache(tmp_path / "b"),
-                             designs_per_kernel=3)
-        assert serial.rows() == parallel.rows()
-        assert parallel.jobs == 2
-        # Worker stat deltas made it back across the process boundary.
-        assert parallel.store_stats.puts.get("analysis", 0) >= 1
+    def test_parallel_matches_serial(self, tmp_path, capsys):
+        """``suite --jobs 2`` runs one ``suite-shard`` pool task per
+        workload: the same rows as serial, and the workers' store
+        counters reach the parent's store line."""
+        argv = ["suite", "--suite", "rodinia", "--limit", "3",
+                "--designs", "3"]
+        runs = {}
+        for name, extra in (("serial", []), ("parallel", ["--jobs", "2"])):
+            _fresh_memos()
+            assert main(argv + ["--json", "--no-cache"] + extra) == 0
+            rows = json.loads(capsys.readouterr().out)["rows"]
+            _fresh_memos()
+            assert main(argv + ["--cache-dir", str(tmp_path / name)]
+                        + extra) == 0
+            store = re.search(r"analysis 0/\d+",
+                              capsys.readouterr().out).group()
+            runs[name] = rows, store
+        assert runs["parallel"] == runs["serial"]
+        assert len(runs["serial"][0]) == 9
 
     def test_by_workload_grouping(self, workloads):
         _fresh_memos()
-        result = run_suite(workloads, VIRTEX7, jobs=1,
+        result = run_suite(workloads, VIRTEX7,
                            designs_per_kernel=2)
         grouped = result.by_workload()
         assert len(grouped) == len(workloads)
