@@ -9,7 +9,10 @@ Times a full design-space sweep of one kernel two ways —
 
 asserts that both sweeps agree design-for-design and cycle-for-cycle,
 and writes the timings, speedup, and cache statistics to
-``BENCH_dse_perf.json`` so the perf trajectory is tracked PR over PR.
+``BENCH_dse_perf.json`` so the perf trajectory is tracked PR over PR
+(``--small``: ``benchmarks/results/BENCH_dse_perf_small.json``, so a
+smoke run never replaces the committed record; ``--output`` overrides
+either).
 
 Both sweeps also record the PE model's scheduler work (``schedules``):
 block list-schedule runs, SMS searches and SMS placement attempts, plus
@@ -354,8 +357,10 @@ def main(argv=None) -> int:
                         help="tiny space for CI smoke runs")
     parser.add_argument("--global-size", type=int, default=4096)
     parser.add_argument("--output", default=None,
-                        help="output JSON path "
-                             "(default: BENCH_dse_perf.json at repo root)")
+                        help="output JSON path (default: "
+                             "BENCH_dse_perf.json at the repo root, or "
+                             "benchmarks/results/BENCH_dse_perf_small.json "
+                             "with --small)")
     parser.add_argument("--baseline", default=None,
                         help="a BENCH_dse_perf.json from another checkout "
                              "whose catalog section to keep alongside")
@@ -366,8 +371,14 @@ def main(argv=None) -> int:
         baseline = json.loads(Path(args.baseline).read_text())
         payload["catalog_baseline"] = baseline.get("catalog")
 
-    out = Path(args.output) if args.output else \
-        Path(__file__).resolve().parent.parent / "BENCH_dse_perf.json"
+    root = Path(__file__).resolve().parent.parent
+    if args.output:
+        out = Path(args.output)
+    elif args.small:
+        out = root / "benchmarks" / "results" / "BENCH_dse_perf_small.json"
+        out.parent.mkdir(exist_ok=True)
+    else:
+        out = root / "BENCH_dse_perf.json"
     out.write_text(json.dumps(payload, indent=2) + "\n")
 
     secs = payload["seconds"]

@@ -22,7 +22,9 @@ and proves the daemon's two headline behaviours:
 
 The full run asserts the ISSUE acceptance bar of a >= 20x served
 throughput advantage; ``--small`` keeps CI fast and relaxes the bar to
-5x (shared runners are noisy).  Results land in ``BENCH_serve.json``.
+5x (shared runners are noisy).  Results land in ``BENCH_serve.json``,
+or with ``--small`` in ``benchmarks/results/BENCH_serve_small.json`` so a
+smoke run never replaces the committed record.
 
 Usage::
 
@@ -51,6 +53,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from repro.serve import ServerConfig, serve_in_thread      # noqa: E402
 
 OUT = ROOT / "BENCH_serve.json"
+SMALL_OUT = ROOT / "benchmarks" / "results" / f"{OUT.stem}_small.json"
 
 WORKLOAD = "rodinia/backprop/layer"
 PREDICT_SPEC = {"workload": WORKLOAD, "wg": 64}
@@ -209,8 +212,10 @@ def main() -> int:
             "python": platform.python_version(),
             "machine": platform.machine(),
         }
-        OUT.write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"[written to {OUT}]")
+        out = SMALL_OUT if args.small else OUT
+        out.parent.mkdir(exist_ok=True)
+        out.write_text(json.dumps(payload, indent=2) + "\n")
+        print(f"[written to {out}]")
         return 0
     finally:
         os.environ.pop("REPRO_CACHE_DIR", None)

@@ -26,7 +26,9 @@ isolation: synthesis owns the static subset's win (ISSUE-6), the
 vectorized executor owns the dynamic subset's (ISSUE-9).  The script
 asserts all runs' predictions are row-for-row **bit-identical**, that
 the warm run's disk hit rate exceeds 0.9, and writes the wall times,
-speedups, and hit rates to ``BENCH_suite_cache.json``.  The full run
+speedups, and hit rates to ``BENCH_suite_cache.json`` (``--small``:
+``benchmarks/results/BENCH_suite_cache_small.json``, so a smoke run
+never replaces the committed full-catalog record).  The full run
 additionally asserts the ISSUE-4 acceptance bar of a >= 5x warm-vs-cold
 speedup, that populating the store costs at most 1.5x an uncached run
 (``cold_vs_uncached``: store puts must stay cheap), a >= 10x
@@ -66,6 +68,7 @@ from repro.evaluation import (                             # noqa: E402
 from repro.interp import KernelExecutor                    # noqa: E402
 
 OUT = Path(__file__).resolve().parent.parent / "BENCH_suite_cache.json"
+SMALL_OUT = OUT.parent / "benchmarks" / "results" / f"{OUT.stem}_small.json"
 
 
 def _fresh_process_state() -> None:
@@ -253,8 +256,10 @@ def main() -> int:
             "python": platform.python_version(),
             "machine": platform.machine(),
         }
-        OUT.write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"[written to {OUT}]")
+        out = SMALL_OUT if args.small else OUT
+        out.parent.mkdir(exist_ok=True)
+        out.write_text(json.dumps(payload, indent=2) + "\n")
+        print(f"[written to {out}]")
         return 0
     finally:
         shutil.rmtree(cache_root, ignore_errors=True)

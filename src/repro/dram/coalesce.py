@@ -13,8 +13,10 @@ access unit (512 bits on the paper's platform).  Streams arrive as
 columns (:class:`~repro.analysis.packed.PackedStream`):
 :func:`request_starts` finds where each request begins, which the
 memory model reuses for shifted copies of a stream, and
-:func:`coalesce_stream` hands one group's requests to the simulator's
-DRAM controller as :class:`CoalescedRequest` objects.
+:func:`coalesce_packed` returns one group's requests as the columns the
+simulator's DRAM controller services.  :func:`coalesce_stream` returns
+them as :class:`CoalescedRequest` objects, the form the tests compare
+against.
 """
 
 from __future__ import annotations

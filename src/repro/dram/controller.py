@@ -1,7 +1,7 @@
 """DRAM timing controller.
 
-Executes a request stream against the banked DRAM and reports when each
-request's data is delivered.  Row-buffer hits issue a single column
+Services bank-level accesses against the banked DRAM and reports when
+each one's data is delivered.  Row-buffer hits issue a single column
 command; misses issue precharge + activate + column (the "three DRAM
 commands" of §3.4).  Kind transitions add the bus turnaround penalties
 (write→read needs tWTR, read→write tRTW, write→precharge tWR).
@@ -9,156 +9,88 @@ commands" of §3.4).  Kind transitions add the bus turnaround penalties
 This is the substrate both halves of the reproduction share *as a
 specification*: the micro-benchmarks profile the average pattern
 latencies FlexCL uses, and the cycle-level simulator embeds the same
-controller with live bank state and bus contention.
+controller with live bank state and bus contention.  A request that
+covers several interleave blocks is one access per block
+(:meth:`repro.dram.mapping.BankMapping.locate_blocks`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Sequence
-
 from repro.devices.device import DRAMTiming
-from repro.dram.coalesce import CoalescedRequest
 from repro.dram.mapping import BankMapping
-from repro.dram.patterns import AccessPattern, pattern_for
-
-
-@dataclass
-class _Bank:
-    last_kind: str = "read"
-    ready_at: float = 0.0       # when the bank can accept a new command
-    write_recovery_until: float = 0.0
-
-    def __post_init__(self) -> None:
-        # FR-FCFS row window, mirrored from the pattern classifier so the
-        # analytical side and the simulator agree on hit semantics.
-        from repro.dram.patterns import _BankState
-        self._rows = _BankState()
-
-    def is_hit(self, row: int) -> bool:
-        return self._rows.is_hit(row)
-
-    def touch(self, row: int) -> None:
-        self._rows.touch(row)
-
-
-@dataclass
-class CompletedRequest:
-    """Timing record of one serviced request."""
-
-    request: CoalescedRequest
-    bank: int
-    pattern: AccessPattern
-    issue_time: float
-    finish_time: float
-
-    @property
-    def latency(self) -> float:
-        return self.finish_time - self.issue_time
 
 
 class DRAMController:
-    """A banked DRAM with per-bank row-buffer state and a shared bus."""
+    """A banked DRAM with per-bank row-buffer state and a shared bus.
+
+    Bank state is held in flat per-bank lists; kinds are 0 (read) and
+    1 (write), and each bank keeps the FR-FCFS row window of the pattern
+    classifier (two rows, least recently used first out), so the
+    analytical side and the simulator agree on hit semantics."""
 
     def __init__(self, mapping: BankMapping, timing: DRAMTiming) -> None:
         self.mapping = mapping
         self.timing = timing
-        self._banks: Dict[int, _Bank] = {}
-        self._bus_free_at = 0.0
-        self._bus_last_kind = "read"
+        self.reset()
 
     def reset(self) -> None:
-        self._banks.clear()
+        n = self.mapping.num_banks
+        self._ready = [0.0] * n         # when the bank accepts a command
+        self._recovery = [0.0] * n      # write recovery before precharge
+        self._kind = [0] * n            # cold banks behave like idle-read
+        self._row = [None] * n          # most recently used open row
+        self._row_before = [None] * n   # the other open row
         self._bus_free_at = 0.0
-        self._bus_last_kind = "read"
 
-    def access(self, request: CoalescedRequest,
-               arrival: float = 0.0) -> CompletedRequest:
-        """Service one request; returns its timing record.
+    def pattern(self, kind: int, bank: int, row: int) -> int:
+        """The Table 1 code an access would see now:
+        ``miss * 4 + 2 * kind + previous kind``, indexing
+        :data:`repro.dram.patterns.PATTERNS`."""
+        hit = row == self._row[bank] or row == self._row_before[bank]
+        return (not hit) * 4 + 2 * kind + self._kind[bank]
 
-        A burst that crosses interleave-block boundaries is split by
-        the controller into one sub-access per covered block (each
-        touching its own bank), exactly mirroring how the pattern
-        classifier counts; the request completes when its last
-        sub-access delivers.
-        """
-        from repro.dram.patterns import _covered_blocks
-        blocks = list(_covered_blocks(request, self.mapping))
-        first = self._access_block(request.kind, blocks[0], arrival)
-        finish = first.finish_time
-        for addr in blocks[1:]:
-            sub = self._access_block(request.kind, addr, arrival)
-            finish = max(finish, sub.finish_time)
-        return CompletedRequest(request=request, bank=first.bank,
-                                pattern=first.pattern,
-                                issue_time=arrival, finish_time=finish)
-
-    def _access_block(self, kind: str, addr: int,
-                      arrival: float) -> CompletedRequest:
-        """One bank-level access of interleave-block granularity."""
+    def access(self, kind: int, bank: int, row: int,
+               arrival: float) -> float:
+        """Service one interleave-block access arriving at *arrival*;
+        returns when its data is delivered.  (The simulator's innermost
+        call: ``b if b > a else a`` is ``max(a, b)`` without the call.)"""
         t = self.timing
-        bank_id, row = self.mapping.locate(addr)
-        bank = self._banks.setdefault(bank_id, _Bank())
-        request = CoalescedRequest(kind, addr,
-                                   self.mapping.interleave_bytes)
-
-        issue = max(arrival, bank.ready_at)
-        hit = bank.is_hit(row)
-        pattern = pattern_for(request.kind, bank.last_kind, hit)
-
+        ready = self._ready[bank]
+        issue = ready if ready > arrival else arrival
+        last = self._kind[bank]
         latency = float(t.t_overhead)
         occupancy = float(t.t_burst)    # command/bank occupancy
-        if not hit:
-            precharge_ready = max(issue, bank.write_recovery_until)
-            latency += (precharge_ready - issue)
-            latency += t.t_rp + t.t_rcd
-            occupancy += t.t_rp + t.t_rcd
-        if request.kind == "read":
+        if row != self._row[bank]:
+            if row != self._row_before[bank]:   # a row-buffer miss
+                recovery = self._recovery[bank]
+                precharge_ready = recovery if recovery > issue else issue
+                latency += (precharge_ready - issue)
+                latency += t.t_rp + t.t_rcd
+                occupancy += t.t_rp + t.t_rcd
+            self._row_before[bank] = self._row[bank]
+            self._row[bank] = row
+        if kind == 0:
             latency += t.t_cl           # CAS is pipelined: latency only
-            if bank.last_kind == "write":
+            if last == 1:
                 latency += t.t_wtr
                 occupancy += t.t_wtr
         else:
             latency += t.t_cwl
-            if bank.last_kind == "read":
+            if last == 0:
                 latency += t.t_rtw
                 occupancy += t.t_rtw
 
         # The data burst occupies the shared bus.
-        data_start = max(issue + latency, self._bus_free_at)
+        data_start = issue + latency
+        bus_free = self._bus_free_at
+        if bus_free > data_start:
+            data_start = bus_free
         finish = data_start + t.t_burst
-
-        bank.touch(row)
-        bank.last_kind = request.kind
+        self._bus_free_at = finish
+        self._kind[bank] = kind
         # The bank accepts its next command once the current command
         # sequence retires, not when the data lands (CAS pipelining).
-        bank.ready_at = issue + occupancy
-        if request.kind == "write":
-            bank.write_recovery_until = finish + t.t_wr
-        self._bus_free_at = data_start + t.t_burst
-        self._bus_last_kind = request.kind
-
-        return CompletedRequest(request=request, bank=bank_id,
-                                pattern=pattern, issue_time=arrival,
-                                finish_time=finish)
-
-    def run_stream(self, requests: Sequence[CoalescedRequest],
-                   issue_interval: float = 0.0,
-                   closed_loop: bool = True) -> List[CompletedRequest]:
-        """Service a stream.
-
-        With *closed_loop* each request arrives when the previous one
-        finishes (unloaded latency — what the micro-benchmarks measure);
-        otherwise requests arrive every *issue_interval* cycles and may
-        queue at busy banks.
-        """
-        out: List[CompletedRequest] = []
-        clock = 0.0
-        for req in requests:
-            record = self.access(req, arrival=clock)
-            out.append(record)
-            if closed_loop:
-                clock = record.finish_time
-            else:
-                clock += issue_interval
-        return out
+        self._ready[bank] = issue + occupancy
+        if kind == 1:
+            self._recovery[bank] = finish + t.t_wr
+        return finish

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class BankMapping:
@@ -43,8 +45,7 @@ class BankMapping:
         break that pathology; we use the standard bank-XOR scheme.
         """
         block = addr // self.interleave_bytes
-        swizzled = block ^ (block >> 3) ^ (block >> 6)
-        return swizzled % self.num_banks
+        return _swizzle(block) % self.num_banks
 
     def row_of(self, addr: int) -> int:
         """The row index within the bank holding *addr*."""
@@ -56,3 +57,26 @@ class BankMapping:
     def locate(self, addr: int) -> Tuple[int, int]:
         """(bank, row) of a byte address."""
         return self.bank_of(addr), self.row_of(addr)
+
+    def locate_blocks(self, addr: np.ndarray, nbytes: np.ndarray
+                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every interleave block the requests ``(addr, nbytes)`` cover,
+        as ``(first, bank, row)``: request *i* covers blocks
+        ``first[i]:first[i + 1]`` (a zero-byte request covers its first
+        block, like a one-byte one) and block *j* lies in row ``row[j]``
+        of bank ``bank[j]``."""
+        ib = self.interleave_bytes
+        start = addr // ib
+        count = (addr + np.maximum(nbytes, 1) - 1) // ib - start + 1
+        first = np.zeros(count.shape[0] + 1, np.int64)
+        np.cumsum(count, out=first[1:])
+        blocks = np.repeat(start - first[:-1], count) \
+            + np.arange(int(first[-1]))
+        bank = _swizzle(blocks) % self.num_banks
+        row = blocks // self.num_banks // (self.row_bytes // ib)
+        return first, bank, row
+
+
+def _swizzle(block):
+    """The bank-XOR fold of a block index (an int or an array)."""
+    return block ^ (block >> 3) ^ (block >> 6)

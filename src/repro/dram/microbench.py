@@ -9,10 +9,9 @@ through the DRAM controller, and averages the observed latencies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from repro.dram.controller import DRAMController
-from repro.dram.coalesce import CoalescedRequest
 from repro.dram.mapping import BankMapping
 from repro.dram.patterns import PATTERNS, AccessPattern, PatternCounts
 
@@ -59,36 +58,26 @@ def _same_bank_rows(mapping: BankMapping, bank: int,
 
 
 def _sequence_for(pattern: AccessPattern, mapping: BankMapping,
-                  repeats: int) -> List[CoalescedRequest]:
-    """A request sequence whose steady state exercises *pattern* on one
-    bank.
+                  repeats: int) -> List[Tuple[int, int, int]]:
+    """A ``(kind, bank, row)`` access sequence whose steady state
+    exercises *pattern* on one bank (kind 0 = read, 1 = write).
 
     Hit benchmarks re-touch an open row; miss benchmarks walk enough
     distinct same-bank rows to defeat the controller's FR-FCFS row
     window.  The *previous kind* is controlled by a priming access of
     the required kind immediately before each measured access.
     """
-    unit = mapping.interleave_bytes
-    seq: List[CoalescedRequest] = []
-    measured_kind = pattern.kind
-    prev_kind = pattern.previous_kind
+    measured_kind = int(pattern.kind == "write")
+    prev_kind = int(pattern.previous_kind == "write")
     if pattern.is_hit:
-        base = _same_bank_rows(mapping, 0, 1)[0]
-        for _ in range(repeats):
-            seq.append(CoalescedRequest(prev_kind, base, unit))
-            seq.append(CoalescedRequest(measured_kind, base, unit))
-        return seq
-    # Misses: rotate through more rows than the row window can hold, so
-    # every access opens a closed row.
-    rows = _same_bank_rows(mapping, 0, 6)
-    j = 0
-    for _ in range(repeats):
-        seq.append(CoalescedRequest(prev_kind, rows[j % len(rows)], unit))
-        j += 1
-        seq.append(CoalescedRequest(measured_kind,
-                                    rows[j % len(rows)], unit))
-        j += 1
-    return seq
+        rows = _same_bank_rows(mapping, 0, 1)
+    else:
+        # Misses: rotate through more rows than the row window can
+        # hold, so every access opens a closed row.
+        rows = _same_bank_rows(mapping, 0, 6)
+    return [(measured_kind if i % 2 else prev_kind,)
+            + mapping.locate(rows[i % len(rows)])
+            for i in range(2 * repeats)]
 
 
 def profile_pattern_latencies(device, repeats: int = 64
@@ -97,18 +86,26 @@ def profile_pattern_latencies(device, repeats: int = 64
     the averaged ΔT table."""
     mapping = BankMapping.for_device(device)
     table = PatternLatencyTable()
-    for pattern in PATTERNS:
+    for code, pattern in enumerate(PATTERNS):
         controller = DRAMController(mapping, device.dram)
-        seq = _sequence_for(pattern, mapping, repeats)
-        records = controller.run_stream(seq)
+        # Closed loop: each access arrives when the previous one
+        # finishes (unloaded latency), priced by the pattern it sees.
+        records = []
+        clock = 0.0
+        for kind, bank, row in _sequence_for(pattern, mapping, repeats):
+            seen = controller.pattern(kind, bank, row)
+            finish = controller.access(kind, bank, row, clock)
+            records.append((seen, finish - clock))
+            clock = finish
         # Measure only the even-positioned (second-of-pair) accesses and
         # skip the cold-start pair.
-        measured = [r for i, r in enumerate(records)
-                    if i % 2 == 1 and i > 1 and r.pattern == pattern]
+        measured = [latency for i, (seen, latency) in enumerate(records)
+                    if i % 2 == 1 and i > 1 and seen == code]
         if not measured:
             # Fall back to every matching record (cold-start only hits
             # patterns that are unreachable in steady state otherwise).
-            measured = [r for r in records if r.pattern == pattern]
+            measured = [latency for seen, latency in records
+                        if seen == code]
         table.latencies[pattern] = (
-            sum(r.latency for r in measured) / max(len(measured), 1))
+            sum(measured) / max(len(measured), 1))
     return table

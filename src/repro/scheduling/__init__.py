@@ -2,6 +2,8 @@
 
 - :func:`list_schedule` — resource-aware priority-ordered list scheduling
   (ASAP) used to estimate basic-block latencies.
+- :func:`critical_path_depth` — the pipeline depth, summed block
+  latencies along the CDFG critical path.
 - :func:`compute_mii` — the minimum initiation interval,
   ``MII = max(RecMII, ResMII)`` (Eqs. 2–4).
 - :func:`swing_modulo_schedule` — Swing Modulo Scheduling, refining the
@@ -10,6 +12,7 @@
 """
 
 from repro.scheduling.resources import ResourceBudget
+from repro.scheduling.depth import critical_path_depth
 from repro.scheduling.list_scheduler import ScheduleResult, list_schedule
 from repro.scheduling.mii import (
     MIIBreakdown,
@@ -34,6 +37,7 @@ __all__ = [
     "compute_mii",
     "compute_rec_mii",
     "compute_res_mii",
+    "critical_path_depth",
     "graph_rec_mii",
     "issue_slot_bound",
     "list_schedule",

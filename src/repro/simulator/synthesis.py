@@ -19,10 +19,10 @@ from repro.analysis.dfg import build_block_dfg, build_function_dfg
 from repro.analysis.kernel_info import KernelInfo
 from repro.dse.space import Design
 from repro.latency.microbench import ImplementationChoice
-from repro.model.pe import critical_path_depth
 from repro.scheduling import (
     ResourceBudget,
     compute_mii,
+    critical_path_depth,
     list_schedule,
     swing_modulo_schedule,
 )

@@ -4,35 +4,40 @@ Work-groups are dispatched round-robin to compute units with jittered
 scheduling overhead; each work-group's work-items stream through the
 synthesised pipeline (with barrier drains between pipeline phases); and
 every global access of every work-group is serviced by one shared
-banked-DRAM controller.  Requests from all concurrently-active compute
-units are merged in global time order, so bank conflicts, row-buffer
-locality, bus turnarounds, and multi-CU contention all emerge
-dynamically.
+banked-DRAM controller.  Each group's requests are columns built once
+from its coalesced stream, and a heap merges the request chains of all
+concurrently-active compute units in global time order, so bank
+conflicts, row-buffer locality, bus turnarounds, and multi-CU contention
+all emerge dynamically.
 
 Per-work-group addresses beyond the profiled groups are extrapolated
 period-aware from inter-group address deltas observed among the
-profiled groups (exact for the affine access functions OpenCL kernels
-overwhelmingly use, including guarded stencils whose active work-item
-shape varies with a short row period).
+profiled groups (:class:`repro.analysis.GroupStreamExtrapolator`).
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Tuple
+
+import numpy as np
 
 from repro.analysis.kernel_info import KernelInfo
 from repro.devices.device import Device
-from repro.dram.coalesce import (
-    CoalescedRequest,
-    coalesce_stream,
-)
+from repro.dram.coalesce import coalesce_packed
 from repro.dram.controller import DRAMController
 from repro.dram.mapping import BankMapping
 from repro.dse.space import Design
 from repro.latency.microbench import _stable_hash
 from repro.simulator.synthesis import SynthesizedDesign, synthesize
+
+
+#: one work-group's requests as lists: kind per request, each request's
+#: first block (request i covers blocks first[i]:first[i + 1]), and the
+#: bank and row of each block
+_Requests = Tuple[List[int], List[int], List[int], List[int]]
 
 
 @dataclass
@@ -45,59 +50,6 @@ class SimulationReport:
     compute_cycles_per_group: float = 0.0
     memory_requests: int = 0
     groups: int = 0
-
-
-class _GroupExec:
-    """One work-group in flight on a CU: closed-loop request chains."""
-
-    __slots__ = ("cu", "start", "compute_end", "chains", "chain_clock",
-                 "chain_pos", "last_finish", "serial", "tail",
-                 "issue_done")
-
-    def __init__(self, cu: int, start: float, compute: float,
-                 requests: Sequence[CoalescedRequest], n_chains: int,
-                 serial: bool, tail: float = 0.0,
-                 issue_done: float = 0.0) -> None:
-        self.tail = tail
-        self.issue_done = issue_done or (start + compute)
-        self.cu = cu
-        self.start = start
-        self.compute_end = start + compute
-        self.serial = serial
-        if serial:
-            n_chains = 1
-        n_chains = max(n_chains, 1)
-        self.chains: List[List[CoalescedRequest]] = [
-            [] for _ in range(n_chains)]
-        for i, req in enumerate(requests):
-            self.chains[i % n_chains].append(req)
-        self.chain_clock = [start] * n_chains
-        self.chain_pos = [0] * n_chains
-        self.last_finish = start
-
-    def next_chain(self) -> Optional[int]:
-        """The chain with the earliest pending arrival, or None."""
-        best = None
-        best_t = math.inf
-        for c, queue in enumerate(self.chains):
-            if self.chain_pos[c] < len(queue) \
-                    and self.chain_clock[c] < best_t:
-                best = c
-                best_t = self.chain_clock[c]
-        return best
-
-    @property
-    def requests_done(self) -> bool:
-        return all(self.chain_pos[c] >= len(q)
-                   for c, q in enumerate(self.chains))
-
-    def end_time(self, compute: float) -> float:
-        if self.serial:
-            # Barrier communication: transfers then compute.
-            return self.last_finish + compute
-        # The last response still traverses the downstream half of the
-        # pipeline before the work-group retires.
-        return max(self.compute_end, self.last_finish + self.tail)
 
 
 class SystemRun:
@@ -124,17 +76,38 @@ class SystemRun:
         jitter = _Jitter(info.name, design.signature())
         compute = self._group_compute_cycles(hw, design)
         streams = self._group_streams(info, design)
-        controller = DRAMController(BankMapping.for_device(self.device),
-                                    self.device.dram)
+        mapping = BankMapping.for_device(self.device)
+        controller = DRAMController(mapping, self.device.dram)
         overhead = self.device.schedule_overhead_cycles
+
+        def requests(group: int) -> _Requests:
+            kind, addr, nbytes = streams(group)
+            first, bank, row = mapping.locate_blocks(addr, nbytes)
+            return (kind.tolist(), first.tolist(), bank.tolist(),
+                    row.tolist())
 
         if design.comm_mode == "barrier":
             return self._run_barrier_mode(
-                info, design, hw, compute, streams, controller,
+                info, design, hw, compute, requests, controller,
                 jitter, overhead)
 
+        access = controller.access
+        n_chains = max(hw.n_pe_eff, 1)
+        initiations = math.ceil(
+            max(design.work_group_size - hw.n_pe_eff, 0)
+            / max(hw.n_pe_eff, 1))
+        issue_span = hw.ii * max(initiations, 1)
+        tail = hw.depth * 0.5
+        # Per CU: the work-group in flight (its request columns, start,
+        # latest response and requests still pending).
+        columns: List[_Requests] = [None] * num_cu
+        start = [0.0] * num_cu
+        last_finish = [0.0] * num_cu
+        pending = [-1] * num_cu         # -1: the CU is idle
+        # One entry per request chain with requests left, keyed on its
+        # head request's arrival; ties pop in (CU, chain) order.
+        heap: List[Tuple[float, int, int, int]] = []
         cu_free = [0.0] * num_cu
-        active: List[Optional[_GroupExec]] = [None] * num_cu
         next_group = 0
         finished_groups = 0
         total_requests = 0
@@ -143,65 +116,64 @@ class SystemRun:
 
         simulated_groups = min(num_groups, self.MAX_SIMULATED_GROUPS)
         dispatcher_free = 0.0   # the round-robin dispatcher is serial
+        freed = True            # a CU went idle: dispatch onto it
         while finished_groups < simulated_groups:
-            # Dispatch onto idle CUs, one work-group at a time.
-            for cu in range(num_cu):
-                if active[cu] is None and next_group < simulated_groups:
-                    dispatch = overhead * jitter.factor(
-                        f"disp{next_group}", 0.25)
-                    start = max(cu_free[cu], dispatcher_free) + dispatch
-                    dispatcher_free = start
-                    requests = streams(next_group)
-                    total_requests += len(requests)
-                    initiations = math.ceil(
-                        max(design.work_group_size - hw.n_pe_eff, 0)
-                        / max(hw.n_pe_eff, 1))
-                    active[cu] = _GroupExec(
-                        cu, start, compute, requests, hw.n_pe_eff,
-                        False, tail=hw.depth * 0.5,
-                        issue_done=start + hw.ii * max(initiations, 1))
-                    next_group += 1
+            # Dispatch onto idle CUs, one work-group at a time; the
+            # request chains of a group are closed loops, request i on
+            # chain i mod n_chains.
+            if freed:
+                for cu in range(num_cu):
+                    if pending[cu] < 0 and next_group < simulated_groups:
+                        dispatch = overhead * jitter.factor(
+                            f"disp{next_group}", 0.25)
+                        t0 = max(cu_free[cu], dispatcher_free) + dispatch
+                        dispatcher_free = t0
+                        columns[cu] = cols = requests(next_group)
+                        n = len(cols[0])
+                        total_requests += n
+                        start[cu] = last_finish[cu] = t0
+                        pending[cu] = n
+                        for chain in range(min(n_chains, n)):
+                            heapq.heappush(heap, (t0, cu, chain, chain))
+                        next_group += 1
 
             # Service the globally earliest pending request.
-            best_cu, best_chain, best_t = None, None, math.inf
-            for cu in range(num_cu):
-                exec_ = active[cu]
-                if exec_ is None:
-                    continue
-                chain = exec_.next_chain()
-                if chain is not None \
-                        and exec_.chain_clock[chain] < best_t:
-                    best_cu, best_chain = cu, chain
-                    best_t = exec_.chain_clock[chain]
-
-            if best_cu is not None:
-                exec_ = active[best_cu]
-                pos = exec_.chain_pos[best_chain]
-                req = exec_.chains[best_chain][pos]
-                record = controller.access(
-                    req, arrival=exec_.chain_clock[best_chain])
-                exec_.chain_clock[best_chain] = record.finish_time
-                exec_.chain_pos[best_chain] = pos + 1
-                exec_.last_finish = max(exec_.last_finish,
-                                        record.finish_time)
+            retire = freed     # a group with no requests retires at once
+            if heap:
+                arrival, cu, chain, i = heapq.heappop(heap)
+                kind, first, bank, row = columns[cu]
+                for j in range(first[i], first[i + 1]):
+                    # the request completes with its last block
+                    done = access(kind[i], bank[j], row[j], arrival)
+                if i + n_chains < len(kind):
+                    heapq.heappush(heap, (done, cu, chain, i + n_chains))
+                if done > last_finish[cu]:
+                    last_finish[cu] = done
+                pending[cu] -= 1
+                retire = retire or pending[cu] == 0
 
             # Retire groups whose requests (and compute) are done.
-            for cu in range(num_cu):
-                exec_ = active[cu]
-                if exec_ is not None and exec_.requests_done:
-                    end = exec_.end_time(compute)
+            freed = False
+            if retire:
+                for cu in range(num_cu):
+                    if pending[cu] != 0:
+                        continue
+                    # The last response still traverses the downstream
+                    # half of the pipeline before the work-group retires.
+                    end = max(start[cu] + compute, last_finish[cu] + tail)
                     if design.work_group_pipeline:
                         # Successive groups stream into the pipeline as
                         # soon as initiation capacity frees; only the
                         # memory drain still gates the CU.
-                        cu_free[cu] = max(exec_.issue_done,
-                                          exec_.last_finish)
+                        cu_free[cu] = max(start[cu] + issue_span,
+                                          last_finish[cu])
                     else:
                         cu_free[cu] = end
                     finish = max(finish, end)
-                    group_times.append(max(cu_free[cu], exec_.start)
-                                       - exec_.start)
-                    active[cu] = None
+                    group_times.append(max(cu_free[cu], start[cu])
+                                       - start[cu])
+                    pending[cu] = -1
+                    freed = True
                     finished_groups += 1
 
         # Steady-state extrapolation for the remaining groups: the
@@ -222,7 +194,8 @@ class SystemRun:
 
     def _run_barrier_mode(self, info: KernelInfo, design: Design,
                           hw: SynthesizedDesign, compute: float,
-                          streams, controller: DRAMController,
+                          requests: Callable[[int], _Requests],
+                          controller: DRAMController,
                           jitter: "_Jitter",
                           overhead: float) -> SimulationReport:
         """Strict phase alternation (paper §3.5: "no overlap between
@@ -240,6 +213,7 @@ class SystemRun:
         simulated_rounds = min(
             rounds, max(self.MAX_SIMULATED_GROUPS // max(num_cu, 1), 1))
 
+        access = controller.access
         clock = 0.0
         total_requests = 0
         round_times: List[float] = []
@@ -252,10 +226,12 @@ class SystemRun:
             # dispatch + transfer phase (serial on the channel)
             for g in groups:
                 clock += overhead * jitter.factor(f"disp{g}", 0.25)
-                for req in streams(g):
-                    total_requests += 1
-                    record = controller.access(req, arrival=clock)
-                    clock = record.finish_time
+                kind, first, bank, row = requests(g)
+                total_requests += len(kind)
+                for i, k in enumerate(kind):
+                    arrival = clock
+                    for j in range(first[i], first[i + 1]):
+                        clock = access(k, bank[j], row[j], arrival)
             # compute phase: the round's groups run concurrently
             clock += compute
             round_times.append(clock - round_start)
@@ -284,8 +260,9 @@ class SystemRun:
                 + (hw.phases - 1) * phase_depth)
 
     def _group_streams(self, info: KernelInfo, design: Design
-                       ) -> Callable[[int], List[CoalescedRequest]]:
-        """group index -> coalesced request list, via the shared
+                       ) -> Callable[[int], Tuple[np.ndarray, ...]]:
+        """group index -> its coalesced requests as ``(kind, addr,
+        nbytes)`` columns, via the shared
         :class:`repro.analysis.GroupStreamExtrapolator` (the model
         prices the SAME streams; only timing differs)."""
         from repro.analysis.streams import GroupStreamExtrapolator
@@ -294,8 +271,10 @@ class SystemRun:
             pipelined=design.work_item_pipeline)
         unit = self.device.mem_access_unit_bits
 
-        def streams(group: int) -> List[CoalescedRequest]:
-            return coalesce_stream(extrapolator.stream(group), unit)
+        def streams(group: int):
+            stream = extrapolator.stream(group)
+            return coalesce_packed(stream.kind, stream.addr, stream.nbytes,
+                                   unit)
 
         return streams
 

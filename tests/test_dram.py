@@ -165,46 +165,64 @@ class TestController:
     def _controller(self):
         return DRAMController(MAPPING, DRAMTiming())
 
+    @staticmethod
+    def _access(c, kind, addr, arrival):
+        """``(latency, pattern)`` of one single-block access (kind 0 =
+        read, 1 = write) arriving at *arrival*."""
+        bank, row = MAPPING.locate(addr)
+        pattern = PATTERNS[c.pattern(kind, bank, row)]
+        return c.access(kind, bank, row, arrival) - arrival, pattern
+
     def test_hit_faster_than_miss(self):
         c = self._controller()
-        miss = c.access(CoalescedRequest("read", 0, 64), arrival=0.0)
-        hit = c.access(CoalescedRequest("read", 0, 64),
-                       arrival=miss.finish_time)
-        assert hit.latency < miss.latency
+        miss, _ = self._access(c, 0, 0, 0.0)
+        hit, _ = self._access(c, 0, 0, miss)
+        assert hit < miss
 
     def test_row_change_misses(self):
         c = self._controller()
-        first = c.access(CoalescedRequest("read", 0, 64), 0.0)
+        first, _ = self._access(c, 0, 0, 0.0)
         far = 8 * 1024 * 64   # same bank after swizzle may differ; use
         # three distinct rows to evict the 2-entry window
-        a = c.access(CoalescedRequest("read", far, 64), first.finish_time)
-        assert not a.pattern.is_hit or a.bank != first.bank
+        _, pattern = self._access(c, 0, far, first)
+        assert not pattern.is_hit or MAPPING.bank_of(far) != MAPPING.bank_of(0)
 
     def test_write_to_read_turnaround(self):
         t = DRAMTiming()
         c = self._controller()
-        w = c.access(CoalescedRequest("write", 0, 64), 0.0)
-        r = c.access(CoalescedRequest("read", 0, 64), w.finish_time)
-        rr = c.access(CoalescedRequest("read", 0, 64), r.finish_time)
-        assert r.latency == rr.latency + t.t_wtr
+        w, _ = self._access(c, 1, 0, 0.0)
+        r, _ = self._access(c, 0, 0, w)
+        rr, _ = self._access(c, 0, 0, w + r)
+        assert r == rr + t.t_wtr
 
     def test_monotonic_finish_times(self):
         c = self._controller()
-        reqs = [CoalescedRequest("read", i * 64, 64) for i in range(32)]
-        records = c.run_stream(reqs, closed_loop=True)
-        finishes = [r.finish_time for r in records]
+        finishes = []
+        clock = 0.0
+        for i in range(32):
+            clock = c.access(0, *MAPPING.locate(i * 64), clock)
+            finishes.append(clock)
         assert finishes == sorted(finishes)
 
     def test_reset_clears_state(self):
         c = self._controller()
-        first = c.access(CoalescedRequest("read", 0, 64), 0.0)
+        first = self._access(c, 0, 0, 0.0)
         c.reset()
-        again = c.access(CoalescedRequest("read", 0, 64), 0.0)
-        assert again.latency == first.latency
-        assert again.pattern == first.pattern
+        again = self._access(c, 0, 0, 0.0)
+        assert again == first
 
 
 class TestMicrobench:
+    @pytest.mark.parametrize("device, delta_t", [
+        (VIRTEX7, [24, 27, 25, 23, 30, 37, 31, 33]),
+        (KU060, [20, 22, 22, 20, 26, 32, 28, 30]),
+    ])
+    def test_table1_values_pinned(self, device, delta_t):
+        """E1's eight ΔT values, in PATTERNS (= EXPERIMENTS.md) order:
+        any change to the DRAM controller that moves one fails here."""
+        table = profile_pattern_latencies(device)
+        assert [table.of(p) for p in PATTERNS] == delta_t
+
     def test_table_has_all_patterns(self):
         table = profile_pattern_latencies(VIRTEX7)
         assert set(table.latencies) == set(PATTERNS)

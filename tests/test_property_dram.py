@@ -418,25 +418,37 @@ class TestWindowModelCatalog:
                          "fallback replay", "block crossing"}
 
 
+def closed_loop(controller, reqs):
+    """Service *reqs* back to back, each arriving when the previous one
+    finishes; ``(arrival, finish)`` of every interleave-block access."""
+    first, bank, row = MAPPING.locate_blocks(
+        np.array([r.addr for r in reqs], np.int64),
+        np.array([r.nbytes for r in reqs], np.int64))
+    out = []
+    clock = 0.0
+    for i, req in enumerate(reqs):
+        kind = 0 if req.kind == "read" else 1
+        arrival = clock
+        for j in range(first[i], first[i + 1]):
+            clock = controller.access(kind, int(bank[j]), int(row[j]),
+                                      arrival)
+            out.append((arrival, clock))
+    return out
+
+
 class TestControllerProperties:
     @given(access_streams(max_len=40))
     @settings(max_examples=50)
     def test_finish_after_arrival(self, stream):
         controller = DRAMController(MAPPING, DRAMTiming())
-        reqs = coalesce(stream, 512)
-        clock = 0.0
-        for req in reqs:
-            record = controller.access(req, arrival=clock)
-            assert record.finish_time > record.issue_time
-            clock = record.finish_time
+        for arrival, finish in closed_loop(controller,
+                                           coalesce(stream, 512)):
+            assert finish > arrival
 
     @given(access_streams(max_len=30))
     @settings(max_examples=30)
     def test_deterministic(self, stream):
         reqs = coalesce(stream, 512)
-        results = []
-        for _ in range(2):
-            controller = DRAMController(MAPPING, DRAMTiming())
-            records = controller.run_stream(reqs, closed_loop=True)
-            results.append([r.finish_time for r in records])
+        results = [closed_loop(DRAMController(MAPPING, DRAMTiming()), reqs)
+                   for _ in range(2)]
         assert results[0] == results[1]

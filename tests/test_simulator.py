@@ -1,5 +1,8 @@
 """Unit tests for the System Run simulator."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -150,3 +153,25 @@ class TestJitter:
         values = {_Jitter("kern", f"sig{i}").factor("x", 0.2)
                   for i in range(10)}
         assert len(values) > 1
+
+
+class TestOracleIndependence:
+    def test_simulator_never_imports_the_model(self):
+        """System Run is the ground truth the model is measured
+        against: if it imported ``repro.model``, a model change could
+        move the ground truth with it."""
+        package = Path(__file__).resolve().parent.parent / "src" / "repro" \
+            / "simulator"
+        imported = set()
+        for path in sorted(package.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom) and node.level == 0:
+                    imported.add((path.name, node.module))
+                elif isinstance(node, ast.Import):
+                    imported.update((path.name, a.name)
+                                    for a in node.names)
+        assert any(module == "repro.scheduling"
+                   for _, module in imported)
+        assert [(name, module) for name, module in imported
+                if module == "repro.model"
+                or module.startswith("repro.model.")] == []

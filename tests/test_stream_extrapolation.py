@@ -44,7 +44,7 @@ def exact_group_requests(info, design, group):
     """Ground truth: execute every group and build its stream."""
     from repro.analysis import GroupStreamExtrapolator
     from repro.analysis.packed import pack_traces
-    from repro.dram.coalesce import coalesce_stream
+    from repro.dram.coalesce import coalesce_packed
     n = 48 * 48
     fn = compile_opencl(GUARDED).get("guarded")
     ex = KernelExecutor(
@@ -59,7 +59,13 @@ def exact_group_requests(info, design, group):
     stream = GroupStreamExtrapolator(
         pack_traces(traces[group * wg:(group + 1) * wg], wg),
         pipelined=design.work_item_pipeline).stream(0)
-    return coalesce_stream(stream, VIRTEX7.mem_access_unit_bits)
+    return requests(coalesce_packed(stream.kind, stream.addr, stream.nbytes,
+                                    VIRTEX7.mem_access_unit_bits))
+
+
+def requests(columns):
+    """``(kind, addr, nbytes)`` of each request in coalesced columns."""
+    return list(zip(*(c.tolist() for c in columns)))
 
 
 class TestExtrapolation:
@@ -69,7 +75,7 @@ class TestExtrapolation:
         info = make_info()
         design = Design(32, True, 1, 1, 1, "pipeline")
         streams = SystemRun(VIRTEX7)._group_streams(info, design)
-        interior = [len(streams(g)) for g in range(6, 60)]
+        interior = [len(requests(streams(g))) for g in range(6, 60)]
         assert sum(interior) > 0
         assert np.mean(interior) > 5
 
@@ -77,7 +83,7 @@ class TestExtrapolation:
         info = make_info()
         design = Design(32, True, 1, 1, 1, "pipeline")
         streams = SystemRun(VIRTEX7)._group_streams(info, design)
-        total_extrap = sum(len(streams(g)) for g in range(72))
+        total_extrap = sum(len(requests(streams(g))) for g in range(72))
         total_exact = sum(len(exact_group_requests(info, design, g))
                           for g in range(72))
         assert total_extrap == pytest.approx(total_exact, rel=0.25)
@@ -88,9 +94,7 @@ class TestExtrapolation:
         streams = SystemRun(VIRTEX7)._group_streams(info, design)
         for g in range(3):
             exact = exact_group_requests(info, design, g)
-            got = streams(g)
-            assert [(r.kind, r.addr, r.nbytes) for r in got] \
-                == [(r.kind, r.addr, r.nbytes) for r in exact]
+            assert requests(streams(g)) == exact
 
     def test_uniform_kernels_shift_linearly(self):
         src = """
@@ -109,8 +113,8 @@ class TestExtrapolation:
             {"n": n}, NDRange(n, 64), VIRTEX7)
         design = Design(64, True, 1, 1, 1, "pipeline")
         streams = SystemRun(VIRTEX7)._group_streams(info, design)
-        g5 = streams(5)
-        g6 = streams(6)
+        g5 = requests(streams(5))
+        g6 = requests(streams(6))
         assert len(g5) == len(g6) > 0
-        deltas = {b.addr - a.addr for a, b in zip(g5, g6)}
+        deltas = {b[1] - a[1] for a, b in zip(g5, g6)}
         assert deltas == {64 * 4}     # one group of 64 floats forward
