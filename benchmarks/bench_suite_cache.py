@@ -22,17 +22,22 @@ fourth run —
 
 measures what the trace engines buy together.  The catalog is then
 split into its **static** and **dynamic** subsets and each is timed in
-isolation: synthesis owns the static subset's win (ISSUE-6), the
-vectorized executor owns the dynamic subset's (ISSUE-9).  The script
-asserts all runs' predictions are row-for-row **bit-identical**, that
-the warm run's disk hit rate exceeds 0.9, and writes the wall times,
-speedups, and hit rates to ``BENCH_suite_cache.json`` (``--small``:
+isolation: synthesis owns the static subset's win, the vectorized
+executor owns the dynamic subset's.  The uncached, cold and warm runs
+alternate ``REPEATS`` times, each cold run on an empty store; the
+record keeps each one's median and min-max spread, with the command
+and commit that produced it.  The script asserts all runs' predictions
+are row-for-row **bit-identical**, that the warm run's disk hit rate
+exceeds 0.9, and that every warm run does no work of its own: no store
+miss, no put, and no trace-engine run.  It prints and records the
+warm-vs-cold ratio but does not gate on it: a faster cold path lowers
+that ratio although nothing got slower.  The record goes to
+``BENCH_suite_cache.json`` (``--small``:
 ``benchmarks/results/BENCH_suite_cache_small.json``, so a smoke run
 never replaces the committed full-catalog record).  The full run
-additionally asserts the ISSUE-4 acceptance bar of a >= 5x warm-vs-cold
-speedup, that populating the store costs at most 1.5x an uncached run
-(``cold_vs_uncached``: store puts must stay cheap), a >= 10x
-synthesis speedup over the static subset, and a >= 5x
+additionally asserts that populating the store costs at most 1.5x an
+uncached run (``cold_vs_uncached``: store puts must stay cheap), a
+>= 10x synthesis speedup over the static subset, and a >= 5x
 vectorized-vs-scalar speedup over the dynamic subset.
 
 Usage::
@@ -48,6 +53,8 @@ import contextlib
 import json
 import platform
 import shutil
+import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -66,9 +73,16 @@ from repro.evaluation import (                             # noqa: E402
     run_suite,
 )
 from repro.interp import KernelExecutor                    # noqa: E402
+from repro.interp.synth import TraceSynthesizer            # noqa: E402
+from repro.interp.vexec import VectorizedExecutor          # noqa: E402
 
 OUT = Path(__file__).resolve().parent.parent / "BENCH_suite_cache.json"
 SMALL_OUT = OUT.parent / "benchmarks" / "results" / f"{OUT.stem}_small.json"
+
+
+#: alternating (uncached, cold, warm) repeats; the record keeps each
+#: run's median and min-max
+REPEATS = 5
 
 
 def _fresh_process_state() -> None:
@@ -86,7 +100,8 @@ def _scalar_reference():
     original = harness.analyze_kernel
 
     def analyze(fn, buffers, scalars, ndrange, device,
-                profile_groups=DEFAULT_PROFILE_GROUPS, cache=None):
+                profile_groups=DEFAULT_PROFILE_GROUPS, cache=None,
+                shared=None):
         launch = KernelExecutor(fn, buffers, scalars).run(
             ndrange, max_groups=max(profile_groups, 1))
         return original(fn, buffers, scalars, ndrange, device,
@@ -97,6 +112,46 @@ def _scalar_reference():
         yield
     finally:
         harness.analyze_kernel = original
+
+
+@contextlib.contextmanager
+def _count_engine_runs():
+    """Count every trace-engine launch (synthesis, vectorized, scalar)
+    made inside the block; yields a one-element list."""
+    runs = [0]
+    originals = [(cls, cls.run) for cls in (TraceSynthesizer,
+                                            VectorizedExecutor,
+                                            KernelExecutor)]
+
+    def counting(run):
+        def counted(*args, **kwargs):
+            runs[0] += 1
+            return run(*args, **kwargs)
+        return counted
+
+    for cls, run in originals:
+        cls.run = counting(run)
+    try:
+        yield runs
+    finally:
+        for cls, run in originals:
+            cls.run = run
+
+
+def _commit() -> str:
+    """The checkout's commit, marked ``-dirty`` with local edits."""
+    root = Path(__file__).resolve().parent.parent
+    try:
+        sha = subprocess.run(["git", "rev-parse", "--short", "HEAD"],
+                             cwd=root, capture_output=True, text=True,
+                             check=True).stdout.strip()
+        dirty = subprocess.run(["git", "status", "--porcelain",
+                                "--untracked-files=no"], cwd=root,
+                               capture_output=True, text=True,
+                               check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+    return sha + ("-dirty" if dirty else "")
 
 
 def _run(workloads, designs, cache, reference=False):
@@ -147,23 +202,40 @@ def main() -> int:
               f"({len(interp.predictions)} predictions, "
               f"scalar reference)")
 
-        # 1. No cache at all: the reference behaviour and timings.
-        uncached, t_uncached = _run(workloads, args.designs, None)
-        print(f"uncached : {t_uncached:7.2f}s "
+        # 1-3, alternating, REPEATS times, each cold run on an empty
+        # store:
+        #   uncached: no cache at all, the reference behaviour;
+        #   cold: populate the store while evaluating;
+        #   warm: what every later process pays.  It must do no work
+        #   of its own: no store miss, no put, no trace-engine run.
+        times = {"uncached": [], "cold": [], "warm": []}
+        for repeat in range(REPEATS):
+            uncached, t = _run(workloads, args.designs, None)
+            times["uncached"].append(t)
+            store_dir = cache_root / f"store-{repeat}"
+            cold, t = _run(workloads, args.designs,
+                           ArtifactCache(store_dir))
+            times["cold"].append(t)
+            with _count_engine_runs() as engine_runs:
+                warm, t = _run(workloads, args.designs,
+                               ArtifactCache(store_dir))
+            times["warm"].append(t)
+            stats = warm.store_stats
+            assert not stats.misses and not stats.puts \
+                and engine_runs[0] == 0, \
+                (f"warm run did work of its own: misses {stats.misses}, "
+                 f"puts {stats.puts}, {engine_runs[0]} engine runs")
+        t_uncached, t_cold, t_warm = (statistics.median(times[k])
+                                      for k in ("uncached", "cold",
+                                                "warm"))
+        print(f"uncached : {t_uncached:7.2f}s median of {REPEATS} "
               f"({len(uncached.predictions)} predictions)")
-
-        # 2. Cold: empty store, populate while evaluating.
-        cold_cache = ArtifactCache(cache_root)
-        cold, t_cold = _run(workloads, args.designs, cold_cache)
-        print(f"cold     : {t_cold:7.2f}s "
+        print(f"cold     : {t_cold:7.2f}s median of {REPEATS} "
               f"({cold.store_stats.summary()})")
-
-        # 3. Warm: what every later process pays.
-        warm_cache = ArtifactCache(cache_root)
-        warm, t_warm = _run(workloads, args.designs, warm_cache)
         hit_rate = warm.store_stats.hit_rate
-        print(f"warm     : {t_warm:7.2f}s "
-              f"({warm.store_stats.summary()})")
+        print(f"warm     : {t_warm:7.2f}s median of {REPEATS} "
+              f"({warm.store_stats.summary()}; no misses, puts or "
+              f"engine runs)")
 
         assert interp.rows() == uncached.rows() == cold.rows() \
             == warm.rows(), \
@@ -214,8 +286,6 @@ def main() -> int:
               f"dynamic kernels): {dynamic_speedup:.1f}x "
               f"({t_d_scalar:.2f}s -> {t_d_vec:.2f}s)")
         if not args.small:
-            assert speedup >= 5.0, \
-                f"warm speedup {speedup:.1f}x below the 5x acceptance bar"
             assert cold_vs_uncached <= 1.5, \
                 (f"cold run {cold_vs_uncached:.2f}x an uncached run: "
                  f"store bookkeeping above the 1.5x bar")
@@ -228,6 +298,13 @@ def main() -> int:
 
         payload = {
             "benchmark": "suite_cache",
+            "command": " ".join(["PYTHONPATH=src", "python",
+                                 "benchmarks/bench_suite_cache.py",
+                                 *sys.argv[1:]]),
+            "commit": _commit(),
+            "runs": REPEATS,
+            "spread_seconds": {k: [round(min(v), 3), round(max(v), 3)]
+                               for k, v in times.items()},
             "small": args.small,
             "workloads": len(workloads),
             "designs_per_kernel": args.designs,
@@ -250,6 +327,7 @@ def main() -> int:
             "vectorized_speedup_dynamic_subset":
                 round(dynamic_speedup, 2),
             "warm_hit_rate": round(hit_rate, 4),
+            "warm_engine_runs": 0,
             "warm_store_stats": warm.store_stats.to_dict(),
             "cold_store_stats": cold.store_stats.to_dict(),
             "identical_predictions": True,

@@ -5,7 +5,9 @@ Analysis" box).
 
 1. profile a few work-groups with the fastest trace engine the kernel
    admits (dynamic trip counts and memory traces — "the profiling overhead is very small ... because
-   only a few work-groups are profiled in practice");
+   only a few work-groups are profiled in practice"); an analyzer that
+   probes several work-group sizes profiles the kernel once and slices
+   each size's launch from that run (:class:`SharedProfile`);
 2. discover loops and attach trip counts (static counts win);
 3. build the simplified CDFG artefacts: per-block DFGs and the
    whole-work-item DFG with profiled recurrence edges;
@@ -20,7 +22,9 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
+
+import numpy as np
 
 from repro.analysis.dfg import (
     DataFlowGraph,
@@ -29,11 +33,18 @@ from repro.analysis.dfg import (
 )
 from repro.analysis.loops import LoopNest, find_loops
 from repro.analysis.memtrace import TraceAnalysis, analyze_traces
-from repro.analysis.packed import pack_traces
-from repro.interp.executor import Buffer, KernelExecutor, LaunchResult, NDRange
+from repro.analysis.packed import PackedGroup, PackedTraces, pack_traces
+from repro.interp.executor import (
+    KNOWN_ATOMICS,
+    Buffer,
+    KernelExecutor,
+    LaunchResult,
+    NDRange,
+    finalize_trip_counts,
+)
 from repro.ir.function import Function
-from repro.ir.instructions import Alloca, PipeRead, PipeWrite
-from repro.ir.types import AddressSpace
+from repro.ir.instructions import Alloca, Barrier, Call, PipeRead, PipeWrite
+from repro.ir.types import AddressSpace, PointerType
 from repro.latency.optable import OpLatencyTable
 
 #: work-groups profiled by default (paper: "only a few work-groups").
@@ -104,6 +115,162 @@ def _synthesizer_for(fn: Function, buffers: Dict[str, Buffer],
     return synthesizer
 
 
+#: builtins whose value depends on the work-group size
+_GROUP_GEOMETRY = frozenset({"get_local_id", "get_group_id",
+                             "get_local_size", "get_num_groups"})
+
+
+def shares_prefix_profile(fn: Function) -> bool:
+    """True when one launch prefix profiles *fn* at every work-group
+    size.
+
+    Without barriers the executor runs each group's work-items one
+    after another, and the groups in launch order, so a 1-D launch
+    executes its work-items in global-id order whatever the group
+    size.  A kernel that reads no group geometry, synchronises nowhere
+    and shares no ``__local`` memory, atomics or pipes then does the
+    same thing per work-item at every size: work-group size W's
+    profile, the first ``profile_groups * W`` work-items, is a prefix
+    of a wider size's.
+    """
+    for arg in fn.args:
+        if (isinstance(arg.type, PointerType)
+                and arg.type.space == AddressSpace.LOCAL):
+            return False
+    for block in fn.reachable_blocks():
+        for inst in block.instructions:
+            if isinstance(inst, (Barrier, PipeRead, PipeWrite)):
+                return False
+            if isinstance(inst, Alloca) and inst.space == AddressSpace.LOCAL:
+                return False
+            if isinstance(inst, Call) and (inst.callee in _GROUP_GEOMETRY
+                                           or inst.callee in KNOWN_ATOMICS):
+                return False
+    return True
+
+
+class SharedProfile:
+    """One profiling run per kernel, sliced for every work-group size.
+
+    Internal to the analyzers that probe one kernel at several
+    work-group sizes (:func:`repro.evaluation.make_analyzer` and the
+    serve explorer); pass it to :func:`analyze_kernel` as *shared*.
+    The first analysis that misses the store runs one engine over the
+    first ``min(G, profile_groups * width)`` work-items, where *width*
+    is the largest of *wg_sizes* and that analysis's work-group size.
+    Each analysis at a size that divides *width* then slices its
+    :class:`LaunchResult` from that run: traces regrouped with
+    group-local lane ids (views of the run's columns), block and trip
+    counts of its own prefix, and its group and item tallies.  The
+    slice equals a run at that size alone, engine provenance included.
+
+    The run is shared only when :func:`shares_prefix_profile` holds,
+    the launch is 1-D, and it finishes on the engine a lone run would
+    pick first (the synthesizer for a STATIC kernel, else the
+    vectorized interpreter) with no global address written by one
+    work-item and read by another: the vectorized engine steps a
+    group's work-items in lockstep, and every work-item reads what
+    launch order shows it only without such an address.  Otherwise
+    every size is profiled alone, as :func:`analyze_kernel` does
+    without *shared*.
+
+    *make_inputs* returns fresh ``(buffers, scalars)``, equal to the
+    ones each analysis receives; the shared run consumes its own set.
+    The profile lives as long as its owner: nothing is memoized
+    process-wide.
+    """
+
+    def __init__(self, make_inputs, wg_sizes,
+                 profile_groups: int = DEFAULT_PROFILE_GROUPS) -> None:
+        self._make_inputs = make_inputs
+        self._wg_sizes = tuple(wg_sizes)
+        self._groups = max(profile_groups, 1)
+        self._built = False
+        #: the shared run's launch, or None when sizes run alone
+        self._ndrange: Optional[NDRange] = None
+        self._source = ""
+        #: the shared run's packed groups, one per *width* work-items
+        self._wide: list = []
+        self._item_counts: Dict[str, np.ndarray] = {}
+
+    def launch(self, fn: Function, ndrange: NDRange, static: bool
+               ) -> Optional[Tuple[LaunchResult, str]]:
+        """``(launch, trace_source)`` for *ndrange*'s profiled groups,
+        sliced from the shared run (built on the first call), or None
+        when this size must be profiled alone."""
+        if not self._built:
+            self._built = True
+            self._build(fn, ndrange, static)
+        shared = self._ndrange
+        if (shared is None or ndrange.global_size != shared.global_size
+                or shared.local_size[0] % ndrange.local_size[0]):
+            return None
+        return self._slice(fn, ndrange.local_size[0]), self._source
+
+    def _build(self, fn: Function, ndrange: NDRange, static: bool
+               ) -> None:
+        width = max(self._wg_sizes + (ndrange.work_group_size,))
+        if (ndrange.dims != 1 or ndrange.global_size[0] % width
+                or not shares_prefix_profile(fn)):
+            return
+        shared = NDRange(ndrange.global_size, width)
+        buffers, scalars = self._make_inputs()
+        try:
+            if static:
+                run = _synthesizer_for(fn, buffers, scalars).run
+            else:
+                from repro.interp.vexec import VectorizedExecutor
+                run = VectorizedExecutor(fn, buffers, scalars).run
+            launch = run(shared, max_groups=self._groups,
+                         item_counts=True)
+        except Exception:
+            # Each size then runs alone: sizes whose prefix stops short
+            # of the fault still analyse, the others raise as before.
+            return
+        wide = launch.traces.groups
+        if not static:
+            from repro.interp.vexec import shared_global_write
+            item = np.concatenate([g.lane + i * width
+                                   for i, g in enumerate(wide)])
+            if shared_global_write(
+                    *(np.concatenate([getattr(g, col) for g in wide])
+                      for col in ("kind", "space", "addr")),
+                    item, read_by_other=True):
+                return
+        self._ndrange = shared
+        self._source = "synth" if static else "vectorized"
+        self._wide = wide
+        self._item_counts = launch.item_block_counts
+
+    def _slice(self, fn: Function, wg: int) -> LaunchResult:
+        """The launch a lone run at work-group size *wg* (a divisor of
+        the width) records: each of its groups is a run of rows of one
+        wide group, taken as views."""
+        width = self._ndrange.local_size[0]
+        n_groups = min(self._groups, self._ndrange.global_size[0] // wg)
+        items = n_groups * wg
+        groups = []
+        for g in range(n_groups):
+            wide = self._wide[g * wg // width]
+            first = g * wg % width
+            lo, hi = wide.lane_starts[[first, first + wg]]
+            groups.append(PackedGroup(
+                wide.site[lo:hi], wide.kind[lo:hi], wide.nbytes[lo:hi],
+                wide.space[lo:hi], wide.buf[lo:hi],
+                (wide.lane[lo:hi] - first).astype(np.int32),
+                wide.addr[lo:hi], wide.names, wg))
+        counts = {}
+        for name, per_item in self._item_counts.items():
+            count = int(per_item[:items].sum())
+            if count:
+                counts[name] = count
+        # barriers_per_item stays 0: a sharing kernel has no barrier.
+        return LaunchResult(
+            groups_executed=n_groups, work_items_executed=items,
+            block_counts=counts, traces=PackedTraces(groups, wg),
+            trip_counts=finalize_trip_counts(fn, counts, items))
+
+
 @dataclass(frozen=True)
 class PipeTraffic:
     """Profiled FIFO traffic of one kernel on one channel.
@@ -122,7 +289,12 @@ class PipeTraffic:
 @dataclass
 class KernelInfo:
     """Frozen product of kernel analysis for one (kernel, wg-size,
-    device) combination."""
+    device) combination.
+
+    Its launch may be a slice of a wider profile shared across
+    work-group sizes (:class:`SharedProfile`).  A slice equals a lone
+    profile at this size, so nothing here, the fingerprint included,
+    records which one it came from."""
 
     name: str
     fn: Function
@@ -209,7 +381,8 @@ def analyze_kernel(fn: Function, buffers: Dict[str, Buffer],
                    device, table: Optional[OpLatencyTable] = None,
                    profile_groups: int = DEFAULT_PROFILE_GROUPS,
                    cache=None, verify: bool = False,
-                   launch: Optional[LaunchResult] = None) -> KernelInfo:
+                   launch: Optional[LaunchResult] = None,
+                   shared: Optional[SharedProfile] = None) -> KernelInfo:
     """Run FlexCL kernel analysis.  *buffers* are consumed (the profiling
     run mutates them); pass fresh copies if the caller needs the data.
 
@@ -241,6 +414,12 @@ def analyze_kernel(fn: Function, buffers: Dict[str, Buffer],
     A ``KernelExecutor(...).run(...)`` result gives the scalar
     reference analysis.  The persistent cache is bypassed (the launch
     came from outside this function's hashed inputs).
+
+    *shared* is internal: the :class:`SharedProfile` of an analyzer
+    that probes this kernel at several work-group sizes.  On a store
+    miss the launch is sliced from its one run when the kernel admits
+    it, and profiled alone otherwise; either way the result, its
+    fingerprint and its ``trace_source`` equal an analysis without it.
     """
     if table is None:
         table = OpLatencyTable.for_device(device)
@@ -264,9 +443,15 @@ def analyze_kernel(fn: Function, buffers: Dict[str, Buffer],
         found, cached = cache.get("analysis", fingerprint)
         if found and isinstance(cached, KernelInfo):
             return cached
-    launch, trace_source = _profile(
-        fn, buffers, scalars, ndrange, max(profile_groups, 1),
-        summary.verdict == VERDICT_STATIC, verify)
+    static = summary.verdict == VERDICT_STATIC
+    sliced = (shared.launch(fn, ndrange, static)
+              if shared is not None and not verify else None)
+    if sliced is not None:
+        launch, trace_source = sliced
+    else:
+        launch, trace_source = _profile(
+            fn, buffers, scalars, ndrange, max(profile_groups, 1),
+            static, verify)
     info = _build_info(fn, ndrange, device, table, launch, fingerprint,
                        summary, trace_source)
     if cache is not None:

@@ -16,7 +16,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.dram.coalesce import CoalescedRequest
-from repro.dram.mapping import BankMapping
+from repro.dram.mapping import BankMapping, _swizzle
 
 
 class AccessPattern(enum.Enum):
@@ -190,8 +190,7 @@ def classify_packed(kind: np.ndarray, addr: np.ndarray,
         # log2(nb) + 6 block bits: look the bank up.
         bank = _bank_table(nb)[blocks & (64 * nb - 1)]
     else:
-        swiz = blocks ^ (blocks >> 3) ^ (blocks >> 6)
-        bank = (swiz % nb).astype(np.min_scalar_type(nb - 1))
+        bank = (_swizzle(blocks) % nb).astype(np.min_scalar_type(nb - 1))
 
     # Bank state is per (group, bank).  Requests arrive group-major, so
     # a stable sort on the bank alone (a one-byte radix sort) orders
@@ -256,8 +255,7 @@ def _bank_table(num_banks: int) -> np.ndarray:
     """Bank of every ``log2(num_banks) + 6``-bit block index under the
     XOR swizzle of :meth:`BankMapping.bank_of` (*num_banks* a power of
     two)."""
-    blocks = np.arange(64 * num_banks)
-    swiz = blocks ^ (blocks >> 3) ^ (blocks >> 6)
+    swiz = _swizzle(np.arange(64 * num_banks))
     return (swiz & (num_banks - 1)).astype(
         np.min_scalar_type(num_banks - 1))
 

@@ -7,7 +7,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from repro.analysis import analyze_kernel
-from repro.analysis.kernel_info import DEFAULT_PROFILE_GROUPS, KernelInfo
+from repro.analysis.kernel_info import (
+    DEFAULT_PROFILE_GROUPS,
+    KernelInfo,
+    SharedProfile,
+)
 from repro.baselines import SDAccelEstimator, SDAccelFailure
 from repro.dse.space import Design, DesignSpace, check_feasibility
 from repro.latency.microbench import _stable_hash
@@ -26,7 +30,18 @@ def make_analyzer(workload: Workload, device,
     (:class:`repro.cache.ArtifactCache`), analyses are additionally
     content-addressed on disk and shared across processes.  The kernel
     function is compiled once and its access summary is memoized on it,
-    so a DSE sweep pays the proof once for all work-group sizes."""
+    so a DSE sweep pays the proof once for all work-group sizes.
+
+    The analyzer profiles the kernel once: its
+    :class:`~repro.analysis.kernel_info.SharedProfile`, built on the
+    first store miss over the widest of
+    ``workload.valid_work_group_sizes()`` and the requested size, serves
+    every size that divides that width by slicing, when the kernel
+    admits it.  Each result equals a lone analysis at that size."""
+    groups = profile_groups or DEFAULT_PROFILE_GROUPS
+    shared = SharedProfile(
+        lambda: (workload.make_buffers(), workload.scalars),
+        workload.valid_work_group_sizes(), groups)
     memo: Dict[int, Optional[KernelInfo]] = {}
 
     def analyze(wg_size: int) -> Optional[KernelInfo]:
@@ -35,10 +50,8 @@ def make_analyzer(workload: Workload, device,
                 memo[wg_size] = analyze_kernel(
                     workload.function(), workload.make_buffers(),
                     workload.scalars, workload.ndrange(wg_size),
-                    device,
-                    profile_groups=(profile_groups
-                                    or DEFAULT_PROFILE_GROUPS),
-                    cache=cache)
+                    device, profile_groups=groups, cache=cache,
+                    shared=shared)
             except Exception:
                 memo[wg_size] = None
         return memo[wg_size]

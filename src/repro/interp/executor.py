@@ -130,6 +130,11 @@ class LaunchResult:
     trip_counts: Dict[str, float] = field(default_factory=dict)
     #: count of barriers executed by the first profiled work-item
     barriers_per_item: int = 0
+    #: block name -> per-work-item execution counts (one entry per
+    #: profiled item, launch order), filled only when a lane engine's
+    #: ``run`` is asked for ``item_counts``: any prefix of the items
+    #: then has exact ``block_counts`` of its own
+    item_block_counts: Optional[Dict[str, np.ndarray]] = None
 
 
 class _WorkItemState:

@@ -297,6 +297,8 @@ class LaneEngine:
         self._local_allocas: Dict[int, np.ndarray] = {}
         self._events: List[Tuple] = []
         self._record = True
+        #: whether the current run keeps per-lane block counts
+        self._count_items = False
         self._lid_cache: Dict[Tuple[int, ...], List[np.ndarray]] = {}
 
         self._code: List[_Block] = [self._compile_block(b) for b in blocks]
@@ -446,6 +448,21 @@ class LaneEngine:
         for i, col in enumerate(cols):
             cols[i] = col[order]
         return cols
+
+    def _lane_counters(self) -> Optional[np.ndarray]:
+        """Per-lane block counters (block index x lane) for a run asked
+        for ``item_counts``, else None."""
+        if not self._count_items:
+            return None
+        return np.zeros((self._done, self._nlanes), np.int32)
+
+    def _item_counts(self, lane_counts: np.ndarray,
+                     counts: Dict[str, int]) -> Dict[str, np.ndarray]:
+        """Key :meth:`_lane_counters` rows by block name (unique within
+        a function), in the order of the run's aggregate *counts*."""
+        row_of = {code.name: row
+                  for code, row in zip(self._code, lane_counts)}
+        return {name: row_of[name] for name in counts}
 
     def _finish_groups(self, cols: List[np.ndarray], n_groups: int):
         """Split :meth:`_sorted_events` columns into one

@@ -113,12 +113,17 @@ class TraceSynthesizer(LaneEngine):
     # -- run ---------------------------------------------------------------
 
     def run(self, ndrange: NDRange, max_groups: Optional[int] = None,
-            record: bool = True) -> LaunchResult:
+            record: bool = True, item_counts: bool = False
+            ) -> LaunchResult:
+        """Synthesize the first *max_groups* work-groups (all when
+        None).  *item_counts* also fills
+        :attr:`LaunchResult.item_block_counts`."""
         from repro.analysis.packed import PackedTraces
 
         result = LaunchResult()
         self._nd = ndrange
         self._record = record
+        self._count_items = record and item_counts
         wg = ndrange.work_group_size
         gids = self._group_ids(ndrange, max_groups)
         n_groups = len(gids)
@@ -131,9 +136,12 @@ class TraceSynthesizer(LaneEngine):
         # running them merged amortizes every vectorized op over the
         # whole profile instead of one work-group.
         self._bind_lanes(ndrange, gids)
-        counts, group_hits = self._run_lanes()
+        counts, group_hits, lane_counts = self._run_lanes()
         if record:
             result.block_counts.update(counts)
+            if lane_counts is not None:
+                result.item_block_counts = self._item_counts(lane_counts,
+                                                             counts)
             result.barriers_per_item = max(group_hits)
             result.traces = PackedTraces(
                 self._finish_groups(self._sorted_events(), n_groups), wg)
@@ -156,6 +164,7 @@ class TraceSynthesizer(LaneEngine):
         lane_block = np.zeros(n, np.int64)
         done = self._done
         counts: Dict[str, int] = {}
+        lane_counts = self._lane_counters()
         max_steps = self.max_steps
 
         while True:
@@ -165,6 +174,8 @@ class TraceSynthesizer(LaneEngine):
             idx = np.flatnonzero(lane_block == cur)
             code = self._code[cur]
             counts[code.name] = counts.get(code.name, 0) + len(idx)
+            if lane_counts is not None:
+                lane_counts[cur, idx] += 1
             for seg in code.segments:
                 for op in seg.ops:
                     op(idx)
@@ -188,7 +199,8 @@ class TraceSynthesizer(LaneEngine):
                 lane_block[idx] = np.where(
                     np.asarray(c) != 0, term[2], term[3])
         # Lane 0 of each group mirrors the executor's per-group count.
-        return counts, [int(h) for h in barrier_hits[::self._wg]]
+        return (counts, [int(h) for h in barrier_hits[::self._wg]],
+                lane_counts)
 
     # -- operand access ----------------------------------------------------
 

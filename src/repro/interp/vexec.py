@@ -163,6 +163,33 @@ _LANEWISE_2 = {
 }
 
 
+def shared_global_write(kind, space, addr, owner,
+                        read_by_other: bool = False) -> bool:
+    """True when a global address written by one owner (atomics emit a
+    write) is also read or written by another.  With *read_by_other*
+    only a read counts: writers racing on an address no one else
+    reads change no value any owner sees.  The four arrays are
+    parallel packed-trace columns; *owner* labels each row (its
+    work-group, or its work-item)."""
+    glob = space == _PK_GLOBAL
+    written = addr[glob & (kind == _PK_WRITE)]
+    if not len(written):
+        return False
+    # Every access to a written address; a conflict is such an address
+    # touched by two owners (and, with read_by_other, read at all).
+    touch = glob & np.isin(addr, written)
+    a = addr[touch]
+    order = np.argsort(a, kind="stable")
+    a, g = a[order], owner[touch][order]
+    heads = np.flatnonzero(np.r_[True, a[1:] != a[:-1]])
+    shared = (np.minimum.reduceat(g, heads)
+              != np.maximum.reduceat(g, heads))
+    if read_by_other:
+        reads = (kind[touch][order] == _PK_READ).astype(np.int8)
+        shared &= np.maximum.reduceat(reads, heads) > 0
+    return bool(shared.any())
+
+
 class VectorizedExecutor(LaneEngine):
     """Executes one kernel over host buffers, all launched work-groups
     as one lane vector (group by group only after a cross-group
@@ -237,15 +264,18 @@ class VectorizedExecutor(LaneEngine):
     # -- run ---------------------------------------------------------------
 
     def run(self, ndrange: NDRange, max_groups: Optional[int] = None,
-            record: bool = True) -> LaunchResult:
+            record: bool = True, item_counts: bool = False
+            ) -> LaunchResult:
         """Execute the NDRange (optionally only the first *max_groups*
-        work-groups) and collect packed traces.  On any exception the
-        buffers are restored to their pre-launch contents."""
+        work-groups) and collect packed traces.  *item_counts* also
+        fills :attr:`LaunchResult.item_block_counts`.  On any exception
+        the buffers are restored to their pre-launch contents."""
         from repro.analysis.packed import PackedTraces
 
         result = LaunchResult()
         self._nd = ndrange
         self._record = record
+        self._count_items = record and item_counts
         wg = ndrange.work_group_size
         gids = self._group_ids(ndrange, max_groups)
         snapshots = [b.data.copy() for b in self._bufs]
@@ -259,7 +289,7 @@ class VectorizedExecutor(LaneEngine):
             self._restore(snapshots)
             raise
         packed = []
-        for n_groups, (counts, group_hits, cols) in runs:
+        for n_groups, (counts, group_hits, cols, _) in runs:
             result.groups_executed += n_groups
             result.work_items_executed += n_groups * wg
             if not record:
@@ -271,6 +301,10 @@ class VectorizedExecutor(LaneEngine):
                                            *group_hits)
             packed.extend(self._finish_groups(cols, n_groups))
         result.traces = PackedTraces(packed, wg)
+        if self._count_items and runs:
+            result.item_block_counts = self._item_counts(
+                np.concatenate([run[3] for _, run in runs], axis=1),
+                result.block_counts)
         result.trip_counts.update(finalize_trip_counts(
             self.fn, result.block_counts, result.work_items_executed))
         return result
@@ -301,24 +335,12 @@ class VectorizedExecutor(LaneEngine):
         group read only initial values or its own writes, so the merged
         run equals launch-order execution."""
         _, kind, _, space, _, lane, addr = cols
-        glob = space == _PK_GLOBAL
-        written = addr[glob & (kind == _PK_WRITE)]
-        if not len(written):
-            return False
-        # Every access to a written address; a conflict is such an
-        # address touched by two groups.
-        touch = glob & np.isin(addr, written)
-        a = addr[touch]
-        order = np.argsort(a, kind="stable")
-        a, g = a[order], lane[touch][order] // self._wg
-        heads = np.flatnonzero(np.r_[True, a[1:] != a[:-1]])
-        return bool((np.minimum.reduceat(g, heads)
-                     != np.maximum.reduceat(g, heads)).any())
+        return shared_global_write(kind, space, addr, lane // self._wg)
 
     def _run_lanes(self, gids):
         """Run the groups in *gids* together, one lane per work-item.
         Returns ``(block counts, lane-0 barrier hits per group, sorted
-        event columns or None)``."""
+        event columns or None, per-lane block counters or None)``."""
         ndrange = self._nd
         n_groups = len(gids)
         self._bind_lanes(ndrange, gids)
@@ -358,6 +380,7 @@ class VectorizedExecutor(LaneEngine):
         phases = 0
         max_steps = self.max_steps
         counts: Dict[str, int] = {}
+        lane_counts = self._lane_counters()
 
         while True:
             k = int(key.min())
@@ -391,6 +414,8 @@ class VectorizedExecutor(LaneEngine):
             code = self._code[cur]
             if s == 0:
                 counts[code.name] = counts.get(code.name, 0) + len(idx)
+                if lane_counts is not None:
+                    lane_counts[cur, idx] += 1
             segments = code.segments
             parked_here = False
             while s < len(segments):
@@ -421,10 +446,10 @@ class VectorizedExecutor(LaneEngine):
                 key[idx] = np.where(c != 0, term[2] * span, term[3] * span)
 
         if not self._record:
-            return counts, [], None
+            return counts, [], None, None
         # Lane 0 of each group mirrors the executor's per-group count.
         return (counts, [int(h) for h in barrier_hits[::self._wg]],
-                self._sorted_events())
+                self._sorted_events(), lane_counts)
 
     # -- operand access ----------------------------------------------------
 

@@ -506,25 +506,33 @@ def predict_payload(spec: dict, cache=None,
 # explore
 # ---------------------------------------------------------------------
 
-def make_spec_analyzer(spec: dict, fn, workload, device, cache=None
+def make_spec_analyzer(spec: dict, fn, workload, device,
+                       wg_sizes: Sequence[int], cache=None
                        ) -> Callable[[int], object]:
     """A memoized ``analyze(wg) -> KernelInfo | None`` over fresh
-    per-work-group-size inputs (profiling mutates buffers)."""
+    per-work-group-size inputs (profiling mutates buffers).  The
+    kernel is profiled once for every size that divides the widest of
+    *wg_sizes* and the requested one
+    (:class:`~repro.analysis.kernel_info.SharedProfile`)."""
     from repro.analysis import analyze_kernel
+    from repro.analysis.kernel_info import SharedProfile
     from repro.interp import NDRange
 
     global_size = _spec_global_size(spec, workload)
+
+    def inputs():
+        return _spec_inputs(fn, workload, global_size, spec["args"])
+
+    shared = SharedProfile(inputs, wg_sizes)
     memo: Dict[int, object] = {}
 
     def analyze(wg: int):
         if wg not in memo:
             try:
-                buffers, scalars = _spec_inputs(fn, workload,
-                                                global_size,
-                                                spec["args"])
+                buffers, scalars = inputs()
                 memo[wg] = analyze_kernel(
                     fn, buffers, scalars, NDRange(global_size, wg),
-                    device, cache=cache)
+                    device, cache=cache, shared=shared)
             except Exception:
                 memo[wg] = None
         return memo[wg]
@@ -549,7 +557,6 @@ def explore_rows(spec: dict, cache=None,
     spec = normalize_explore_spec(spec)
     device = device_by_name(spec["device"])
     fn, workload = resolve_kernel(spec)
-    analyze = make_spec_analyzer(spec, fn, workload, device, cache)
     model = FlexCL(device, cache=cache)
     space = DesignSpace.default_for(_spec_global_size(spec, workload))
     index = {design: i for i, design in enumerate(space)}
@@ -557,6 +564,8 @@ def explore_rows(spec: dict, cache=None,
         wanted = set(wg_sizes)
         space = replace(space, work_group_sizes=tuple(
             wg for wg in space.work_group_sizes if wg in wanted))
+    analyze = make_spec_analyzer(spec, fn, workload, device,
+                                 space.work_group_sizes, cache)
     result = explore(
         space, analyze,
         lambda info, design: model.predict(info, design).cycles,
