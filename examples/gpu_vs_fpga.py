@@ -9,11 +9,11 @@ Run:  python examples/gpu_vs_fpga.py
 
 import numpy as np
 
-from repro.analysis import analyze_kernel
 from repro.devices import VIRTEX7
 from repro.dse import DesignSpace, explore
+from repro.evaluation import kernel_analyzer
 from repro.frontend import compile_opencl
-from repro.interp import Buffer, NDRange
+from repro.interp import Buffer
 from repro.model import FlexCL
 from repro.model.gpu_compare import compare
 
@@ -47,22 +47,20 @@ KERNELS = {
 }
 
 
+def inputs():
+    """Fresh buffers and scalars for one analysis (profiling mutates
+    buffers)."""
+    return ({"a": Buffer("a", np.ones(N, np.float32) + 0.5),
+             "b": Buffer("b", np.zeros(N, np.float32))}, {"n": N})
+
+
 def main() -> None:
     model = FlexCL(VIRTEX7)
     for name, src in KERNELS.items():
         fn = compile_opencl(src).get("k")
-
-        def analyzer(wg, fn=fn):
-            try:
-                return analyze_kernel(
-                    fn,
-                    {"a": Buffer("a", np.ones(N, np.float32) + 0.5),
-                     "b": Buffer("b", np.zeros(N, np.float32))},
-                    {"n": N}, NDRange(N, wg), VIRTEX7)
-            except Exception:
-                return None
-
         space = DesignSpace.default_for(N)
+        analyzer = kernel_analyzer(fn, inputs, N, space.work_group_sizes,
+                                   VIRTEX7)
         result = explore(space, analyzer,
                          lambda info, d: model.predict(info, d).cycles,
                          VIRTEX7)

@@ -20,7 +20,6 @@ work-group size: the model and baselines schedule it per design point.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -42,7 +41,7 @@ from repro.interp.executor import (
     NDRange,
     finalize_trip_counts,
 )
-from repro.ir.function import Function
+from repro.ir.function import Function, function_memo
 from repro.ir.instructions import Alloca, Barrier, Call, PipeRead, PipeWrite
 from repro.ir.types import AddressSpace, PointerType
 from repro.latency.optable import OpLatencyTable
@@ -61,14 +60,6 @@ class StaticTraceMismatch(AssertionError):
     in normal operation."""
 
 
-# Per-function memoization for work the explorer repeats across
-# work-group sizes.  Weak keys: entries die with the Function object,
-# and nothing here ends up inside pickled KernelInfos beyond the shared
-# (read-only) DFG dicts themselves.
-_BLOCK_DFG_MEMO: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-_SYNTH_MEMO: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
 def _table_key(table: OpLatencyTable) -> tuple:
     # ``OpLatencyTable.for_device`` builds a fresh object per call, so
     # identity is useless as a memo key; hash the contents instead.
@@ -81,14 +72,10 @@ def _block_dfgs_for(fn: Function, table: OpLatencyTable
     """Per-block DFGs depend only on the IR and the latency table —
     not on the NDRange — so one build serves every work-group size.
     Consumers (the list scheduler, baselines) never mutate them."""
-    per_fn = _BLOCK_DFG_MEMO.setdefault(fn, {})
-    key = _table_key(table)
-    dfgs = per_fn.get(key)
-    if dfgs is None:
-        dfgs = {block.name: build_block_dfg(block, table)
-                for block in fn.reachable_blocks()}
-        per_fn[key] = dfgs
-    return dfgs
+    return function_memo(
+        fn, ("block_dfgs", _table_key(table)),
+        lambda: {block.name: build_block_dfg(block, table)
+                 for block in fn.reachable_blocks()})
 
 
 def _synthesizer_for(fn: Function, buffers: Dict[str, Buffer],
@@ -100,19 +87,11 @@ def _synthesizer_for(fn: Function, buffers: Dict[str, Buffer],
     allocation is deterministic in the sizes and bind order, so the
     memoized instance sees the same base addresses a fresh one would."""
     from repro.interp.synth import TraceSynthesizer
-    try:
-        sig = (tuple((name, b.nbytes, b.elem_size)
-                     for name, b in buffers.items()),
-               tuple(sorted(scalars.items())))
-        hash(sig)
-    except TypeError:
-        return TraceSynthesizer(fn, buffers, scalars)
-    per_fn = _SYNTH_MEMO.setdefault(fn, {})
-    synthesizer = per_fn.get(sig)
-    if synthesizer is None:
-        synthesizer = TraceSynthesizer(fn, buffers, scalars)
-        per_fn[sig] = synthesizer
-    return synthesizer
+    sig = (tuple((name, b.nbytes, b.elem_size)
+                 for name, b in buffers.items()),
+           tuple(sorted(scalars.items())))
+    return function_memo(fn, ("synth", sig),
+                         lambda: TraceSynthesizer(fn, buffers, scalars))
 
 
 #: builtins whose value depends on the work-group size
@@ -152,9 +131,9 @@ def shares_prefix_profile(fn: Function) -> bool:
 class SharedProfile:
     """One profiling run per kernel, sliced for every work-group size.
 
-    Internal to the analyzers that probe one kernel at several
-    work-group sizes (:func:`repro.evaluation.make_analyzer` and the
-    serve explorer); pass it to :func:`analyze_kernel` as *shared*.
+    Internal to the analyzer that probes one kernel at several
+    work-group sizes (:func:`repro.evaluation.kernel_analyzer`); pass
+    it to :func:`analyze_kernel` as *shared*.
     The first analysis that misses the store runs one engine over the
     first ``min(G, profile_groups * width)`` work-items, where *width*
     is the largest of *wg_sizes* and that analysis's work-group size.
@@ -440,8 +419,11 @@ def analyze_kernel(fn: Function, buffers: Dict[str, Buffer],
                                        device, table, profile_groups,
                                        summary.fingerprint)
     if cache is not None:
+        # A hit must be the analysis of this key: an entry copied or
+        # renamed onto the path is recomputed and overwritten.
         found, cached = cache.get("analysis", fingerprint)
-        if found and isinstance(cached, KernelInfo):
+        if (found and isinstance(cached, KernelInfo)
+                and cached.fingerprint == fingerprint):
             return cached
     static = summary.verdict == VERDICT_STATIC
     sliced = (shared.launch(fn, ndrange, static)

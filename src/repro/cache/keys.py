@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import weakref
 from typing import Dict
+
+from repro.ir.function import BasicBlock, function_memo
 
 #: Persistent-layer schema versions.  Bump a layer's version whenever
 #: the code producing its cached artefact changes meaning (e.g. the
@@ -62,13 +63,6 @@ def device_fingerprint(device) -> str:
     return digest("device", desc)
 
 
-#: per-Function fingerprint memo — the dump only reads the lowered IR,
-#: which is immutable after the frontend (site ids and other analysis
-#: annotations are excluded from the dump), so one hash per Function
-#: object serves every analysis of it
-_FN_FP_MEMO: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
 def function_fingerprint(fn) -> str:
     """Content hash of a lowered IR function via a canonical dump.
 
@@ -76,21 +70,15 @@ def function_fingerprint(fn) -> str:
     global ``Register`` counter leaks compile-session state into
     ``repr``), and source spans / profiling site ids are excluded, so
     the fingerprint is stable across processes and whitespace-only
-    source edits while any change to the computation busts it.
+    source edits while any change to the computation busts it.  The
+    dump only reads the lowered IR, so one hash per Function object
+    serves every analysis of it.
     """
-    try:
-        fp = _FN_FP_MEMO.get(fn)
-    except TypeError:            # unhashable/unweakrefable test double
-        return digest("fn", _function_dump(fn))
-    if fp is None:
-        fp = digest("fn", _function_dump(fn))
-        _FN_FP_MEMO[fn] = fp
-    return fp
+    return function_memo(fn, "fingerprint",
+                         lambda: digest("fn", _function_dump(fn)))
 
 
 def _function_dump(fn) -> str:
-    from repro.ir.function import BasicBlock
-
     names: Dict[int, str] = {}
     for i, arg in enumerate(fn.args):
         names[id(arg)] = f"%a{i}"

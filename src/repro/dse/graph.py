@@ -86,19 +86,6 @@ class GraphExplorationResult:
         return ranked[0] if ranked else None
 
 
-def _stage_analyzer(workload, device, cache):
-    """Per-work-group-size analysis closure for one stage."""
-    from repro.analysis import analyze_kernel
-    from repro.interp import NDRange
-
-    def analyze(wg: int):
-        return analyze_kernel(
-            workload.function(), workload.make_buffers(),
-            dict(workload.scalars),
-            NDRange(workload.global_size, wg), device, cache=cache)
-    return analyze
-
-
 def explore_program(program, device,
                     depths: Tuple[int, ...] = DEFAULT_DEPTHS,
                     top_k: int = 3,
@@ -114,6 +101,7 @@ def explore_program(program, device,
     through *cache* when given, so the sweep shares the persistent
     store with ordinary single-kernel runs.
     """
+    from repro.evaluation.harness import make_analyzer
     from repro.model.flexcl import FlexCL
     from repro.model.graph import predict_graph
 
@@ -125,20 +113,14 @@ def explore_program(program, device,
 
     # Phase 1: per-stage short-lists.
     shortlists: Dict[str, List[Design]] = {}
-    infos: Dict[str, Dict[int, object]] = {}
+    #: each stage's analyzer: one profile, one analysis per size
+    infos: Dict[str, Callable[[int], object]] = {}
     for workload in program.stages:
         stage = workload.kernel
         stage_space = (space(workload) if space is not None
                        else DesignSpace.default_for(workload.global_size))
-        analyze = _stage_analyzer(workload, device, cache)
-        memo: Dict[int, object] = {}
-
-        def cached_analyze(wg: int, _memo=memo, _analyze=analyze):
-            if wg not in _memo:
-                _memo[wg] = _analyze(wg)
-            return _memo[wg]
-
-        sweep = explore(stage_space, cached_analyze,
+        analyze = make_analyzer(workload, device, cache=cache)
+        sweep = explore(stage_space, analyze,
                         lambda info, d: model.predict(info, d).cycles,
                         device)
         result.stage_sweeps[stage] = sweep
@@ -146,10 +128,10 @@ def explore_program(program, device,
         if not top:
             raise ValueError(f"no feasible design for stage {stage}")
         shortlists[stage] = top
-        infos[stage] = memo
+        infos[stage] = analyze
 
     def info_for(stage: str, design: Design):
-        return infos[stage][design.work_group_size]
+        return infos[stage](design.work_group_size)
 
     def evaluate(realization: str, choice: Dict[str, Design],
                  depth: int) -> EvaluatedGraphDesign:

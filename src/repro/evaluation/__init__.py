@@ -10,6 +10,7 @@ from repro.evaluation.harness import (
     KernelAccuracy,
     estimate_synthesis_time,
     evaluate_accuracy,
+    kernel_analyzer,
     make_analyzer,
     sample_designs,
 )
@@ -30,6 +31,7 @@ __all__ = [
     "default_suite_workloads",
     "estimate_synthesis_time",
     "evaluate_accuracy",
+    "kernel_analyzer",
     "make_analyzer",
     "run_dse_study",
     "run_suite",

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.analysis import analyze_kernel
 from repro.analysis.kernel_info import (
@@ -14,42 +14,43 @@ from repro.analysis.kernel_info import (
 )
 from repro.baselines import SDAccelEstimator, SDAccelFailure
 from repro.dse.space import Design, DesignSpace, check_feasibility
+from repro.interp import NDRange
 from repro.latency.microbench import _stable_hash
 from repro.model import FlexCL
 from repro.simulator import SystemRun
 from repro.workloads.base import Workload
 
 
-def make_analyzer(workload: Workload, device,
-                  profile_groups: Optional[int] = None,
-                  cache=None) -> Callable[[int], Optional[KernelInfo]]:
-    """Returns a cached ``analyze(wg_size) -> KernelInfo`` for one
-    workload.  Returns None for work-group sizes the kernel cannot run
-    at (analysis raising is treated as 'this configuration does not
+def kernel_analyzer(fn, make_inputs: Callable[[], tuple],
+                    global_size: int, wg_sizes: Sequence[int], device,
+                    cache=None, profile_groups: Optional[int] = None
+                    ) -> Callable[[int], Optional[KernelInfo]]:
+    """The one memoized ``analyze(wg_size) -> KernelInfo`` of kernel
+    *fn* over a 1-D launch of *global_size* work-items.
+
+    *make_inputs* returns fresh ``(buffers, scalars)`` (profiling
+    mutates buffers).  Each work-group size is analysed once; an
+    analysis that raises gives None ('this configuration does not
     build').  With a persistent *cache*
     (:class:`repro.cache.ArtifactCache`), analyses are additionally
-    content-addressed on disk and shared across processes.  The kernel
-    function is compiled once and its access summary is memoized on it,
-    so a DSE sweep pays the proof once for all work-group sizes.
+    content-addressed on disk and shared across processes.
 
     The analyzer profiles the kernel once: its
     :class:`~repro.analysis.kernel_info.SharedProfile`, built on the
-    first store miss over the widest of
-    ``workload.valid_work_group_sizes()`` and the requested size, serves
-    every size that divides that width by slicing, when the kernel
-    admits it.  Each result equals a lone analysis at that size."""
+    first store miss over the widest of *wg_sizes* and the requested
+    size, serves every size that divides that width by slicing, when
+    the kernel admits it.  Each result equals a lone analysis at that
+    size."""
     groups = profile_groups or DEFAULT_PROFILE_GROUPS
-    shared = SharedProfile(
-        lambda: (workload.make_buffers(), workload.scalars),
-        workload.valid_work_group_sizes(), groups)
+    shared = SharedProfile(make_inputs, wg_sizes, groups)
     memo: Dict[int, Optional[KernelInfo]] = {}
 
     def analyze(wg_size: int) -> Optional[KernelInfo]:
         if wg_size not in memo:
             try:
+                buffers, scalars = make_inputs()
                 memo[wg_size] = analyze_kernel(
-                    workload.function(), workload.make_buffers(),
-                    workload.scalars, workload.ndrange(wg_size),
+                    fn, buffers, scalars, NDRange(global_size, wg_size),
                     device, profile_groups=groups, cache=cache,
                     shared=shared)
             except Exception:
@@ -57,6 +58,18 @@ def make_analyzer(workload: Workload, device,
         return memo[wg_size]
 
     return analyze
+
+
+def make_analyzer(workload: Workload, device,
+                  profile_groups: Optional[int] = None,
+                  cache=None) -> Callable[[int], Optional[KernelInfo]]:
+    """:func:`kernel_analyzer` of one catalog *workload*, profiling
+    ahead for every size of ``workload.valid_work_group_sizes()``."""
+    return kernel_analyzer(
+        workload.function(),
+        lambda: (workload.make_buffers(), workload.scalars),
+        workload.global_size, workload.valid_work_group_sizes(), device,
+        cache=cache, profile_groups=profile_groups)
 
 
 def sample_designs(workload: Workload, device,

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional, TypeVar
 
 from repro.ir.instructions import (
     Branch,
@@ -12,6 +12,8 @@ from repro.ir.instructions import (
 )
 from repro.ir.types import Type
 from repro.ir.values import Argument
+
+T = TypeVar("T")
 
 
 class BasicBlock:
@@ -76,6 +78,19 @@ class Function:
         self.blocks: List[BasicBlock] = []
         #: required work-group size from reqd_work_group_size, if any
         self.reqd_work_group_size: Optional[tuple] = None
+        #: data derived from the IR, built once (:func:`function_memo`)
+        self._derived: Dict[object, object] = {}
+
+    def __getstate__(self) -> dict:
+        # Derived data is rebuilt on demand, so a pickled function (the
+        # ``fn`` of every stored analysis) carries its IR only.
+        state = dict(self.__dict__)
+        del state["_derived"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._derived = {}
 
     @property
     def entry(self) -> BasicBlock:
@@ -128,3 +143,27 @@ class Function:
 
     def __repr__(self) -> str:
         return f"<Function {self.name}: {len(self.blocks)} blocks>"
+
+
+_MISSING = object()
+
+
+def function_memo(fn: Function, key, build: Callable[[], T]) -> T:
+    """``build()``, computed once per *fn* and *key*.
+
+    The IR is immutable after lowering, so anything that depends only
+    on it (and on *key*) is built once and shared by every analysis of
+    that function object: its fingerprint, access summary, determinism
+    classifier, per-block DFGs and compiled synthesizers.  The values
+    live on the function and die with it; they are never pickled.  A
+    *fn* that is not a :class:`Function` (a test double) or a *key*
+    that cannot be hashed is built afresh each call."""
+    if not isinstance(fn, Function):
+        return build()
+    try:
+        value = fn._derived.get(key, _MISSING)
+    except TypeError:
+        return build()
+    if value is _MISSING:
+        value = fn._derived[key] = build()
+    return value

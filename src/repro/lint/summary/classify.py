@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.ir.function import Function
+from repro.ir.function import Function, function_memo
 from repro.ir.instructions import (
     Alloca,
     BinaryOp,
@@ -315,8 +315,4 @@ class Classifier(Dispatcher):
 def classify_function(fn: Function) -> Classifier:
     """Memoized classifier for *fn* (the judgement only depends on the
     IR, so one classification serves every NDRange and design point)."""
-    cached = getattr(fn, "_determinism_classifier", None)
-    if cached is None:
-        cached = Classifier(fn)
-        fn._determinism_classifier = cached  # type: ignore[attr-defined]
-    return cached
+    return function_memo(fn, "classifier", lambda: Classifier(fn))

@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.cache.keys import digest, function_fingerprint
-from repro.ir.function import Function
+from repro.ir.function import Function, function_memo
 from repro.ir.instructions import (
     Alloca,
     Call,
@@ -67,11 +67,7 @@ def _known_builtins() -> frozenset:
 
 def summarize_kernel(fn: Function) -> KernelSummary:
     """Memoized whole-kernel summary of *fn*."""
-    cached = getattr(fn, "_access_summary", None)
-    if cached is None:
-        cached = _summarize(fn)
-        fn._access_summary = cached  # type: ignore[attr-defined]
-    return cached
+    return function_memo(fn, "summary", lambda: _summarize(fn))
 
 
 def summarize_module(module) -> Dict[str, KernelSummary]:

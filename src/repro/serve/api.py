@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -506,40 +506,6 @@ def predict_payload(spec: dict, cache=None,
 # explore
 # ---------------------------------------------------------------------
 
-def make_spec_analyzer(spec: dict, fn, workload, device,
-                       wg_sizes: Sequence[int], cache=None
-                       ) -> Callable[[int], object]:
-    """A memoized ``analyze(wg) -> KernelInfo | None`` over fresh
-    per-work-group-size inputs (profiling mutates buffers).  The
-    kernel is profiled once for every size that divides the widest of
-    *wg_sizes* and the requested one
-    (:class:`~repro.analysis.kernel_info.SharedProfile`)."""
-    from repro.analysis import analyze_kernel
-    from repro.analysis.kernel_info import SharedProfile
-    from repro.interp import NDRange
-
-    global_size = _spec_global_size(spec, workload)
-
-    def inputs():
-        return _spec_inputs(fn, workload, global_size, spec["args"])
-
-    shared = SharedProfile(inputs, wg_sizes)
-    memo: Dict[int, object] = {}
-
-    def analyze(wg: int):
-        if wg not in memo:
-            try:
-                buffers, scalars = inputs()
-                memo[wg] = analyze_kernel(
-                    fn, buffers, scalars, NDRange(global_size, wg),
-                    device, cache=cache, shared=shared)
-            except Exception:
-                memo[wg] = None
-        return memo[wg]
-
-    return analyze
-
-
 def explore_rows(spec: dict, cache=None,
                  wg_sizes: Optional[Sequence[int]] = None) -> List[dict]:
     """Evaluate every design of the default space whose work-group size
@@ -552,20 +518,23 @@ def explore_rows(spec: dict, cache=None,
     from repro.devices import device_by_name
     from repro.dse import DesignSpace
     from repro.dse.explorer import explore
+    from repro.evaluation.harness import kernel_analyzer
     from repro.model import FlexCL
 
     spec = normalize_explore_spec(spec)
     device = device_by_name(spec["device"])
     fn, workload = resolve_kernel(spec)
     model = FlexCL(device, cache=cache)
-    space = DesignSpace.default_for(_spec_global_size(spec, workload))
+    global_size = _spec_global_size(spec, workload)
+    space = DesignSpace.default_for(global_size)
     index = {design: i for i, design in enumerate(space)}
     if wg_sizes is not None:
         wanted = set(wg_sizes)
         space = replace(space, work_group_sizes=tuple(
             wg for wg in space.work_group_sizes if wg in wanted))
-    analyze = make_spec_analyzer(spec, fn, workload, device,
-                                 space.work_group_sizes, cache)
+    analyze = kernel_analyzer(
+        fn, lambda: _spec_inputs(fn, workload, global_size, spec["args"]),
+        global_size, space.work_group_sizes, device, cache=cache)
     result = explore(
         space, analyze,
         lambda info, design: model.predict(info, design).cycles,

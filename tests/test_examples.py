@@ -1,7 +1,6 @@
 """Smoke tests: the fast example scripts must run end to end."""
 
 import runpy
-import sys
 from pathlib import Path
 
 
@@ -26,6 +25,11 @@ class TestExamples:
         assert "FPGA/GPU speedup" in out
         # the recurrence-bound scan is the kernel the FPGA wins
         assert "-> FPGA favourable" in out
+
+    def test_design_space_exploration(self, capsys):
+        out = run_example("design_space_exploration.py", capsys)
+        assert "top-5 designs by predicted cycles" in out
+        assert "FlexCL exhaustive pick" in out
 
     def test_bottleneck_analysis(self, capsys):
         out = run_example("bottleneck_analysis.py", capsys)
