@@ -59,15 +59,15 @@ import numpy as np
 import repro.model.flexcl as flexcl
 import repro.model.pe as pe
 import repro.scheduling.sms as sms
-from repro.analysis import GroupStreamExtrapolator, analyze_kernel
+from repro.analysis import GroupStreamExtrapolator
 from repro.devices import VIRTEX7
 from repro.dram import BankMapping
 from repro.dram.coalesce import coalesce_packed
 from repro.dram.patterns import classify_packed
 from repro.dse import DesignSpace, explore
-from repro.evaluation import make_analyzer
+from repro.evaluation import kernel_analyzer, make_analyzer
 from repro.frontend import compile_opencl
-from repro.interp import Buffer, NDRange
+from repro.interp import Buffer
 from repro.latency.optable import DSP_COST
 from repro.model import FlexCL
 from repro.workloads import all_workloads
@@ -86,22 +86,20 @@ __kernel void stream(__global const float* a, __global const float* b,
 """
 
 
-def _make_analyzer(n: int):
+def _make_analyzer(n: int, space: DesignSpace):
+    """A fresh memoized analyzer of the benchmark kernel, so each sweep
+    that gets one analyses each work-group size once."""
     fn = compile_opencl(_KERNEL).get("stream")
 
-    def analyzer(wg: int):
-        try:
-            rng = np.random.default_rng(7)
-            return analyze_kernel(
-                fn,
-                {"a": Buffer("a", rng.random(n).astype(np.float32)),
+    def make_inputs():
+        rng = np.random.default_rng(7)
+        return ({"a": Buffer("a", rng.random(n).astype(np.float32)),
                  "b": Buffer("b", rng.random(n).astype(np.float32)),
                  "c": Buffer("c", np.zeros(n, np.float32))},
-                {"n": n}, NDRange(n, wg), VIRTEX7)
-        except Exception:
-            return None
+                {"n": n})
 
-    return analyzer
+    return kernel_analyzer(fn, make_inputs, n, space.work_group_sizes,
+                           VIRTEX7)
 
 
 def _space(small: bool, n: int) -> DesignSpace:
@@ -206,7 +204,7 @@ def _sweep(space, analyzer, device, memoize: bool):
         start = time.perf_counter()
         result = explore(space, analyzer,
                          lambda info, d: model.predict(info, d).cycles,
-                         device, cache_stats=lambda: model.cache_stats)
+                         device)
         elapsed = time.perf_counter() - start
     return result, elapsed, work.payload(), model
 
@@ -308,13 +306,15 @@ def _cache_payload(stats) -> dict:
 def run(small: bool = False, n: int = 4096) -> dict:
     if small:
         n = min(n, 256)
-    analyzer = _make_analyzer(n)
     space = _space(small, n)
 
-    cold, t_cold, work_cold, _ = _sweep(space, analyzer, VIRTEX7,
-                                        memoize=False)
+    cold, t_cold, work_cold, _ = _sweep(space, _make_analyzer(n, space),
+                                        VIRTEX7, memoize=False)
+    analyzer = _make_analyzer(n, space)
     memo, t_memo, work_memo, model = _sweep(space, analyzer, VIRTEX7,
                                             memoize=True)
+    # The model is fresh, so its counters are the sweep's.
+    stats = model.cache_stats
 
     assert _signature(memo) == _signature(cold), \
         "memoized sweep diverged from the cold sweep"
@@ -322,8 +322,6 @@ def run(small: bool = False, n: int = 4096) -> dict:
         == work_memo["distinct_list_keys"], \
         f"memoized sweep repeated block list schedules: {work_memo}"
     memory_rows = _check_memory_rows(memo, analyzer, model, VIRTEX7)
-
-    stats = memo.cache_stats
     payload = {
         "kernel": "stream",
         "global_size": n,
@@ -340,7 +338,7 @@ def run(small: bool = False, n: int = 4096) -> dict:
         "speedup": {
             "memoized_vs_cold": t_cold / max(t_memo, 1e-9),
         },
-        "cache": _cache_payload(stats) if stats is not None else None,
+        "cache": _cache_payload(stats),
         "schedules": {"serial_cold": work_cold,
                       "serial_memoized": work_memo},
         "identical_results": True,

@@ -53,13 +53,6 @@ from repro.latency.optable import OpLatencyTable
 DEFAULT_PROFILE_GROUPS = 4
 
 
-class StaticTraceMismatch(AssertionError):
-    """Raised by ``verify=True`` when a synthesized or vectorized trace
-    disagrees with the scalar interpreter — always a bug in the summary
-    engine, the synthesizer, or the vectorized executor, never expected
-    in normal operation."""
-
-
 def _table_key(table: OpLatencyTable) -> tuple:
     # ``OpLatencyTable.for_device`` builds a fresh object per call, so
     # identity is useless as a memo key; hash the contents instead.
@@ -357,10 +350,8 @@ def analysis_fingerprint(fn: Function, buffers: Dict[str, Buffer],
 
 def analyze_kernel(fn: Function, buffers: Dict[str, Buffer],
                    scalars: Dict[str, object], ndrange: NDRange,
-                   device, table: Optional[OpLatencyTable] = None,
-                   profile_groups: int = DEFAULT_PROFILE_GROUPS,
-                   cache=None, verify: bool = False,
-                   launch: Optional[LaunchResult] = None,
+                   device, profile_groups: int = DEFAULT_PROFILE_GROUPS,
+                   cache=None, launch: Optional[LaunchResult] = None,
                    shared: Optional[SharedProfile] = None) -> KernelInfo:
     """Run FlexCL kernel analysis.  *buffers* are consumed (the profiling
     run mutates them); pass fresh copies if the caller needs the data.
@@ -374,10 +365,7 @@ def analyze_kernel(fn: Function, buffers: Dict[str, Buffer],
     :class:`~repro.interp.vexec.VectorizationError` the scalar
     :class:`KernelExecutor` does.  All three produce bit-identical
     launches and traces; :attr:`KernelInfo.trace_source` records which
-    one ran.  *verify* additionally interprets with the scalar executor
-    and cross-checks a synthesized or vectorized profile
-    address-for-address (:class:`StaticTraceMismatch` on any
-    disagreement).
+    one ran.
 
     With a :class:`repro.cache.ArtifactCache` as *cache*, the analysis
     is content-addressed: a prior run with the same kernel, inputs, and
@@ -400,8 +388,7 @@ def analyze_kernel(fn: Function, buffers: Dict[str, Buffer],
     it, and profiled alone otherwise; either way the result, its
     fingerprint and its ``trace_source`` equal an analysis without it.
     """
-    if table is None:
-        table = OpLatencyTable.for_device(device)
+    table = OpLatencyTable.for_device(device)
 
     if launch is not None:
         if isinstance(launch.traces, list):
@@ -426,14 +413,14 @@ def analyze_kernel(fn: Function, buffers: Dict[str, Buffer],
                 and cached.fingerprint == fingerprint):
             return cached
     static = summary.verdict == VERDICT_STATIC
-    sliced = (shared.launch(fn, ndrange, static)
-              if shared is not None and not verify else None)
+    sliced = (shared.launch(fn, ndrange, static) if shared is not None
+              else None)
     if sliced is not None:
         launch, trace_source = sliced
     else:
         launch, trace_source = _profile(
             fn, buffers, scalars, ndrange, max(profile_groups, 1),
-            static, verify)
+            static)
     info = _build_info(fn, ndrange, device, table, launch, fingerprint,
                        summary, trace_source)
     if cache is not None:
@@ -443,43 +430,29 @@ def analyze_kernel(fn: Function, buffers: Dict[str, Buffer],
 
 def _profile(fn: Function, buffers: Dict[str, Buffer],
              scalars: Dict[str, object], ndrange: NDRange,
-             max_groups: int, static: bool, verify: bool):
+             max_groups: int, static: bool):
     """Profile *max_groups* work-groups with the first engine that
     accepts the kernel; returns ``(launch, trace_source)``."""
     if static:
         from repro.interp.synth import SynthesisError
         try:
-            launch = _synthesizer_for(fn, buffers, scalars).run(
-                ndrange, max_groups=max_groups)
+            return _synthesizer_for(fn, buffers, scalars).run(
+                ndrange, max_groups=max_groups), "synth"
         except SynthesisError:
             # The summary over-promised (or the launch hits a runtime
             # condition the executor would also fault on): fall back to
             # execution, which reproduces the real error behaviour.
             pass
-        else:
-            if verify:
-                _verify_against_interpreter(fn, buffers, scalars,
-                                            ndrange, max_groups, launch)
-            return launch, "synth"
 
     from repro.interp.vexec import VectorizationError, VectorizedExecutor
-    snapshot = ({name: b.data.copy() for name, b in buffers.items()}
-                if verify else None)
     try:
-        launch = VectorizedExecutor(fn, buffers, scalars).run(
-            ndrange, max_groups=max_groups)
+        return VectorizedExecutor(fn, buffers, scalars).run(
+            ndrange, max_groups=max_groups), "vectorized"
     except VectorizationError:
         # The kernel (or this launch) left the vectorizable subset; the
         # buffers were restored, so scalar interpretation reproduces
         # canonical behaviour.
         pass
-    else:
-        if verify:
-            for name, buf in buffers.items():
-                buf.data[...] = snapshot[name]
-            _verify_against_interpreter(fn, buffers, scalars, ndrange,
-                                        max_groups, launch)
-        return launch, "vectorized"
 
     launch = KernelExecutor(fn, buffers, scalars).run(
         ndrange, max_groups=max_groups)
@@ -553,31 +526,6 @@ def _pipe_traffic(fn: Function,
                               reads_per_wi=reads.get(name, 0.0),
                               writes_per_wi=writes.get(name, 0.0))
             for name in sorted(elem)}
-
-
-def _verify_against_interpreter(fn, buffers, scalars, ndrange,
-                                max_groups, launch) -> None:
-    """Cross-check a synthesized or vectorized launch against the scalar
-    interpreter, address-for-address.  Raises
-    :class:`StaticTraceMismatch`."""
-    executor = KernelExecutor(fn, buffers, scalars)
-    ref = executor.run(ndrange, max_groups=max_groups)
-    if len(ref.traces) != len(launch.traces):
-        raise StaticTraceMismatch(
-            f"{fn.name}: {len(launch.traces)} profiled work-item "
-            f"traces vs {len(ref.traces)} interpreted")
-    for wi in range(len(ref.traces)):
-        if list(launch.traces[wi]) != list(ref.traces[wi]):
-            raise StaticTraceMismatch(
-                f"{fn.name}: work-item {wi} trace differs between "
-                f"the fast engine and interpretation")
-    for field_name in ("groups_executed", "work_items_executed",
-                       "block_counts", "trip_counts",
-                       "barriers_per_item"):
-        if getattr(ref, field_name) != getattr(launch, field_name):
-            raise StaticTraceMismatch(
-                f"{fn.name}: {field_name} differs between the fast "
-                f"engine and interpretation")
 
 
 def _add_recurrence_edges(graph: DataFlowGraph,

@@ -160,11 +160,6 @@ class HotCache:
         with self._lock:
             return slot in self._data
 
-    def clear(self) -> None:
-        """Drop the hot tier (the backing store is untouched)."""
-        with self._lock:
-            self._data.clear()
-
     def tier_counters(self) -> Dict[str, Dict[str, int]]:
         """Per-tier attribution for metrics endpoints."""
         with self._lock:

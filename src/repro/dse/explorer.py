@@ -3,23 +3,22 @@
 An *evaluator* is any callable ``(info, design) -> cycles`` — the FlexCL
 model, a baseline estimator, or the ground-truth simulator.  Because the
 work-group size changes the kernel's analysed behaviour, the explorer
-takes an ``analyze`` callable that produces (and caches) a
-:class:`~repro.analysis.KernelInfo` per work-group size.
+takes an ``analyze`` callable that produces a
+:class:`~repro.analysis.KernelInfo` per work-group size, or None when
+that size does not build.  The explorers call it once per design, so it
+should memoize: :func:`repro.evaluation.kernel_analyzer` does.
 
-The sweep is serial: one ``analyze`` call per work-group size, then
-every design of that size, in enumeration order.  Fanning a sweep out
-over processes is the job of :mod:`repro.serve.pool`, which runs one
-``explore-shard`` task per work-group size for the serve daemon and
-for ``explore --jobs N``.
+The sweep is serial: every design in enumeration order.  Fanning a
+sweep out over processes is the job of :mod:`repro.serve.pool`, which
+runs one ``explore-shard`` task per work-group size for the serve
+daemon and for ``explore --jobs N``.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
-from repro.cache.store import StoreStats
 from repro.dse.space import Design, DesignSpace, check_feasibility
 
 
@@ -44,13 +43,6 @@ class ExplorationResult:
     """
 
     evaluated: List[EvaluatedDesign] = field(default_factory=list)
-    elapsed_seconds: float = 0.0
-    #: sub-model cache hit/miss counters of the sweep (None when the
-    #: evaluator exposed no cache)
-    cache_stats: Optional[StoreStats] = None
-    #: persistent (on-disk) cache activity of the sweep (None when no
-    #: persistent cache was in play)
-    store_stats: Optional[StoreStats] = None
     _feasible: Optional[List[EvaluatedDesign]] = field(
         default=None, init=False, repr=False, compare=False)
     _ordered: Optional[List[EvaluatedDesign]] = field(
@@ -108,34 +100,10 @@ def _evaluate_design(info, design: Design, evaluator, device
 
 def explore(space: DesignSpace, analyze: Callable[[int], object],
             evaluator: Callable[[object, Design], float],
-            device,
-            cache_stats: Optional[Callable[[], StoreStats]] = None,
-            store_stats: Optional[Callable[[], StoreStats]] = None
-            ) -> ExplorationResult:
-    """Exhaustively evaluate every feasible design in *space*.
-
-    Pass *cache_stats* (e.g. ``lambda: model.cache_stats``) to record
-    the sweep's sub-model cache activity in the result, and
-    *store_stats* (e.g. ``lambda: cache.stats.copy()``) to record the
-    persistent store's.
-    """
-    start = time.perf_counter()
+            device) -> ExplorationResult:
+    """Exhaustively evaluate every feasible design in *space*."""
     result = ExplorationResult()
-    before = cache_stats() if cache_stats is not None else None
-    store_before = store_stats() if store_stats is not None else None
-    info_cache: Dict[int, object] = {}
     for design in space:
-        wg = design.work_group_size
-        if wg not in info_cache:
-            try:
-                info_cache[wg] = analyze(wg)
-            except Exception:
-                info_cache[wg] = None
-        result.append(_evaluate_design(info_cache[wg], design,
-                                       evaluator, device))
-    if before is not None:
-        result.cache_stats = cache_stats() - before
-    if store_before is not None:
-        result.store_stats = store_stats() - store_before
-    result.elapsed_seconds = time.perf_counter() - start
+        result.append(_evaluate_design(analyze(design.work_group_size),
+                                       design, evaluator, device))
     return result

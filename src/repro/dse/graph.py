@@ -21,7 +21,6 @@ phases:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
@@ -75,7 +74,6 @@ class GraphExplorationResult:
     evaluated: List[EvaluatedGraphDesign] = field(default_factory=list)
     #: per-stage single-kernel sweeps, for diagnostics
     stage_sweeps: Dict[str, ExplorationResult] = field(default_factory=dict)
-    elapsed_seconds: float = 0.0
 
     def ranked(self) -> List[EvaluatedGraphDesign]:
         return sorted(self.evaluated, key=lambda e: e.cycles)
@@ -105,7 +103,6 @@ def explore_program(program, device,
     from repro.model.flexcl import FlexCL
     from repro.model.graph import predict_graph
 
-    start = time.perf_counter()
     if model is None:
         model = FlexCL(device, cache=cache)
     graph = program.graph()
@@ -163,5 +160,4 @@ def explore_program(program, device,
             seen.add(key)
             result.evaluated.append(best)
 
-    result.elapsed_seconds = time.perf_counter() - start
     return result

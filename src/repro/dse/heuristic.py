@@ -12,7 +12,7 @@ order, keeping the best value of each dimension before moving on.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.dse.space import Design, DesignSpace, check_feasibility
 
@@ -56,13 +56,9 @@ def step_by_step_search(space: DesignSpace,
         vector_width=space.vector_widths[0],
         comm_mode=space.comm_modes[0],
     )
-    info_cache: Dict[int, object] = {}
 
     def evaluate(design: Design) -> float:
-        wg = design.work_group_size
-        if wg not in info_cache:
-            info_cache[wg] = analyze(wg)
-        info = info_cache[wg]
+        info = analyze(design.work_group_size)
         if info is None:
             return float("inf")
         if check_feasibility(info, design, device) is not None:

@@ -7,11 +7,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.analysis import analyze_kernel
-from repro.analysis.kernel_info import (
-    DEFAULT_PROFILE_GROUPS,
-    KernelInfo,
-    SharedProfile,
-)
+from repro.analysis.kernel_info import KernelInfo, SharedProfile
 from repro.baselines import SDAccelEstimator, SDAccelFailure
 from repro.dse.space import Design, DesignSpace, check_feasibility
 from repro.interp import NDRange
@@ -23,8 +19,7 @@ from repro.workloads.base import Workload
 
 def kernel_analyzer(fn, make_inputs: Callable[[], tuple],
                     global_size: int, wg_sizes: Sequence[int], device,
-                    cache=None, profile_groups: Optional[int] = None
-                    ) -> Callable[[int], Optional[KernelInfo]]:
+                    cache=None) -> Callable[[int], Optional[KernelInfo]]:
     """The one memoized ``analyze(wg_size) -> KernelInfo`` of kernel
     *fn* over a 1-D launch of *global_size* work-items.
 
@@ -41,8 +36,7 @@ def kernel_analyzer(fn, make_inputs: Callable[[], tuple],
     size, serves every size that divides that width by slicing, when
     the kernel admits it.  Each result equals a lone analysis at that
     size."""
-    groups = profile_groups or DEFAULT_PROFILE_GROUPS
-    shared = SharedProfile(make_inputs, wg_sizes, groups)
+    shared = SharedProfile(make_inputs, wg_sizes)
     memo: Dict[int, Optional[KernelInfo]] = {}
 
     def analyze(wg_size: int) -> Optional[KernelInfo]:
@@ -51,8 +45,7 @@ def kernel_analyzer(fn, make_inputs: Callable[[], tuple],
                 buffers, scalars = make_inputs()
                 memo[wg_size] = analyze_kernel(
                     fn, buffers, scalars, NDRange(global_size, wg_size),
-                    device, profile_groups=groups, cache=cache,
-                    shared=shared)
+                    device, cache=cache, shared=shared)
             except Exception:
                 memo[wg_size] = None
         return memo[wg_size]
@@ -60,16 +53,15 @@ def kernel_analyzer(fn, make_inputs: Callable[[], tuple],
     return analyze
 
 
-def make_analyzer(workload: Workload, device,
-                  profile_groups: Optional[int] = None,
-                  cache=None) -> Callable[[int], Optional[KernelInfo]]:
+def make_analyzer(workload: Workload, device, cache=None
+                  ) -> Callable[[int], Optional[KernelInfo]]:
     """:func:`kernel_analyzer` of one catalog *workload*, profiling
     ahead for every size of ``workload.valid_work_group_sizes()``."""
     return kernel_analyzer(
         workload.function(),
         lambda: (workload.make_buffers(), workload.scalars),
         workload.global_size, workload.valid_work_group_sizes(), device,
-        cache=cache, profile_groups=profile_groups)
+        cache=cache)
 
 
 def sample_designs(workload: Workload, device,

@@ -19,7 +19,6 @@ suite run is row-for-row bit-identical to a cold or uncached one, which
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -51,8 +50,6 @@ class SuiteResult:
     """The outcome of one batch evaluation."""
 
     predictions: List[SuitePrediction] = field(default_factory=list)
-    elapsed_seconds: float = 0.0
-    workloads_evaluated: int = 0
     #: persistent-store counters of the run (None when it ran uncached)
     store_stats: Optional[StoreStats] = None
 
@@ -97,9 +94,7 @@ def run_suite(workloads: Sequence[Workload], device, cache=None,
     writing the persistent *cache*.  Results are identical for any
     cache state.
     """
-    start = time.perf_counter()
-    workloads = list(workloads)
-    result = SuiteResult(workloads_evaluated=len(workloads))
+    result = SuiteResult()
     before = cache.stats.copy() if cache is not None else None
     for workload in workloads:
         result.predictions.extend(
@@ -107,7 +102,6 @@ def run_suite(workloads: Sequence[Workload], device, cache=None,
                                designs_per_kernel))
     if before is not None:
         result.store_stats = cache.stats - before
-    result.elapsed_seconds = time.perf_counter() - start
     return result
 
 

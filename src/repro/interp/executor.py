@@ -412,8 +412,8 @@ class KernelExecutor:
 
     # -- public API --------------------------------------------------------
 
-    def run(self, ndrange: NDRange, max_groups: Optional[int] = None,
-            record: bool = True) -> LaunchResult:
+    def run(self, ndrange: NDRange, max_groups: Optional[int] = None
+            ) -> LaunchResult:
         """Execute the NDRange (optionally only the first *max_groups*
         work-groups, as the paper's profiler does) and collect traces."""
         result = LaunchResult()
@@ -427,7 +427,7 @@ class KernelExecutor:
             group_list = group_list[:max_groups]
         for rev_gid in group_list:
             gid = tuple(reversed(rev_gid))
-            self._run_group(gid, ndrange, result, record)
+            self._run_group(gid, ndrange, result)
             result.groups_executed += 1
         self._finalize_trip_counts(result)
         return result
@@ -443,7 +443,7 @@ class KernelExecutor:
         return lids
 
     def _run_group(self, group_id: Tuple[int, ...], ndrange: NDRange,
-                   result: LaunchResult, record: bool) -> None:
+                   result: LaunchResult) -> None:
         self._local_mem = FlatSpace()
         self._local_allocas = {}
         entry = self.fn.entry
@@ -479,13 +479,12 @@ class KernelExecutor:
                         f"repro.interp.coexec.ProgramExecutor")
             live = arrived
 
-        if record:
-            result.traces.extend(s.trace for s in states)
-            for name, count in block_counts.items():
-                result.block_counts[name] = (
-                    result.block_counts.get(name, 0) + count)
-            result.barriers_per_item = max(
-                result.barriers_per_item, states[0].barrier_hits)
+        result.traces.extend(s.trace for s in states)
+        for name, count in block_counts.items():
+            result.block_counts[name] = (
+                result.block_counts.get(name, 0) + count)
+        result.barriers_per_item = max(
+            result.barriers_per_item, states[0].barrier_hits)
         result.work_items_executed += len(states)
 
     def _run_until_barrier(self, state: _WorkItemState,

@@ -296,7 +296,6 @@ class LaneEngine:
         self._local_next = np.zeros(0, np.int64)
         self._local_allocas: Dict[int, np.ndarray] = {}
         self._events: List[Tuple] = []
-        self._record = True
         #: whether the current run keeps per-lane block counts
         self._count_items = False
         self._lid_cache: Dict[Tuple[int, ...], List[np.ndarray]] = {}
@@ -407,8 +406,6 @@ class LaneEngine:
     # -- trace events ------------------------------------------------------
 
     def _emit(self, site, kind, nbytes, space, buf, lanes, addrs) -> None:
-        if not self._record:
-            return
         a = np.asarray(addrs, np.int64)
         if a.ndim == 0:
             a = np.full(len(lanes), int(a), np.int64)

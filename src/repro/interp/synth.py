@@ -113,8 +113,7 @@ class TraceSynthesizer(LaneEngine):
     # -- run ---------------------------------------------------------------
 
     def run(self, ndrange: NDRange, max_groups: Optional[int] = None,
-            record: bool = True, item_counts: bool = False
-            ) -> LaunchResult:
+            item_counts: bool = False) -> LaunchResult:
         """Synthesize the first *max_groups* work-groups (all when
         None).  *item_counts* also fills
         :attr:`LaunchResult.item_block_counts`."""
@@ -122,8 +121,7 @@ class TraceSynthesizer(LaneEngine):
 
         result = LaunchResult()
         self._nd = ndrange
-        self._record = record
-        self._count_items = record and item_counts
+        self._count_items = item_counts
         wg = ndrange.work_group_size
         gids = self._group_ids(ndrange, max_groups)
         n_groups = len(gids)
@@ -137,16 +135,13 @@ class TraceSynthesizer(LaneEngine):
         # whole profile instead of one work-group.
         self._bind_lanes(ndrange, gids)
         counts, group_hits, lane_counts = self._run_lanes()
-        if record:
-            result.block_counts.update(counts)
-            if lane_counts is not None:
-                result.item_block_counts = self._item_counts(lane_counts,
-                                                             counts)
-            result.barriers_per_item = max(group_hits)
-            result.traces = PackedTraces(
-                self._finish_groups(self._sorted_events(), n_groups), wg)
-        else:
-            result.traces = PackedTraces([], wg)
+        result.block_counts.update(counts)
+        if lane_counts is not None:
+            result.item_block_counts = self._item_counts(lane_counts,
+                                                         counts)
+        result.barriers_per_item = max(group_hits)
+        result.traces = PackedTraces(
+            self._finish_groups(self._sorted_events(), n_groups), wg)
         result.trip_counts.update(finalize_trip_counts(
             self.fn, result.block_counts, result.work_items_executed))
         return result

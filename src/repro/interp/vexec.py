@@ -264,8 +264,7 @@ class VectorizedExecutor(LaneEngine):
     # -- run ---------------------------------------------------------------
 
     def run(self, ndrange: NDRange, max_groups: Optional[int] = None,
-            record: bool = True, item_counts: bool = False
-            ) -> LaunchResult:
+            item_counts: bool = False) -> LaunchResult:
         """Execute the NDRange (optionally only the first *max_groups*
         work-groups) and collect packed traces.  *item_counts* also
         fills :attr:`LaunchResult.item_block_counts`.  On any exception
@@ -274,14 +273,13 @@ class VectorizedExecutor(LaneEngine):
 
         result = LaunchResult()
         self._nd = ndrange
-        self._record = record
-        self._count_items = record and item_counts
+        self._count_items = item_counts
         wg = ndrange.work_group_size
         gids = self._group_ids(ndrange, max_groups)
         snapshots = [b.data.copy() for b in self._bufs]
         try:
             merged = None
-            if record and len(gids) > 1 and not self._global_atomics:
+            if len(gids) > 1 and not self._global_atomics:
                 merged = self._run_merged(gids, snapshots)
             runs = ([(len(gids), merged)] if merged is not None else
                     [(1, self._run_lanes([gid])) for gid in gids])
@@ -292,8 +290,6 @@ class VectorizedExecutor(LaneEngine):
         for n_groups, (counts, group_hits, cols, _) in runs:
             result.groups_executed += n_groups
             result.work_items_executed += n_groups * wg
-            if not record:
-                continue
             for name, count in counts.items():
                 result.block_counts[name] = (
                     result.block_counts.get(name, 0) + count)
@@ -445,8 +441,6 @@ class VectorizedExecutor(LaneEngine):
                 c = np.asarray(term[1](idx))
                 key[idx] = np.where(c != 0, term[2] * span, term[3] * span)
 
-        if not self._record:
-            return counts, [], None, None
         # Lane 0 of each group mirrors the executor's per-group count.
         return (counts, [int(h) for h in barrier_hits[::self._wg]],
                 self._sorted_events(), lane_counts)

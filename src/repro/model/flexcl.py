@@ -163,13 +163,6 @@ class FlexCL:
             return StoreStats()
         return self._memo.hot_stats.copy()
 
-    def clear_cache(self) -> None:
-        """Drop memoized sub-model results (e.g. between kernels)."""
-        if self._memo is not None:
-            self._memo.clear()
-            self._pins.clear()
-            self._schedules.clear()
-
     def _memoized(self, layer: str, info: KernelInfo, key: tuple,
                   compute):
         """*compute*() memoized under (*info*, *key*).  The store key

@@ -282,13 +282,33 @@ def resolve_kernel(spec: dict, module_memo: Optional[HotCache] = None):
     Returns ``(fn, workload)`` where *workload* is None for inline
     source.  *module_memo* (a :class:`~repro.cache.hot.HotCache`
     holding digest(source) -> Module under the ``module`` layer) lets
-    a long-running caller skip recompiling repeated sources.
+    a long-running caller skip recompiling repeated sources.  Every
+    name in the spec's ``args`` must be a scalar argument of the
+    function.
     """
-    from repro.frontend import compile_opencl
+    from repro.ir.types import PointerType
 
     if spec["workload"] is not None:
         workload = resolve_workload(spec["workload"])
-        return workload.function(), workload
+        fn = workload.function()
+    else:
+        fn, workload = _source_kernel(spec, module_memo), None
+    scalars = [arg.name for arg in fn.args
+               if not isinstance(arg.type, PointerType)]
+    unknown = sorted(set(spec["args"]) - set(scalars))
+    if unknown:
+        raise ApiError(
+            f"'args' names no scalar argument of kernel {fn.name}: "
+            f"{', '.join(unknown)} (its scalar arguments: "
+            f"{', '.join(scalars) or 'none'})")
+    return fn, workload
+
+
+def _source_kernel(spec: dict, module_memo: Optional[HotCache]):
+    """The kernel of a spec's inline ``source`` (see
+    :func:`resolve_kernel`)."""
+    from repro.frontend import compile_opencl
+
     source = spec["source"]
     module = None
     memo_key = None
@@ -305,7 +325,7 @@ def resolve_kernel(spec: dict, module_memo: Optional[HotCache] = None):
                             write_through=False)
     if spec["kernel"]:
         try:
-            return module.get(spec["kernel"]), None
+            return module.get(spec["kernel"])
         except Exception:
             names = ", ".join(k.name for k in module.kernels)
             raise ApiError(f"no kernel {spec['kernel']!r} in source "
@@ -316,7 +336,7 @@ def resolve_kernel(spec: dict, module_memo: Optional[HotCache] = None):
                        f"({names}); pick one with 'kernel'")
     if not module.kernels:
         raise ApiError("source defines no kernels")
-    return module.kernels[0], None
+    return module.kernels[0]
 
 
 def resolve_program(name: str):
@@ -376,16 +396,15 @@ def build_buffers(fn, global_size: int, overrides: Dict[str, float]):
 
 def _spec_inputs(fn, workload, global_size: int,
                  overrides: Dict[str, float]):
-    """Fresh input buffers/scalars for one analysis run."""
+    """Fresh input buffers/scalars for one analysis run; *overrides*
+    name scalar arguments (:func:`resolve_kernel` checks them)."""
     if workload is None:
         return build_buffers(fn, global_size, overrides)
     buffers = workload.make_buffers()
     scalars = dict(workload.scalars)
     for name, value in overrides.items():
-        if name in scalars:
-            scalars[name] = (int(value)
-                             if isinstance(scalars[name], int)
-                             else float(value))
+        scalars[name] = (int(value) if isinstance(scalars[name], int)
+                         else float(value))
     return buffers, scalars
 
 
@@ -430,7 +449,7 @@ def predict_payload(spec: dict, cache=None,
     from repro.analysis import analyze_kernel
     from repro.devices import device_by_name
     from repro.dse import check_feasibility
-    from repro.interp import NDRange
+    from repro.interp import ExecutionError, NDRange
     from repro.model import FlexCL
     from repro.model.area import estimate_area
 
@@ -456,9 +475,15 @@ def predict_payload(spec: dict, cache=None,
 
     buffers, scalars = _spec_inputs(fn, workload, global_size,
                                     spec["args"])
-    info = analyze_kernel(fn, buffers, scalars,
-                          NDRange(global_size, spec["wg"]), device,
-                          cache=cache)
+    try:
+        info = analyze_kernel(fn, buffers, scalars,
+                              NDRange(global_size, spec["wg"]), device,
+                              cache=cache)
+    except (ExecutionError, IndexError) as exc:
+        # The profiled launch faults (say, an out-of-bounds access at
+        # this global size); explore reports such sizes infeasible.
+        raise ApiError(f"kernel {fn.name} faults while profiled: "
+                       f"{exc}") from None
     reason = check_feasibility(info, design, device)
     if reason is not None:
         payload["feasible"] = False

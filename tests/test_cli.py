@@ -100,6 +100,7 @@ class TestHostileInput:
         "unknown-kernel": ["--global-size", "64", "--kernel", "nope"],
         "missing-global-size": [],
         "global-size-huge": ["--global-size", str(1 << 21)],
+        "arg-unknown-name": ["--global-size", "64", "--arg", "bogus=3"],
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -122,6 +123,36 @@ class TestHostileInput:
         assert rc == 2
         assert err.strip().splitlines() == [
             "error: --wg must be at most 1048576"]
+
+    def test_unknown_catalog_arg_lists_the_scalars(self, capsys):
+        rc = main(["predict", "--workload", "rodinia/nw/nw1",
+                   "--no-cache", "--arg", "bogus=3"])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert err.strip().splitlines() == [
+            "error: --arg names no scalar argument of kernel nw1: bogus "
+            "(its scalar arguments: diag, dim, penalty)"]
+
+    def test_profiling_fault_is_a_usage_error(self, tmp_path):
+        """A kernel that faults while profiled (atax reads rows past
+        its 1024-element buffers) ends in one ``error:`` line naming
+        the fault, not a traceback."""
+        import subprocess
+        import sys
+
+        from repro.workloads import get_workload
+        path = tmp_path / "k.cl"
+        path.write_text(get_workload("polybench", "atax", "atax").source)
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "predict", str(path),
+             "--global-size", "1024", "--no-cache"],
+            capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            "error: kernel atax faults while profiled: global address "
+            "0x5000 is out of bounds of every buffer"]
 
     SPEC_CASES = {
         "graph-wg-does-not-divide": ["predict-graph", "srad", "--wg", "3"],

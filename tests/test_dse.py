@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis import analyze_kernel
+import repro.evaluation.harness as harness
 from repro.devices import VIRTEX7
 from repro.dse import (
     Design,
@@ -12,8 +12,9 @@ from repro.dse import (
     explore,
     step_by_step_search,
 )
+from repro.evaluation import kernel_analyzer
 from repro.frontend import compile_opencl
-from repro.interp import Buffer, NDRange
+from repro.interp import Buffer
 from repro.model import FlexCL
 
 
@@ -62,18 +63,11 @@ def _make_env(n=512):
     }
     """
     fn = compile_opencl(src).get("k")
-
-    def analyzer(wg):
-        try:
-            return analyze_kernel(
-                fn,
-                {"a": Buffer("a", np.arange(n, dtype=np.float32)),
-                 "b": Buffer("b", np.zeros(n, np.float32))},
-                {"n": n}, NDRange(n, wg), VIRTEX7)
-        except Exception:
-            return None
-
-    return analyzer
+    return kernel_analyzer(
+        fn, lambda: ({"a": Buffer("a", np.arange(n, dtype=np.float32)),
+                      "b": Buffer("b", np.zeros(n, np.float32))},
+                     {"n": n}),
+        n, (32, 64), VIRTEX7)
 
 
 class TestExplorer:
@@ -113,15 +107,30 @@ class TestExplorer:
                          VIRTEX7)
         assert result.rank(result.best.design) == 1
 
-    def test_elapsed_recorded(self):
+    def test_analyses_once_per_size(self, monkeypatch):
+        """The explorers call ``analyze`` once per design and keep no
+        analysis memo of their own: the analyzer's memo makes a sweep
+        and a search over two sizes run two analyses in all."""
+        calls = []
+        original = harness.analyze_kernel
+
+        def counting(*args, **kwargs):
+            calls.append(args[3].work_group_size)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "analyze_kernel", counting)
         analyzer = _make_env()
         model = FlexCL(VIRTEX7)
-        space = DesignSpace(work_group_sizes=(64,), pe_counts=(1,),
-                            cu_counts=(1,), vector_widths=(1,))
-        result = explore(space, analyzer,
-                         lambda info, d: model.predict(info, d).cycles,
-                         VIRTEX7)
-        assert result.elapsed_seconds > 0
+        space = DesignSpace(work_group_sizes=(32, 64),
+                            pe_counts=(1, 2), cu_counts=(1, 2),
+                            vector_widths=(1,))
+
+        def evaluator(info, d):
+            return model.predict(info, d).cycles
+
+        explore(space, analyzer, evaluator, VIRTEX7)
+        step_by_step_search(space, analyzer, evaluator, VIRTEX7)
+        assert sorted(calls) == [32, 64]
 
 
 class TestHeuristicSearch:

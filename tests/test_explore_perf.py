@@ -11,8 +11,9 @@ from repro.cli import main
 from repro.devices import VIRTEX7
 from repro.dse import DesignSpace, EvaluatedDesign, ExplorationResult
 from repro.dse.space import Design, check_feasibility
+from repro.evaluation import kernel_analyzer
 from repro.frontend import compile_opencl
-from repro.interp import Buffer, NDRange
+from repro.interp import Buffer
 from repro.model import FlexCL
 from repro.model.memo import CacheStats
 from repro.scheduling import ResourceBudget
@@ -30,18 +31,11 @@ __kernel void k(__global const float* a, __global float* b, int n) {
 
 def _analyzer(n=256):
     fn = compile_opencl(SRC).get("k")
-
-    def analyze(wg):
-        try:
-            return analyze_kernel(
-                fn,
-                {"a": Buffer("a", np.arange(n, dtype=np.float32)),
-                 "b": Buffer("b", np.zeros(n, np.float32))},
-                {"n": n}, NDRange(n, wg), VIRTEX7)
-        except Exception:
-            return None
-
-    return analyze
+    return kernel_analyzer(
+        fn, lambda: ({"a": Buffer("a", np.arange(n, dtype=np.float32)),
+                      "b": Buffer("b", np.zeros(n, np.float32))},
+                     {"n": n}),
+        n, DesignSpace.default_for(n).work_group_sizes, VIRTEX7)
 
 
 SPEC = {"source": SRC, "kernel": "k", "global_size": 256}
@@ -221,17 +215,6 @@ class TestMemoization:
         model.predict(b, d)
         delta = model.cache_stats - before
         assert delta.misses["pe"] == 1 and delta.misses["memory"] == 1
-
-    def test_clear_cache(self):
-        info = self._info()
-        model = FlexCL(VIRTEX7)
-        d = Design(work_group_size=64)
-        model.predict(info, d)
-        model.clear_cache()
-        before = model.cache_stats
-        model.predict(info, d)
-        delta = model.cache_stats - before
-        assert delta.total_misses == 2
 
     def test_memoize_disabled_reports_zero_stats(self):
         info = self._info()

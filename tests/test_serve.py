@@ -24,6 +24,7 @@ from repro.serve.api import (
     run_task,
 )
 from repro.serve.pool import fork_available
+from repro.workloads import get_workload
 
 SAXPY = """
 __kernel void saxpy(__global float *x, __global float *y,
@@ -34,6 +35,8 @@ __kernel void saxpy(__global float *x, __global float *y,
 """
 
 PREDICT_SPEC = {"source": SAXPY, "global_size": 128, "wg": 32}
+#: reads rows past its buffers at a global size of 1024
+ATAX = get_workload("polybench", "atax", "atax").source
 STATIC_WORKLOAD = "rodinia/backprop/layer"
 
 #: request bodies that parse as JSON (``json.loads`` accepts the
@@ -72,6 +75,13 @@ HOSTILE_BODIES = {
     "tier-instant": (
         "/predict", json.dumps({"workload": "polybench/atax/atax",
                                 "tier": "instant"})),
+    "args-unknown-name": (
+        "/predict", '{"workload": "rodinia/nw/nw1", "args": {"bogus": 3}}'),
+    "explore-args-unknown-name": (
+        "/explore", json.dumps({"source": SAXPY, "global_size": 128,
+                                "args": {"bogus": 3}})),
+    "source-faults-while-profiled": (
+        "/predict", json.dumps({"source": ATAX, "global_size": 1024})),
 }
 
 

@@ -134,7 +134,7 @@ def test_slices_equal_lone_runs(name):
         launch, source = sliced
         lone, lone_source = _profile(
             fn, workload.make_buffers(), workload.scalars, ndrange,
-            DEFAULT_PROFILE_GROUPS, static, False)
+            DEFAULT_PROFILE_GROUPS, static)
         assert source == lone_source
         for field in ("groups_executed", "work_items_executed",
                       "block_counts", "trip_counts",

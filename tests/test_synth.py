@@ -1,6 +1,6 @@
 """Tests for the static trace synthesizer: bit-identical launch results
 against the profiling interpreter on hand-written kernels, plus the
-analyze_kernel wiring (engine choice, verify, fallback, cache keys)."""
+analyze_kernel wiring (engine choice, fallback, cache keys)."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ import pytest
 from repro.analysis import analyze_kernel
 from repro.devices import VIRTEX7
 from repro.frontend import compile_opencl
-from repro.interp import Buffer, KernelExecutor, NDRange
+from repro.interp import Buffer, KernelExecutor, NDRange, VectorizedExecutor
 from repro.interp.synth import SynthesisError, TraceSynthesizer
 
 
@@ -38,8 +38,10 @@ def make_buffers(fn, n=256):
     return buffers, scalars
 
 
-def assert_identical(source, ndrange, kernel=None, max_groups=4):
-    """Synthesized and interpreted launches must agree exactly."""
+def assert_identical(source, ndrange, kernel=None, max_groups=4,
+                     engine=TraceSynthesizer):
+    """*engine*'s (by default the synthesizer's) and the interpreter's
+    launches must agree exactly."""
     fn = build(source, kernel)
     for i, inst in enumerate(fn.instructions()):
         inst.site_id = i
@@ -47,7 +49,7 @@ def assert_identical(source, ndrange, kernel=None, max_groups=4):
     ref = KernelExecutor(fn, buffers, scalars).run(
         ndrange, max_groups=max_groups)
     buffers2, scalars2 = make_buffers(fn)
-    got = TraceSynthesizer(fn, buffers2, scalars2).run(
+    got = engine(fn, buffers2, scalars2).run(
         ndrange, max_groups=max_groups)
     assert got.groups_executed == ref.groups_executed
     assert got.work_items_executed == ref.work_items_executed
@@ -176,7 +178,6 @@ class TestSynthesizerRejections:
             TraceSynthesizer(fn, buffers, scalars).run(NDRange(128, 32))
 
     def test_out_of_bounds_raises_like_executor(self):
-        from repro.interp import VectorizedExecutor
         fn = build("""
         __kernel void oob(__global float *a) {
             a[get_global_id(0)] = 2.0f;
@@ -224,14 +225,17 @@ class TestAnalyzeKernelWiring:
                                 VIRTEX7)
 
     def test_auto_uses_synthesis_for_static(self):
-        info = self.analyze(self.SRC, verify=True)
+        info = self.analyze(self.SRC)
         assert info.trace_source == "synth"
         assert info.summary_verdict == "static"
+        assert_identical(self.SRC, info.ndrange)
 
     def test_auto_falls_back_for_irregular(self):
-        info = self.analyze(self.IRR, verify=True)
+        info = self.analyze(self.IRR)
         assert info.trace_source == "vectorized"
         assert info.summary_verdict == "irregular"
+        assert_identical(self.IRR, info.ndrange,
+                         engine=VectorizedExecutor)
 
     def test_never_interprets(self, scalar_reference):
         """The scalar reference: a KernelExecutor launch passed in."""
