@@ -321,10 +321,6 @@ class KernelInfo:
     def uses_barrier(self) -> bool:
         return self.barriers_per_wi > 0
 
-    def global_accesses_per_wi(self) -> float:
-        return (self.traces.global_reads_per_wi
-                + self.traces.global_writes_per_wi)
-
 
 def analysis_fingerprint(fn: Function, buffers: Dict[str, Buffer],
                          scalars: Dict[str, object], ndrange: NDRange,

@@ -26,7 +26,10 @@
 output; ``predict`` and ``explore`` accept ``--workload NAME`` to
 address a catalog kernel instead of a source file.  A ``--json``
 response is byte-identical to the serve daemon's answer for the same
-request (see docs/SERVING.md).
+request (see docs/SERVING.md); the text output renders that payload.
+``suite --programs --json`` adds each program's ``predict-graph``
+payload as ``programs``.  ``predict-graph --wg`` is rejected for a
+pipe-only program, whose stages run at their co-executed launches.
 
 ``predict``, ``explore``, and ``suite`` consult the persistent
 content-addressed cache (default ``~/.cache/repro-flexcl``; configure
@@ -171,29 +174,34 @@ def _lint_tool_error(args, message: str) -> int:
     return 2
 
 
-def _print_summaries(source: str, args) -> None:
-    """Append per-kernel access-summary verdicts to the lint report."""
+def _summaries(source: str, args) -> List[dict]:
+    """The per-kernel access summaries of ``lint --summaries``, as
+    JSON-able dicts (none when the source does not compile: its
+    frontend diagnostics are already reported)."""
     from repro.frontend import compile_opencl
     from repro.lint.summary import summarize_kernel
 
     try:
         module = compile_opencl(source, name=Path(args.source).stem)
     except Exception:
-        return                # frontend diagnostics already reported
-    for fn in module.kernels:
-        if args.kernel and fn.name != args.kernel:
-            continue
-        s = summarize_kernel(fn)
-        print(f"summary {fn.name}: {s.verdict}")
-        for r in s.reasons:
-            print(f"  {r.code} at {r.where}"
-                  + (f" ({r.detail})" if r.detail else ""))
-        for a in s.accesses:
-            form = a.index if a.tier == "affine" else a.tier
-            stride = (f", wi-stride {a.wi_stride}B"
-                      if a.wi_stride is not None else "")
-            print(f"  site {a.site}: {a.kind} {a.space} {a.buffer} "
-                  f"[{form}]{stride}")
+        return []
+    return [summarize_kernel(fn).to_dict() for fn in module.kernels
+            if not args.kernel or fn.name == args.kernel]
+
+
+def _print_summaries(summaries: List[dict]) -> None:
+    """Append per-kernel access-summary verdicts to the lint report."""
+    for s in summaries:
+        print(f"summary {s['kernel']}: {s['verdict']}")
+        for r in s["reasons"]:
+            print(f"  {r['code']} at {r['where']}"
+                  + (f" ({r['detail']})" if r["detail"] else ""))
+        for a in s["accesses"]:
+            form = a["index"] if a["tier"] == "affine" else a["tier"]
+            stride = (f", wi-stride {a['wi_stride']}B"
+                      if a["wi_stride"] is not None else "")
+            print(f"  site {a['site']}: {a['kind']} {a['space']} "
+                  f"{a['buffer']} [{form}]{stride}")
 
 
 def cmd_lint(args) -> int:
@@ -221,11 +229,12 @@ def cmd_lint(args) -> int:
         return _lint_tool_error(args, str(exc))
     if args.kernel:
         diags = [d for d in diags if d.function in ("", args.kernel)]
+    summaries = _summaries(source, args) if args.summaries else None
     if args.json:
         payload = {"source": str(args.source),
                    "diagnostics": [d.to_dict() for d in diags]}
-        if args.summaries:
-            payload["summaries"] = _summaries_payload(source, args)
+        if summaries is not None:
+            payload["summaries"] = summaries
         print(json.dumps(payload, indent=2))
     else:
         name = Path(args.source).name
@@ -237,27 +246,9 @@ def cmd_lint(args) -> int:
               f"{counts[Severity.ERROR]} error(s), "
               f"{counts[Severity.WARNING]} warning(s), "
               f"{counts[Severity.NOTE]} note(s)")
-        if args.summaries:
-            _print_summaries(source, args)
+        if summaries is not None:
+            _print_summaries(summaries)
     return 1 if any(d.severity is Severity.ERROR for d in diags) else 0
-
-
-def _summaries_payload(source: str, args) -> List[dict]:
-    """JSON form of the per-kernel access summaries."""
-    from repro.frontend import compile_opencl
-    from repro.lint.summary import summarize_kernel
-
-    try:
-        module = compile_opencl(source, name=Path(args.source).stem)
-    except Exception:
-        return []
-    out = []
-    for fn in module.kernels:
-        if args.kernel and fn.name != args.kernel:
-            continue
-        s = summarize_kernel(fn)
-        out.append(s.to_dict())
-    return out
 
 
 def _spec_args(args) -> Dict[str, float]:
@@ -324,8 +315,7 @@ def cmd_predict(args) -> int:
     if args.json:
         print(serve_api.canonical_json(payload))
         return 0 if payload["feasible"] else 1
-    design = serve_api.spec_design(
-        serve_api.normalize_predict_spec(spec))
+    design = payload["design"]["signature"]
     if not payload["feasible"]:
         print(f"design {design} is infeasible: {payload['reason']}")
         return 1
@@ -395,8 +385,6 @@ def cmd_explore(args) -> int:
 def cmd_predict_graph(args) -> int:
     """Run the `predict-graph` subcommand: end-to-end latency of a
     multi-kernel program under both edge realizations."""
-    from repro.devices import device_by_name
-    from repro.model import FlexCL, predict_graph
     from repro.serve import api as serve_api
     from repro.workloads import all_programs
 
@@ -410,43 +398,30 @@ def cmd_predict_graph(args) -> int:
             "depth": args.depth, "device": args.device, "wg": args.wg}
     cache = _open_cache(args)
     try:
-        if args.json:
-            print(serve_api.canonical_json(
-                serve_api.predict_graph_payload(spec, cache=cache)))
-            return 0
-        spec = serve_api.normalize_graph_spec(spec)
-        program = serve_api.resolve_program(spec["program"])
-        device = device_by_name(spec["device"])
-        infos, designs = serve_api.program_stage_infos(
-            program, device, cache, spec["wg"])
+        payload = serve_api.predict_graph_payload(spec, cache=cache)
     except serve_api.ApiError as exc:
         raise _cli_error(exc) from None
-    model = FlexCL(device, cache=cache)
-    graph = program.graph()
-    print(f"program  : {program.qualified_name}")
-    print(f"stages   : {' -> '.join(graph.stages)}")
-    print(f"device   : {device.name}")
-    realizations = (("dram", "pipe") if args.realization == "both"
-                    else (args.realization,))
-    for realization in realizations:
-        pred = predict_graph(graph, model, infos, designs, realization,
-                             default_depth=args.depth)
-        print(f"\n{realization} realization: {pred.cycles:,.0f} cycles "
-              f"({pred.seconds * 1e3:.3f} ms)")
-        for name in graph.stages:
-            print(f"  stage {name:<12} {pred.stages[name].cycles:>14,.0f}"
-                  f" cycles")
-        if realization == "dram":
-            for t in pred.transfers:
-                print(f"  edge  {t.edge.src}->{t.edge.dst} "
-                      f"({t.edge.buffer}, {t.edge.nbytes} B) "
-                      f"{t.cycles:>10,.0f} cycles")
-        else:
-            print(f"  bottleneck stage: {pred.bottleneck_stage}")
-            for name, ch in pred.channels.items():
-                print(f"  pipe  {name:<12} depth {ch.depth:>4}  "
-                      f"{ch.tokens} tokens  "
-                      f"stall {ch.stall_cycles:,.0f} cycles")
+    if args.json:
+        print(serve_api.canonical_json(payload))
+        return 0
+    print(f"program  : {payload['program']}")
+    print(f"stages   : {' -> '.join(payload['stages'])}")
+    print(f"device   : {payload['device']}")
+    for realization, pred in payload["realizations"].items():
+        print(f"\n{realization} realization: {pred['cycles']:,.0f} cycles "
+              f"({pred['seconds'] * 1e3:.3f} ms)")
+        for name, cycles in pred["stages"].items():
+            print(f"  stage {name:<12} {cycles:>14,.0f} cycles")
+        for t in pred.get("transfers", ()):
+            print(f"  edge  {t['src']}->{t['dst']} "
+                  f"({t['buffer']}, {t['nbytes']} B) "
+                  f"{t['cycles']:>10,.0f} cycles")
+        if realization == "pipe":
+            print(f"  bottleneck stage: {pred['bottleneck_stage']}")
+            for name, ch in pred["channels"].items():
+                print(f"  pipe  {name:<12} depth {ch['depth']:>4}  "
+                      f"{ch['tokens']} tokens  "
+                      f"stall {ch['stall_cycles']:,.0f} cycles")
     _print_cache_line(cache)
     return 0
 
@@ -471,7 +446,6 @@ def cmd_suite(args) -> int:
     through the shared persistent cache."""
     import time
 
-    from repro.devices import device_by_name
     from repro.serve import api as serve_api
 
     spec = {"suite": args.suite, "limit": args.limit,
@@ -484,6 +458,9 @@ def cmd_suite(args) -> int:
         raise _cli_error(exc) from None
     elapsed = time.perf_counter() - start
     if args.json:
+        if args.programs:
+            payload["programs"] = _program_payloads(payload["device"],
+                                                    cache)
         print(serve_api.canonical_json(payload))
         return 0
     by_workload: Dict[str, List[dict]] = {}
@@ -502,32 +479,29 @@ def cmd_suite(args) -> int:
             f"{k}={sources[k]}" for k in sorted(sources)))
     _print_cache_line(cache)
     if args.programs:
-        _suite_programs(device_by_name(payload["device"]), cache)
+        print("\nprograms (end-to-end):")
+        for program in _program_payloads(payload["device"], cache):
+            cycles = "  ".join(
+                f"{name} {entry['cycles']:>14,.0f}"
+                for name, entry in program["realizations"].items())
+            print(f"{program['program']:<28} {cycles} cycles  "
+                  f"({len(program['stages'])} stages)")
     return 0
 
 
-def _suite_programs(device, cache) -> None:
-    """End-to-end program predictions appended to the suite report."""
-    from repro.model import FlexCL, predict_graph
-    from repro.serve.api import program_stage_infos
+def _program_payloads(device: str, cache) -> List[dict]:
+    """Every registered program's ``predict-graph`` payload (both
+    realizations, default depth), for ``suite --programs``."""
+    from repro.serve.api import predict_graph_payload
     from repro.workloads import all_programs
-
-    model = FlexCL(device, cache=cache)
-    print("\nprograms (end-to-end):")
-    for program in all_programs():
-        infos, designs = program_stage_infos(program, device, cache)
-        graph = program.graph()
-        dram = predict_graph(graph, model, infos, designs, "dram")
-        pipe = predict_graph(graph, model, infos, designs, "pipe")
-        print(f"{program.qualified_name:<28} "
-              f"dram {dram.cycles:>14,.0f}  "
-              f"pipe {pipe.cycles:>14,.0f} cycles  "
-              f"({len(graph.stages)} stages)")
+    return [predict_graph_payload(
+        {"program": p.qualified_name, "device": device}, cache)
+        for p in all_programs()]
 
 
 def cmd_cache(args) -> int:
     """Run the `cache` subcommand: stats / clear / path."""
-    from repro.cache import open_cache, resolve_cache_dir
+    from repro.cache import cache_payload, open_cache, resolve_cache_dir
 
     root = resolve_cache_dir(args.cache_dir)
     if root is None:
@@ -542,24 +516,19 @@ def cmd_cache(args) -> int:
         print(f"removed {removed} cached entr"
               f"{'y' if removed == 1 else 'ies'} from {root}")
         return 0
+    # stats: the same formatter backs the serve daemon's /metrics
+    # "cache" section, so scripts can consume either interchangeably.
+    stats = cache_payload(cache)
     if args.json:
-        # The same formatter backs the serve daemon's /metrics "cache"
-        # section, so scripts can consume either interchangeably.
         import json
-
-        from repro.cache import cache_payload
-        print(json.dumps(cache_payload(cache), indent=2,
-                         sort_keys=True))
+        print(json.dumps(stats, indent=2, sort_keys=True))
         return 0
-    # stats
-    counts, size = cache.usage()
-    total_mb = size / (1024 * 1024)
-    cap_mb = cache.max_bytes / (1024 * 1024)
-    print(f"cache dir : {root}")
-    print(f"entries   : {sum(counts.values())}")
-    for layer in sorted(counts):
-        print(f"  {layer:<9}: {counts[layer]}")
-    print(f"size      : {total_mb:.1f} MiB (cap {cap_mb:.0f} MiB)")
+    print(f"cache dir : {stats['root']}")
+    print(f"entries   : {stats['entries']}")
+    for layer, count in stats["layers"].items():
+        print(f"  {layer:<9}: {count}")
+    print(f"size      : {stats['size_bytes'] / 2**20:.1f} MiB "
+          f"(cap {stats['max_bytes'] / 2**20:.0f} MiB)")
     return 0
 
 
@@ -648,6 +617,10 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"%(prog)s {_version()}")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_device_arg(p):
+        from repro.devices import DEVICE_NAMES
+        p.add_argument("--device", default="virtex7", choices=DEVICE_NAMES)
+
     def add_cache_args(p):
         p.add_argument("--cache-dir", metavar="DIR",
                        help="persistent cache directory (default: "
@@ -670,8 +643,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "file)")
         p.add_argument("--wg", type=int, default=64,
                        help="work-group size")
-        p.add_argument("--device", default="virtex7",
-                       choices=["virtex7", "ku060"])
+        add_device_arg(p)
         p.add_argument("--arg", action="append", metavar="NAME=VALUE",
                        help="override a scalar kernel argument")
         add_cache_args(p)
@@ -712,8 +684,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="program name (see --list)")
     p.add_argument("--list", action="store_true",
                    help="list the registered programs and exit")
-    p.add_argument("--device", default="virtex7",
-                   choices=["virtex7", "ku060"])
+    add_device_arg(p)
     p.add_argument("--realization", default="both",
                    choices=["dram", "pipe", "both"],
                    help="edge realization to price (default: both)")
@@ -760,8 +731,7 @@ def build_parser() -> argparse.ArgumentParser:
                                      "catalog (cache-accelerated)")
     p.add_argument("--suite", choices=["rodinia", "polybench"],
                    help="restrict to one suite (default: both)")
-    p.add_argument("--device", default="virtex7",
-                   choices=["virtex7", "ku060"])
+    add_device_arg(p)
     p.add_argument("--jobs", "-j", type=_jobs_arg, default=None,
                    metavar="N",
                    help="worker processes ('auto' = one per core; "
@@ -813,8 +783,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("patterns", help="print Table 1 ΔT values")
-    p.add_argument("--device", default="virtex7",
-                   choices=["virtex7", "ku060"])
+    add_device_arg(p)
     p.set_defaults(func=cmd_patterns)
     return parser
 

@@ -8,6 +8,7 @@ UltraScale fabrics (used by the paper's robustness experiment).
 """
 
 from repro.devices.device import Device, DRAMTiming
-from repro.devices.catalog import KU060, VIRTEX7, device_by_name
+from repro.devices.catalog import DEVICE_NAMES, KU060, VIRTEX7, device_by_name
 
-__all__ = ["Device", "DRAMTiming", "KU060", "VIRTEX7", "device_by_name"]
+__all__ = ["DEVICE_NAMES", "Device", "DRAMTiming", "KU060", "VIRTEX7",
+           "device_by_name"]

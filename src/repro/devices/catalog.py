@@ -52,6 +52,9 @@ KU060 = Device(
 
 _CATALOG = {"virtex7": VIRTEX7, "ku060": KU060}
 
+#: the short names :func:`device_by_name` accepts
+DEVICE_NAMES = tuple(_CATALOG)
+
 
 def device_by_name(name: str) -> Device:
     """Look up a device by short name ('virtex7' or 'ku060')."""

@@ -65,12 +65,6 @@ class ChannelModelResult:
     stall_cycles: float
 
     @property
-    def steady_cycles_per_token(self) -> float:
-        """Per-token time of the coupled pair in steady state."""
-        return max(self.producer_cycles_per_token,
-                   self.consumer_cycles_per_token)
-
-    @property
     def bram_bytes(self) -> int:
         """On-chip storage the FIFO occupies."""
         return self.depth * self.elem_bytes

@@ -78,12 +78,6 @@ class ProgramGraph:
                 raise ValueError(
                     f"edge {e.src}->{e.dst} goes against stage order")
 
-    def consumers(self, stage: str) -> List[GraphEdge]:
-        return [e for e in self.edges if e.src == stage]
-
-    def producers(self, stage: str) -> List[GraphEdge]:
-        return [e for e in self.edges if e.dst == stage]
-
 
 @dataclass(frozen=True)
 class TransferResult:
@@ -116,10 +110,6 @@ class GraphPrediction:
     @property
     def transfer_cycles(self) -> float:
         return sum(t.cycles for t in self.transfers)
-
-    @property
-    def stage_cycles(self) -> Dict[str, float]:
-        return {name: p.cycles for name, p in self.stages.items()}
 
 
 def dram_transfer_cycles(nbytes: int, device, table=None) -> float:

@@ -284,7 +284,8 @@ def resolve_kernel(spec: dict, module_memo: Optional[HotCache] = None):
     holding digest(source) -> Module under the ``module`` layer) lets
     a long-running caller skip recompiling repeated sources.  Every
     name in the spec's ``args`` must be a scalar argument of the
-    function.
+    function, and a value for an integer argument must be integral and
+    within its type's range (never truncated or wrapped).
     """
     from repro.ir.types import PointerType
 
@@ -293,14 +294,27 @@ def resolve_kernel(spec: dict, module_memo: Optional[HotCache] = None):
         fn = workload.function()
     else:
         fn, workload = _source_kernel(spec, module_memo), None
-    scalars = [arg.name for arg in fn.args
+    scalars = [arg for arg in fn.args
                if not isinstance(arg.type, PointerType)]
-    unknown = sorted(set(spec["args"]) - set(scalars))
+    names = [arg.name for arg in scalars]
+    unknown = sorted(set(spec["args"]) - set(names))
     if unknown:
         raise ApiError(
             f"'args' names no scalar argument of kernel {fn.name}: "
             f"{', '.join(unknown)} (its scalar arguments: "
-            f"{', '.join(scalars) or 'none'})")
+            f"{', '.join(names) or 'none'})")
+    for arg in scalars:
+        value = spec["args"].get(arg.name)
+        if value is None or not arg.type.is_integer:
+            continue
+        element = getattr(arg.type, "element", arg.type)
+        bits, signed = element.bits, element.is_signed
+        low = -(1 << (bits - 1)) if signed else 0
+        high = (1 << (bits - 1 if signed else bits)) - 1
+        if not (value.is_integer() and low <= value <= high):
+            raise ApiError(
+                f"'args' {arg.name} takes an integer in {low}..{high} "
+                f"(its type is {element}), got {value!r}")
     return fn, workload
 
 
@@ -618,6 +632,10 @@ def program_stage_infos(program, device, cache=None,
     from repro.analysis import analyze_kernel
     from repro.dse import Design
 
+    if wg_override and not program.stages:
+        raise ApiError(
+            f"'wg' does not apply to program {program.qualified_name}: "
+            "its stages run at their co-executed launches")
     infos, designs = {}, {}
     if program.stages:
         for w in program.stages:

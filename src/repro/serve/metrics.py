@@ -36,17 +36,6 @@ class LatencyWindow:
                 self._samples[self._next] = latency_ms
                 self._next = (self._next + 1) % self.max_samples
 
-    def percentile(self, p: float) -> Optional[float]:
-        """The *p*-th percentile (0-100) of the current window, by the
-        nearest-rank method; None before any observation."""
-        with self._lock:
-            data = sorted(self._samples)
-        if not data:
-            return None
-        rank = max(0, min(len(data) - 1,
-                          int(round(p / 100.0 * (len(data) - 1)))))
-        return data[rank]
-
     def snapshot(self) -> Dict[str, object]:
         with self._lock:
             data = sorted(self._samples)

@@ -1,8 +1,13 @@
 """Tests for the command-line interface."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture
@@ -101,6 +106,9 @@ class TestHostileInput:
         "missing-global-size": [],
         "global-size-huge": ["--global-size", str(1 << 21)],
         "arg-unknown-name": ["--global-size", "64", "--arg", "bogus=3"],
+        "arg-int-fractional": ["--global-size", "64", "--arg", "n=10.5"],
+        "arg-int-out-of-range": ["--global-size", "64", "--arg",
+                                 "n=1e300"],
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -134,6 +142,16 @@ class TestHostileInput:
             "error: --arg names no scalar argument of kernel nw1: bogus "
             "(its scalar arguments: diag, dim, penalty)"]
 
+    def test_integer_catalog_arg_is_not_truncated(self, capsys):
+        rc = main(["predict", "--workload", "rodinia/nw/nw1",
+                   "--no-cache", "--arg", "penalty=10.7"])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert err.strip().splitlines() == [
+            "error: --arg penalty takes an integer in "
+            "-2147483648..2147483647 (its type is int), got 10.7"]
+
     def test_profiling_fault_is_a_usage_error(self, tmp_path):
         """A kernel that faults while profiled (atax reads rows past
         its 1024-element buffers) ends in one ``error:`` line naming
@@ -157,6 +175,10 @@ class TestHostileInput:
     SPEC_CASES = {
         "graph-wg-does-not-divide": ["predict-graph", "srad", "--wg", "3"],
         "suite-zero-designs": ["suite", "--designs", "0"],
+        "graph-wg-pipe-only": ["predict-graph", "scale", "--wg", "7"],
+        "catalog-arg-int-fractional": [
+            "predict", "--workload", "rodinia/nw/nw1",
+            "--arg", "penalty=10.7"],
     }
 
     @pytest.mark.parametrize("case", sorted(SPEC_CASES))
@@ -571,3 +593,40 @@ class TestPredictGraph:
         out = capsys.readouterr().out
         assert "dram realization" not in out
         assert "depth    4" in out
+
+
+class TestTextRendersPayload:
+    """Every text output is a view of the command's ``--json`` payload:
+    the committed texts were captured before the text paths stopped
+    computing their own answer, and must not change by a byte."""
+
+    def test_predict_graph_text_is_unchanged(self, capsys):
+        assert main(["predict-graph", "scale", "--no-cache"]) == 0
+        assert capsys.readouterr().out == (
+            DATA / "predict_graph_scale.txt").read_text()
+
+    def test_lint_summaries_text_is_unchanged(self, tmp_path, capsys):
+        from repro.workloads import get_workload
+        path = tmp_path / "bfs_1.cl"
+        path.write_text(get_workload("rodinia", "bfs", "bfs_1").source)
+        assert main(["lint", str(path), "--summaries"]) == 0
+        assert capsys.readouterr().out == (
+            DATA / "lint_bfs_1_summaries.txt").read_text()
+
+    def test_suite_programs_json_carries_the_programs(self, capsys):
+        from repro.workloads import all_programs
+        argv = ["suite", "--limit", "1", "--designs", "1", "--programs",
+                "--no-cache"]
+        assert main(argv + ["--json"]) == 0
+        programs = json.loads(capsys.readouterr().out)["programs"]
+        names = [p.qualified_name for p in all_programs()]
+        assert [p["program"] for p in programs] == names
+        for name, program in zip(names, programs):
+            assert main(["predict-graph", name, "--json",
+                         "--no-cache"]) == 0
+            assert json.loads(capsys.readouterr().out) == program
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-len(names) - 1] == "programs (end-to-end):"
+        for name, line in zip(names, lines[-len(names):]):
+            assert line.startswith(name) and line.endswith("stages)")

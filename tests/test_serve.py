@@ -21,7 +21,9 @@ from repro.serve.api import (
     MAX_LAUNCH_SIZE,
     ApiError,
     normalize_predict_spec,
+    request_key,
     run_task,
+    shard_tasks,
 )
 from repro.serve.pool import fork_available
 from repro.workloads import get_workload
@@ -82,6 +84,14 @@ HOSTILE_BODIES = {
                                 "args": {"bogus": 3}})),
     "source-faults-while-profiled": (
         "/predict", json.dumps({"source": ATAX, "global_size": 1024})),
+    "graph-wg-pipe-only": (
+        "/predict-graph", '{"program": "scale", "wg": 7}'),
+    "args-int-fractional": (
+        "/predict",
+        '{"workload": "rodinia/nw/nw1", "args": {"penalty": 10.7}}'),
+    "args-int-out-of-range": (
+        "/predict",
+        '{"workload": "rodinia/nw/nw1", "args": {"penalty": 1e300}}'),
 }
 
 
@@ -205,6 +215,28 @@ class TestBasics:
         spec = normalize_predict_spec({"workload": "polybench/atax/atax",
                                        "wg": 64.0, "pe": "2", "cu": 1})
         assert (spec["wg"], spec["pe"], spec["cu"]) == (64, 2, 1)
+
+    @pytest.mark.parametrize("penalty", [10.7, 2.0 ** 31, -2.0 ** 31 - 1,
+                                         1e300])
+    def test_integer_args_are_checked_everywhere(self, penalty):
+        """A value an ``int`` argument cannot hold is rejected the same
+        way by every entry point, never truncated or wrapped."""
+        from repro.serve import api
+        spec = {"workload": "rodinia/nw/nw1", "args": {"penalty": penalty}}
+        for check in (lambda: request_key("predict", spec),
+                      lambda: request_key("explore", spec),
+                      lambda: shard_tasks("explore", spec),
+                      lambda: api.predict_payload(spec)):
+            with pytest.raises(ApiError, match="takes an integer"):
+                check()
+
+    def test_integral_args_still_accepted(self):
+        def key(penalty):
+            return request_key("predict", {"workload": "rodinia/nw/nw1",
+                                           "args": {"penalty": penalty}})
+        assert key(10) == key(10.0) == key("10")
+        key(2 ** 31 - 1)
+        key(-2 ** 31)
 
     def test_retired_explore_fields_are_ignored(self, server):
         """``prefilter``/``top_k`` are unknown fields: the answer is
