@@ -22,8 +22,7 @@ from repro.analysis.memtrace import (
     TraceAnalysis,
     analyze_traces,
 )
-from repro.analysis.kernel_info import (KernelInfo, PipeTraffic,
-                                        analyze_kernel)
+from repro.analysis.kernel_info import KernelInfo, analyze_kernel
 from repro.analysis.streams import GroupStreamExtrapolator
 
 __all__ = [
@@ -32,7 +31,6 @@ __all__ = [
     "DFGNode",
     "DataFlowGraph",
     "KernelInfo",
-    "PipeTraffic",
     "LoopInfo",
     "LoopNest",
     "Recurrence",

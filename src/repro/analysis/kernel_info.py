@@ -71,22 +71,6 @@ def _block_dfgs_for(fn: Function, table: OpLatencyTable
                  for block in fn.reachable_blocks()})
 
 
-def _synthesizer_for(fn: Function, buffers: Dict[str, Buffer],
-                     scalars: Dict[str, object]):
-    """A compiled :class:`TraceSynthesizer` depends on the kernel and
-    the binding signature (buffer sizes and order, scalar values) but
-    never on buffer contents or the NDRange: reuse one compilation for
-    every work-group size the explorer probes.  ``GlobalMemory``
-    allocation is deterministic in the sizes and bind order, so the
-    memoized instance sees the same base addresses a fresh one would."""
-    from repro.interp.synth import TraceSynthesizer
-    sig = (tuple((name, b.nbytes, b.elem_size)
-                 for name, b in buffers.items()),
-           tuple(sorted(scalars.items())))
-    return function_memo(fn, ("synth", sig),
-                         lambda: TraceSynthesizer(fn, buffers, scalars))
-
-
 #: builtins whose value depends on the work-group size
 _GROUP_GEOMETRY = frozenset({"get_local_id", "get_group_id",
                              "get_local_size", "get_num_groups"})
@@ -189,7 +173,8 @@ class SharedProfile:
         buffers, scalars = self._make_inputs()
         try:
             if static:
-                run = _synthesizer_for(fn, buffers, scalars).run
+                from repro.interp.synth import TraceSynthesizer
+                run = TraceSynthesizer(fn, buffers, scalars).run
             else:
                 from repro.interp.vexec import VectorizedExecutor
                 run = VectorizedExecutor(fn, buffers, scalars).run
@@ -243,21 +228,6 @@ class SharedProfile:
             trip_counts=finalize_trip_counts(fn, counts, items))
 
 
-@dataclass(frozen=True)
-class PipeTraffic:
-    """Profiled FIFO traffic of one kernel on one channel.
-
-    Rates are tokens per work-item, computed from the profiled block
-    execution frequencies and the static pipe sites — exact for the
-    profiled launch, whatever control flow surrounds the sites.
-    """
-
-    channel: str
-    elem_bytes: int
-    reads_per_wi: float = 0.0
-    writes_per_wi: float = 0.0
-
-
 @dataclass
 class KernelInfo:
     """Frozen product of kernel analysis for one (kernel, wg-size,
@@ -297,13 +267,6 @@ class KernelInfo:
     trace_source: str = "scalar"
     #: access-summary verdict ("static" / "irregular"), when computed
     summary_verdict: Optional[str] = None
-    summary_fingerprint: Optional[str] = None
-    #: per-channel FIFO traffic (empty for pipe-free kernels)
-    pipe_traffic: Dict[str, PipeTraffic] = field(default_factory=dict)
-
-    @property
-    def uses_pipes(self) -> bool:
-        return bool(self.pipe_traffic)
 
     @property
     def work_group_size(self) -> int:
@@ -430,9 +393,9 @@ def _profile(fn: Function, buffers: Dict[str, Buffer],
     """Profile *max_groups* work-groups with the first engine that
     accepts the kernel; returns ``(launch, trace_source)``."""
     if static:
-        from repro.interp.synth import SynthesisError
+        from repro.interp.synth import SynthesisError, TraceSynthesizer
         try:
-            return _synthesizer_for(fn, buffers, scalars).run(
+            return TraceSynthesizer(fn, buffers, scalars).run(
                 ndrange, max_groups=max_groups), "synth"
         except SynthesisError:
             # The summary over-promised (or the launch hits a runtime
@@ -496,32 +459,7 @@ def _build_info(fn: Function, ndrange: NDRange, device,
         trace_source=trace_source,
         summary_verdict=(summary.verdict if summary is not None
                          else None),
-        summary_fingerprint=(summary.fingerprint if summary is not None
-                             else None),
-        pipe_traffic=_pipe_traffic(fn, block_weights),
     )
-
-
-def _pipe_traffic(fn: Function,
-                  block_weights: Dict[str, float]) -> Dict[str, PipeTraffic]:
-    """Tokens per work-item per channel: each execution of a block
-    performs one FIFO op per pipe site it contains, so the rate is the
-    sum of the profiled block frequencies over the channel's sites."""
-    reads: Dict[str, float] = {}
-    writes: Dict[str, float] = {}
-    elem: Dict[str, int] = {}
-    for block in fn.reachable_blocks():
-        weight = block_weights.get(block.name, 0.0)
-        for inst in block.instructions:
-            if isinstance(inst, (PipeRead, PipeWrite)):
-                name = inst.channel.name
-                elem[name] = max(inst.channel.elem_type.bytes, 1)
-                bucket = reads if isinstance(inst, PipeRead) else writes
-                bucket[name] = bucket.get(name, 0.0) + weight
-    return {name: PipeTraffic(channel=name, elem_bytes=elem[name],
-                              reads_per_wi=reads.get(name, 0.0),
-                              writes_per_wi=writes.get(name, 0.0))
-            for name in sorted(elem)}
 
 
 def _add_recurrence_edges(graph: DataFlowGraph,

@@ -301,15 +301,12 @@ def _predict_spec(args) -> dict:
 
 def cmd_predict(args) -> int:
     """Run the `predict` subcommand: model one design point."""
-    from repro.cache.hot import HotCache
     from repro.serve import api as serve_api
 
     spec = _predict_spec(args)
     cache = _open_cache(args)
-    module_memo = HotCache()
     try:
-        payload = serve_api.predict_payload(spec, cache=cache,
-                                            module_memo=module_memo)
+        payload = serve_api.predict_payload(spec, cache=cache)
     except serve_api.ApiError as exc:
         raise _cli_error(exc) from None
     if args.json:
@@ -347,7 +344,7 @@ def cmd_predict(args) -> int:
     _print_cache_line(cache)
     if spec.get("source"):
         fn, _ = serve_api.resolve_kernel(
-            serve_api.normalize_predict_spec(spec), module_memo)
+            serve_api.normalize_predict_spec(spec))
         _print_diagnostics(fn, args.source)
     return 0
 

@@ -22,23 +22,17 @@ Requests travel as columns (kind 0 = read, 1 = write):
 - :mod:`repro.dram.microbench` — pattern-latency profiling
   (:class:`PatternLatencyTable` = the eight ΔT values of Table 1).
 
-:func:`coalesce_stream` and :func:`classify_bank_stream` are the
-request-object forms of the coalescer and the classifier, kept as the
-reference the columnar forms are tested against.
+The request-object forms of the coalescer and the classifier, the
+reference the columnar forms are tested against, live with the tests
+(``tests/dram_reference.py``).
 """
 
 from repro.dram.mapping import BankMapping
-from repro.dram.coalesce import (
-    CoalescedRequest,
-    coalesce_packed,
-    coalesce_stream,
-    coalescing_factor,
-)
+from repro.dram.coalesce import coalesce_packed
 from repro.dram.patterns import (
     PATTERNS,
     AccessPattern,
     PatternCounts,
-    classify_bank_stream,
     classify_packed,
 )
 from repro.dram.controller import DRAMController
@@ -47,15 +41,11 @@ from repro.dram.microbench import PatternLatencyTable, profile_pattern_latencies
 __all__ = [
     "AccessPattern",
     "BankMapping",
-    "CoalescedRequest",
     "DRAMController",
     "PATTERNS",
     "PatternCounts",
     "PatternLatencyTable",
-    "classify_bank_stream",
     "classify_packed",
     "coalesce_packed",
-    "coalesce_stream",
-    "coalescing_factor",
     "profile_pattern_latencies",
 ]

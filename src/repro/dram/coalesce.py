@@ -14,51 +14,14 @@ columns (:class:`~repro.analysis.packed.PackedStream`):
 :func:`request_starts` finds where each request begins, which the
 memory model reuses for shifted copies of a stream, and
 :func:`coalesce_packed` returns one group's requests as the columns the
-simulator's DRAM controller services.  :func:`coalesce_stream` returns
-them as :class:`CoalescedRequest` objects, the form the tests compare
-against.
+simulator's DRAM controller services.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from repro.analysis.packed import PackedStream
-
-
-@dataclass(frozen=True)
-class CoalescedRequest:
-    """One post-coalescing DRAM request."""
-
-    kind: str      # 'read' | 'write'
-    addr: int      # first byte address
-    nbytes: int    # total bytes covered (<= access unit)
-
-
-def coalescing_factor(unit_bits: int, data_bits: int) -> int:
-    """f = MemoryAccessUnitSize / DataTypeBitWidth (at least 1)."""
-    if data_bits <= 0:
-        return 1
-    return max(unit_bits // data_bits, 1)
-
-
-def coalesce_stream(stream: "PackedStream",
-                    unit_bits: int = 512) -> List[CoalescedRequest]:
-    """Merge consecutive same-kind contiguous accesses into bursts.
-
-    A run of contiguous accesses is split into access-unit-sized
-    requests: 1024 consecutive 32-bit reads with a 512-bit unit become
-    1024 / (512/32) = 64 requests, matching the paper's example.
-    """
-    kind, addr, nbytes = coalesce_packed(
-        stream.kind, stream.addr, stream.nbytes, unit_bits)
-    return [CoalescedRequest("read" if k == 0 else "write", a, n)
-            for k, a, n in zip(kind.tolist(), addr.tolist(),
-                               nbytes.tolist())]
 
 
 def _breaks(kind: np.ndarray, addr: np.ndarray,

@@ -11,11 +11,10 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.dram.coalesce import CoalescedRequest
 from repro.dram.mapping import BankMapping, _swizzle
 
 
@@ -45,14 +44,6 @@ class AccessPattern(enum.Enum):
 
 
 PATTERNS: Tuple[AccessPattern, ...] = tuple(AccessPattern)
-
-
-def pattern_for(kind: str, previous_kind: str, hit: bool) -> AccessPattern:
-    """Look up the pattern for one request."""
-    first = "R" if kind == "read" else "W"
-    second = "R" if previous_kind == "read" else "W"
-    suffix = "HIT" if hit else "MISS"
-    return AccessPattern[f"{first}A{second}_{suffix}"]
 
 
 @dataclass
@@ -88,61 +79,20 @@ class PatternCounts:
 ROW_WINDOW = 2
 
 
-class _BankState:
-    __slots__ = ("open_rows", "last_kind")
-
-    def __init__(self) -> None:
-        self.open_rows: List[int] = []
-        self.last_kind: str = "read"       # cold banks behave like idle-read
-
-    def is_hit(self, row: int) -> bool:
-        return row in self.open_rows
-
-    def touch(self, row: int) -> None:
-        if row in self.open_rows:
-            self.open_rows.remove(row)
-        self.open_rows.append(row)
-        if len(self.open_rows) > ROW_WINDOW:
-            self.open_rows.pop(0)
-
-
-def classify_bank_stream(requests: Sequence[CoalescedRequest],
-                         mapping: BankMapping) -> PatternCounts:
-    """Classify a coalesced request stream into Table 1 patterns.
-
-    Requests are routed to banks by the byte-interleaved mapping; each
-    bank keeps its open row and last access kind.  A request spanning
-    several interleave blocks touches each covered bank once.
-    """
-    counts = PatternCounts()
-    banks: Dict[int, _BankState] = {}
-    for req in requests:
-        for i, addr in enumerate(_covered_blocks(req, mapping)):
-            bank_id, row = mapping.locate(addr)
-            state = banks.setdefault(bank_id, _BankState())
-            hit = state.is_hit(row)
-            if i == 0:
-                # Table 1's N counts accesses *after coalescing*: one
-                # per request.  Sub-accesses of a boundary-crossing
-                # burst proceed on their banks in parallel, so only the
-                # leading one prices the request...
-                counts.add(pattern_for(req.kind, state.last_kind, hit))
-            # ...but every touched bank's row state still evolves.
-            state.touch(row)
-            state.last_kind = req.kind
-    return counts
-
-
 def classify_packed(kind: np.ndarray, addr: np.ndarray,
                     nbytes: np.ndarray,
                     mapping: BankMapping,
                     group: Optional[np.ndarray] = None,
                     weight: Optional[np.ndarray] = None) -> PatternCounts:
-    """Columnar Table 1 classification: identical counts to
-    :func:`classify_bank_stream` fed the same request sequence.
+    """Columnar Table 1 classification of a coalesced request sequence
+    (columns of kind, first byte address and size).
 
-    The replicated bank state is the LRU-2 open-row window with
-    touch-to-front (:class:`_BankState` with ``ROW_WINDOW == 2``): at
+    Requests are routed to banks by the byte-interleaved mapping, and a
+    request spanning several interleave blocks touches each covered
+    bank once; only its leading block counts, since Table 1's N counts
+    requests after coalescing.  Each bank keeps the kind of its last
+    access (cold banks read) and an LRU-2 open-row window with
+    touch-to-front (``ROW_WINDOW == 2``): at
     any point a bank's two open rows are the value of the current
     equal-row run and the value of the run before it, which turns the
     per-request hit test into pure run bookkeeping on the sorted-by-bank
@@ -267,14 +217,3 @@ def _floordiv(x: np.ndarray, d: int,
     if d & (d - 1) == 0:
         return np.right_shift(x, d.bit_length() - 1, out=out)
     return np.floor_divide(x, d, out=out)
-
-
-def _covered_blocks(req: CoalescedRequest,
-                    mapping: BankMapping) -> Iterable[int]:
-    """First byte address of each interleave block the request covers."""
-    start = (req.addr // mapping.interleave_bytes) * mapping.interleave_bytes
-    end = req.addr + max(req.nbytes, 1)
-    addr = start
-    while addr < end:
-        yield addr
-        addr += mapping.interleave_bytes

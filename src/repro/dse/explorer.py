@@ -34,54 +34,23 @@ class EvaluatedDesign:
 
 @dataclass
 class ExplorationResult:
-    """The outcome of sweeping a design space.
-
-    The feasible subset and its cycle-sorted order are computed once and
-    cached; :meth:`append` invalidates the cache.  Mutate ``evaluated``
-    through :meth:`append` (or call :meth:`invalidate` after touching the
-    list directly).
-    """
+    """The outcome of sweeping a design space: every point in
+    enumeration order.  The feasible subset and its ranking are
+    computed on each read."""
 
     evaluated: List[EvaluatedDesign] = field(default_factory=list)
-    _feasible: Optional[List[EvaluatedDesign]] = field(
-        default=None, init=False, repr=False, compare=False)
-    _ordered: Optional[List[EvaluatedDesign]] = field(
-        default=None, init=False, repr=False, compare=False)
-
-    def append(self, entry: EvaluatedDesign) -> None:
-        """Add one evaluated point, invalidating cached orderings."""
-        self.evaluated.append(entry)
-        self.invalidate()
-
-    def invalidate(self) -> None:
-        """Drop the cached feasible list / sort order (call after
-        mutating ``evaluated`` directly)."""
-        self._feasible = None
-        self._ordered = None
 
     @property
     def feasible(self) -> List[EvaluatedDesign]:
-        if self._feasible is None:
-            self._feasible = [e for e in self.evaluated if e.feasible]
-        return self._feasible
+        return [e for e in self.evaluated if e.feasible]
 
     def ranked(self) -> List[EvaluatedDesign]:
-        """Feasible points sorted by cycles (cached; stable order)."""
-        if self._ordered is None:
-            self._ordered = sorted(self.feasible, key=lambda e: e.cycles)
-        return self._ordered
+        """Feasible points sorted by cycles (stable order)."""
+        return sorted(self.feasible, key=lambda e: e.cycles)
 
     @property
     def best(self) -> Optional[EvaluatedDesign]:
-        ordered = self.ranked()
-        return ordered[0] if ordered else None
-
-    def rank(self, design: Design) -> Optional[int]:
-        """1-based rank of *design* among feasible points by cycles."""
-        for i, e in enumerate(self.ranked()):
-            if e.design == design:
-                return i + 1
-        return None
+        return min(self.feasible, key=lambda e: e.cycles, default=None)
 
 
 def _evaluate_design(info, design: Design, evaluator, device
@@ -102,8 +71,7 @@ def explore(space: DesignSpace, analyze: Callable[[int], object],
             evaluator: Callable[[object, Design], float],
             device) -> ExplorationResult:
     """Exhaustively evaluate every feasible design in *space*."""
-    result = ExplorationResult()
-    for design in space:
-        result.append(_evaluate_design(analyze(design.work_group_size),
-                                       design, evaluator, device))
-    return result
+    return ExplorationResult([
+        _evaluate_design(analyze(design.work_group_size), design,
+                         evaluator, device)
+        for design in space])

@@ -618,18 +618,6 @@ class KernelExecutor:
             return get_register
         raise ExecutionError(f"cannot evaluate {v!r}")
 
-    def _value(self, state: _WorkItemState, v: Value):
-        """Evaluate one operand (slow path kept for introspection)."""
-        if isinstance(v, Constant):
-            return v.value
-        if isinstance(v, Argument):
-            return self._arg_values[id(v)]
-        if isinstance(v, Register):
-            if id(v) not in state.regs:
-                raise ExecutionError(f"use of undefined register {v}")
-            return state.regs[id(v)]
-        raise ExecutionError(f"cannot evaluate {v!r}")
-
     @staticmethod
     def _raiser(message: str) -> Callable[[_WorkItemState], None]:
         """A compiled op that fails at execution time (not at

@@ -154,16 +154,14 @@ def function_memo(fn: Function, key, build: Callable[[], T]) -> T:
     The IR is immutable after lowering, so anything that depends only
     on it (and on *key*) is built once and shared by every analysis of
     that function object: its fingerprint, access summary, determinism
-    classifier, per-block DFGs and compiled synthesizers.  The values
-    live on the function and die with it; they are never pickled.  A
-    *fn* that is not a :class:`Function` (a test double) or a *key*
-    that cannot be hashed is built afresh each call."""
+    classifier and per-block DFGs.  Nothing a request supplies (buffers,
+    scalars, the NDRange) belongs here: a shared function would keep it
+    alive.  The values live on the function and die with it; they are
+    never pickled.  A *fn* that is not a :class:`Function` (a test
+    double) is built afresh each call."""
     if not isinstance(fn, Function):
         return build()
-    try:
-        value = fn._derived.get(key, _MISSING)
-    except TypeError:
-        return build()
+    value = fn._derived.get(key, _MISSING)
     if value is _MISSING:
         value = fn._derived[key] = build()
     return value

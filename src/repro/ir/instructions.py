@@ -276,10 +276,6 @@ class Phi(Instruction):
         super().__init__([], result)
         self.incoming: List[tuple] = []  # (value, block)
 
-    def add_incoming(self, value: Value, block) -> None:
-        self.incoming.append((value, block))
-        self.operands.append(value)
-
 
 class Terminator(Instruction):
     """Base class for block-ending instructions."""

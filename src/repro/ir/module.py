@@ -54,9 +54,6 @@ class Module:
     def get_channel(self, name: str) -> Channel:
         return self._channels[name]
 
-    def get_channel_optional(self, name: str) -> Optional[Channel]:
-        return self._channels.get(name)
-
     @property
     def channels(self) -> List[Channel]:
         return list(self._channels.values())

@@ -118,11 +118,6 @@ class AffineExpr:
     def symbols(self) -> List[str]:
         return [sym for sym, _ in self.terms]
 
-    def has_opaque(self) -> bool:
-        """Does the form contain a symbol with unknown structure?"""
-        return any(sym.split(":")[0] in ("var", "reg", "mem")
-                   for sym, _ in self.terms)
-
     def __str__(self) -> str:
         parts = [f"{c}*{s}" if c != 1 else s for s, c in self.terms]
         if self.const or not parts:

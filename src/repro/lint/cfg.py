@@ -39,27 +39,6 @@ def postdominators(fn: Function) -> Dict[int, Set[int]]:
     return meet_over_edges(blocks, exits, lambda b: b.successors())
 
 
-def immediate_postdominator(fn: Function, block: BasicBlock,
-                            pdom: Optional[Dict[int, Set[int]]] = None
-                            ) -> Optional[BasicBlock]:
-    """The closest strict post-dominator of *block* (the join point of
-    a two-way branch), or ``None`` when every path returns first.
-
-    Among the strict post-dominators P of *block*, the immediate one is
-    the unique p with ``pdom(p) == P`` — every other strict
-    post-dominator also post-dominates p.
-    """
-    pdom = pdom if pdom is not None else postdominators(fn)
-    strict = pdom.get(id(block), set()) - {id(block)}
-    if not strict:
-        return None
-    by_id = {id(b): b for b in fn.reachable_blocks()}
-    for pid in strict:
-        if pdom.get(pid, set()) == strict:
-            return by_id.get(pid)
-    return None
-
-
 def block_by_name(fn: Function, name: str) -> Optional[BasicBlock]:
     """Find a block by name, or ``None``."""
     for b in fn.blocks:

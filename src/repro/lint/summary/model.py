@@ -120,18 +120,6 @@ class KernelSummary:
     fingerprint: str = ""
     engine_version: int = 0
 
-    @property
-    def is_static(self) -> bool:
-        return self.verdict == VERDICT_STATIC
-
-    @property
-    def reason_codes(self) -> List[str]:
-        seen: List[str] = []
-        for r in self.reasons:
-            if r.code not in seen:
-                seen.append(r.code)
-        return seen
-
     def to_dict(self) -> dict:
         return {
             "kernel": self.name,

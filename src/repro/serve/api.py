@@ -72,6 +72,14 @@ REALIZATION_MODES = ("dram", "pipe", "both")
 #: allocated (the catalog's largest global size is 4096)
 MAX_LAUNCH_SIZE = 1 << 20
 
+#: capacity of the memo of compiled inline sources (each distinct source
+#: adds one entry, so it is bounded)
+MAX_COMPILED_SOURCES = 256
+#: digest(source) -> compiled Module, shared by every caller in the
+#: process: a compiled function carries only what its IR determines, so
+#: one request's module holds nothing of another's
+_SOURCE_MEMO = HotCache(max_entries=MAX_COMPILED_SOURCES)
+
 #: KernelInfo.trace_source -> the provenance string payloads report
 TRACE_PROVENANCE = {"synth": "synthesized",
                     "vectorized": "vectorized",
@@ -276,16 +284,15 @@ def resolve_workload(name: str):
         raise ApiError(f"no catalog workload {name!r}") from None
 
 
-def resolve_kernel(spec: dict, module_memo: Optional[HotCache] = None):
+def resolve_kernel(spec: dict):
     """The IR function a predict/explore spec names.
 
     Returns ``(fn, workload)`` where *workload* is None for inline
-    source.  *module_memo* (a :class:`~repro.cache.hot.HotCache`
-    holding digest(source) -> Module under the ``module`` layer) lets
-    a long-running caller skip recompiling repeated sources.  Every
-    name in the spec's ``args`` must be a scalar argument of the
-    function, and a value for an integer argument must be integral and
-    within its type's range (never truncated or wrapped).
+    source, which is compiled once per process (see
+    :func:`_source_kernel`).  Every name in the spec's ``args`` must be
+    a scalar argument of the function, and a value for an integer
+    argument must be integral and within its type's range (never
+    truncated or wrapped).
     """
     from repro.ir.types import PointerType
 
@@ -293,7 +300,7 @@ def resolve_kernel(spec: dict, module_memo: Optional[HotCache] = None):
         workload = resolve_workload(spec["workload"])
         fn = workload.function()
     else:
-        fn, workload = _source_kernel(spec, module_memo), None
+        fn, workload = _source_kernel(spec), None
     scalars = [arg for arg in fn.args
                if not isinstance(arg.type, PointerType)]
     names = [arg.name for arg in scalars]
@@ -318,25 +325,22 @@ def resolve_kernel(spec: dict, module_memo: Optional[HotCache] = None):
     return fn, workload
 
 
-def _source_kernel(spec: dict, module_memo: Optional[HotCache]):
+def _source_kernel(spec: dict):
     """The kernel of a spec's inline ``source`` (see
-    :func:`resolve_kernel`)."""
+    :func:`resolve_kernel`), compiled on the first request for that
+    source and then taken from ``_SOURCE_MEMO``; a source that fails
+    to compile is not stored."""
     from repro.frontend import compile_opencl
 
     source = spec["source"]
-    module = None
-    memo_key = None
-    if module_memo is not None:
-        memo_key = digest("src", source)
-        _, module = module_memo.get("module", memo_key)
+    memo_key = digest("src", source)
+    _, module = _SOURCE_MEMO.get("module", memo_key)
     if module is None:
         try:
             module = compile_opencl(source)
         except Exception as exc:
             raise ApiError(f"cannot compile source: {exc}") from None
-        if module_memo is not None:
-            module_memo.put("module", memo_key, module,
-                            write_through=False)
+        _SOURCE_MEMO.put("module", memo_key, module)
     if spec["kernel"]:
         try:
             return module.get(spec["kernel"])
@@ -456,8 +460,7 @@ def spec_design(spec):
                   comm_mode=spec["mode"])
 
 
-def predict_payload(spec: dict, cache=None,
-                    module_memo: Optional[HotCache] = None) -> dict:
+def predict_payload(spec: dict, cache=None) -> dict:
     """Model one design point; the payload behind ``predict --json``
     and ``POST /predict``."""
     from repro.analysis import analyze_kernel
@@ -469,7 +472,7 @@ def predict_payload(spec: dict, cache=None,
 
     spec = normalize_predict_spec(spec)
     device = device_by_name(spec["device"])
-    fn, workload = resolve_kernel(spec, module_memo)
+    fn, workload = resolve_kernel(spec)
     global_size = _spec_global_size(spec, workload)
     design = spec_design(spec)
 
@@ -815,14 +818,13 @@ def assemble(endpoint: str, spec: dict, results: Sequence[list]) -> dict:
 # request identity (coalescing / hot-tier keys)
 # ---------------------------------------------------------------------
 
-def request_key(endpoint: str, spec: dict,
-                module_memo: Optional[HotCache] = None) -> str:
+def request_key(endpoint: str, spec: dict) -> str:
     """The content fingerprint concurrent identical requests coalesce
     on: canonical-IR fingerprint (never source text or file paths) +
     the full design point + the full device configuration."""
     if endpoint == "predict":
         spec = normalize_predict_spec(spec)
-        fn, workload = resolve_kernel(spec, module_memo)
+        fn, workload = resolve_kernel(spec)
         from repro.devices import device_by_name
         return digest(
             "serve-predict", function_fingerprint(fn),
@@ -833,7 +835,7 @@ def request_key(endpoint: str, spec: dict,
             spec["simulate"], spec["workload"] or "")
     if endpoint == "explore":
         spec = normalize_explore_spec(spec)
-        fn, workload = resolve_kernel(spec, module_memo)
+        fn, workload = resolve_kernel(spec)
         from repro.devices import device_by_name
         return digest(
             "serve-explore", function_fingerprint(fn),

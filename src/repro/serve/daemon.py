@@ -51,10 +51,6 @@ from repro.serve.pool import WorkerPool
 #: ever be a mistake or abuse; real specs are a few KiB)
 MAX_BODY_BYTES = 8 * 1024 * 1024
 DEFAULT_QUEUE_LIMIT = 64
-#: capacity of the memory-only memo holding compiled inline sources
-#: (each distinct source adds one entry, so it must be bounded like the
-#: hot tier)
-MEMO_ENTRIES = 256
 
 
 class BusyError(Exception):
@@ -90,10 +86,6 @@ class PredictionServer:
         shared = None if config.no_cache else self.hot
         self.pool = WorkerPool(jobs=config.jobs, mode=config.executor,
                                shared_cache=shared)
-        #: compiled inline sources, keyed for request identity; an LRU
-        #: of its own, so a flood of distinct sources never evicts
-        #: rendered responses from the hot tier
-        self._memo = HotCache(max_entries=MEMO_ENTRIES)
         self._inflight: Dict[str, asyncio.Future] = {}
         self._active = 0              # evaluations admitted, not done
         self._conn_tasks: set = set()
@@ -147,7 +139,7 @@ class PredictionServer:
         keeps answering warm and duplicate requests while refusing new
         work.
         """
-        key = request_key(endpoint, spec, self._memo)
+        key = request_key(endpoint, spec)
         found, body = self.hot.get("response", key)
         if found:
             return body, "hot"

@@ -33,3 +33,24 @@ def scalar_reference():
                               launch=launch)
 
     return analyze
+
+
+@pytest.fixture
+def source_compiles(monkeypatch):
+    """Sources compiled for predict/explore specs, in call order, with
+    the process-wide source memo emptied for the test."""
+    import repro.frontend
+    from repro.cache.hot import HotCache
+    from repro.serve import api
+
+    calls = []
+    original = repro.frontend.compile_opencl
+
+    def counted(source, *args, **kwargs):
+        calls.append(source)
+        return original(source, *args, **kwargs)
+
+    monkeypatch.setattr(repro.frontend, "compile_opencl", counted)
+    monkeypatch.setattr(api, "_SOURCE_MEMO",
+                        HotCache(max_entries=api.MAX_COMPILED_SOURCES))
+    return calls

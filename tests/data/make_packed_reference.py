@@ -25,13 +25,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from pathlib import Path
 
-from repro.dram.coalesce import CoalescedRequest
 from repro.dram.mapping import BankMapping
-from repro.dram.patterns import classify_bank_stream
 from repro.interp import KernelExecutor
 from repro.workloads import registry
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from dram_reference import (CoalescedRequest,  # noqa: E402
+                            classify_bank_stream)
 
 SAMPLE = ["rodinia/nn/nn", "rodinia/hotspot/hotspot",
           "rodinia/srad/srad", "polybench/gemm/gemm",

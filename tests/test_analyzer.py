@@ -26,7 +26,8 @@ from repro.interp.vexec import VectorizedExecutor
 from repro.ir.function import function_memo
 from repro.lint.summary import classify_function, summarize_kernel
 from repro.model import FlexCL
-from repro.serve.api import explore_rows
+from repro.serve.api import (explore_rows, predict_payload,
+                             resolve_workload)
 from repro.workloads.programs import get_program
 
 N = 1024
@@ -90,12 +91,23 @@ class TestFunctionMemo:
         class Unhashable:
             __hash__ = None
 
-        fn = compile_k(SCALE)
         calls = []
-        for target, key in ((Unhashable(), "x"), (fn, ("x", [1]))):
-            for _ in range(2):
-                function_memo(target, key, lambda: calls.append(1))
-        assert len(calls) == 4
+        for _ in range(2):
+            function_memo(Unhashable(), "x", lambda: calls.append(1))
+        assert len(calls) == 2
+
+    def test_requests_add_no_memo_keys(self):
+        """Only what the IR determines is memoized: requests that
+        differ in a scalar value leave nothing of their own on the
+        catalog function, which lives as long as the process."""
+        spec = {"workload": "rodinia/backprop/layer", "wg": 64}
+        fn = resolve_workload(spec["workload"]).function()
+        predict_payload(dict(spec, args={"hid": 16}))
+        keys = set(fn._derived)
+        for hid in (17, 18):
+            assert predict_payload(dict(spec, args={"hid": hid}))[
+                "feasible"]
+        assert set(fn._derived) == keys
 
     def test_memo_is_not_pickled(self):
         fn = compile_k(SCALE)
@@ -110,7 +122,7 @@ class TestFunctionMemo:
             summarize_kernel(fn).fingerprint
 
     def test_entries_die_with_the_function(self):
-        """Memoized values (summaries, DFGs, synthesizers) refer back to
+        """Memoized values (summaries, classifiers, DFGs) refer back to
         their function; they must not keep it alive."""
         fn = compile_k(SCALE)
         analyze = kernel_analyzer(fn, inputs, N, WG_SIZES, VIRTEX7)

@@ -79,6 +79,16 @@ class TestOtherCommands:
         assert "rodinia (45 kernels)" in out
         assert "hotspot/hotspot" in out
 
+    def test_explore_compiles_the_source_once(self, saxpy_file, capsys,
+                                              source_compiles):
+        """The sweep, the payload and the diagnostics share one
+        compiled module."""
+        rc = main(["explore", saxpy_file, "--global-size", "256",
+                   "--no-cache"])
+        assert rc == 0
+        assert "explored" in capsys.readouterr().out
+        assert len(source_compiles) == 1
+
     def test_patterns(self, capsys):
         rc = main(["patterns"])
         assert rc == 0

@@ -12,14 +12,18 @@ from repro.dram import (
     BankMapping,
     DRAMController,
     PATTERNS,
+    PatternCounts,
+    profile_pattern_latencies,
+)
+from repro.interp.executor import MemAccess
+
+from dram_reference import (
+    CoalescedRequest,
     classify_bank_stream,
     coalesce_stream,
     coalescing_factor,
-    profile_pattern_latencies,
+    pattern_for,
 )
-from repro.dram.coalesce import CoalescedRequest
-from repro.dram.patterns import PatternCounts, pattern_for
-from repro.interp.executor import MemAccess
 
 MAPPING = BankMapping(num_banks=8, row_bytes=1024, interleave_bytes=64)
 

@@ -105,7 +105,10 @@ class TestExplorer:
         result = explore(space, analyzer,
                          lambda info, d: model.predict(info, d).cycles,
                          VIRTEX7)
-        assert result.rank(result.best.design) == 1
+        ranked = result.ranked()
+        assert ranked[0] is result.best
+        assert [e.cycles for e in ranked] == sorted(
+            e.cycles for e in result.feasible)
 
     def test_analyses_once_per_size(self, monkeypatch):
         """The explorers call ``analyze`` once per design and keep no

@@ -36,6 +36,18 @@ class TestExamples:
         assert "recurrence" in out
         assert "hint" in out
 
+    def test_stencil_timesteps(self, capsys):
+        out = run_example("stencil_timesteps.py", capsys)
+        assert "functional: 8 steps OK" in out
+        assert "per-invocation best designs (600 feasible)" in out
+        assert "launch overhead share at the optimum" in out
+
+    def test_rodinia_sweep(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.argv", ["rodinia_sweep.py"])
+        out = run_example("rodinia_sweep.py", capsys)
+        assert "rodinia/srad/extract" in out
+        assert "mean FlexCL error" in out
+
     def test_examples_are_documented(self):
         for script in EXAMPLES.glob("*.py"):
             text = script.read_text()

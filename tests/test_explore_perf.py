@@ -256,44 +256,41 @@ class TestCacheStats:
 
 
 class TestResultCaching:
+    """``ExplorationResult`` caches nothing: ``feasible``, ``ranked()``
+    and ``best`` read ``evaluated`` as it is now."""
+
     def _entry(self, cycles, feasible=True, wg=64):
         pe = int(cycles) % 8 + 1 if feasible else 1
         return EvaluatedDesign(Design(work_group_size=wg, num_pe=pe),
                                cycles, feasible=feasible)
 
-    def test_ranked_cached_and_invalidated_on_append(self):
-        result = ExplorationResult()
-        result.append(self._entry(30.0))
-        result.append(self._entry(10.0))
-        first = result.ranked()
-        assert result.ranked() is first          # cached object
+    def test_ranked_reads_evaluated_on_every_call(self):
+        result = ExplorationResult([self._entry(30.0), self._entry(10.0)])
+        assert [e.cycles for e in result.ranked()] == [10.0, 30.0]
         assert result.best.cycles == 10.0
-        result.append(self._entry(5.0))          # invalidates
-        assert result.ranked() is not first
+        result.evaluated.append(self._entry(5.0))
+        assert [e.cycles for e in result.ranked()] == [5.0, 10.0, 30.0]
         assert result.best.cycles == 5.0
 
-    def test_rank_uses_cached_order(self):
-        result = ExplorationResult()
-        e1, e2 = self._entry(20.0), self._entry(10.0)
-        result.append(e1)
-        result.append(e2)
-        assert result.rank(e2.design) == 1
-        assert result.rank(e1.design) == 2
-        assert result.rank(Design(work_group_size=128)) is None
+    def test_ties_keep_enumeration_order(self):
+        first, second = self._entry(10.0, wg=64), self._entry(10.0, wg=128)
+        result = ExplorationResult([self._entry(20.0), first, second])
+        assert result.ranked()[:2] == [first, second]
+        assert result.best is first
 
     def test_infeasible_excluded(self):
-        result = ExplorationResult()
-        result.append(self._entry(float("inf"), feasible=False))
+        result = ExplorationResult(
+            [self._entry(float("inf"), feasible=False)])
         assert result.best is None
         assert result.feasible == []
 
-    def test_invalidate_after_direct_mutation(self):
-        result = ExplorationResult()
-        result.append(self._entry(10.0))
+    def test_best_follows_direct_mutation(self):
+        result = ExplorationResult([self._entry(10.0)])
         assert result.best.cycles == 10.0
         result.evaluated.append(self._entry(1.0))
-        result.invalidate()
         assert result.best.cycles == 1.0
+        result.evaluated.append(self._entry(2.0, feasible=False))
+        assert len(result.feasible) == 2
 
 
 class TestMemoizedBudgetKey:

@@ -16,11 +16,12 @@ import pytest
 from repro.analysis.memtrace import analyze_traces
 from repro.analysis.packed import PackedTraces, pack_traces
 from repro.analysis.streams import GroupStreamExtrapolator
-from repro.dram.coalesce import coalesce_packed, coalesce_stream
-from repro.dram.patterns import BankMapping, classify_bank_stream, \
-    classify_packed
+from repro.dram.coalesce import coalesce_packed
+from repro.dram.patterns import BankMapping, classify_packed
 from repro.interp import KernelExecutor
 from repro.workloads import registry
+
+from dram_reference import classify_bank_stream, coalesce_stream
 
 # a diverse slice of the catalog: strided, tiled/local, 2D, reductions
 SAMPLE = ["rodinia/nn/nn", "rodinia/hotspot/hotspot",

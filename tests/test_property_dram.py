@@ -12,18 +12,20 @@ from hypothesis import strategies as st
 from repro.analysis.packed import PackedStream, PackedTraces, pack_group
 from repro.analysis.streams import GroupStreamExtrapolator
 from repro.devices import KU060, VIRTEX7
-from repro.dram import BankMapping, classify_bank_stream
-from repro.dram.coalesce import (
-    CoalescedRequest,
-    coalesce_packed,
-    coalesce_stream,
-    coalescing_factor,
-)
+from repro.dram import BankMapping
+from repro.dram.coalesce import coalesce_packed
 from repro.dram.controller import DRAMController
 from repro.dram.patterns import PATTERNS, PatternCounts, classify_packed
 from repro.devices.device import DRAMTiming
 from repro.interp.executor import MemAccess
 from repro.model.memory import memory_model, pattern_table_for
+
+from dram_reference import (
+    CoalescedRequest,
+    classify_bank_stream,
+    coalesce_stream,
+    coalescing_factor,
+)
 
 MAPPING = BankMapping(num_banks=8, row_bytes=1024, interleave_bytes=64)
 

@@ -21,6 +21,7 @@ from repro.serve.api import (
     MAX_LAUNCH_SIZE,
     ApiError,
     normalize_predict_spec,
+    predict_payload,
     request_key,
     run_task,
     shard_tasks,
@@ -404,8 +405,10 @@ class TestBackpressure:
             self, monkeypatch):
         # request_key compiles each inline source before admission, so
         # even requests answered 503 leave a compiled module behind.
-        from repro.serve import daemon
-        monkeypatch.setattr(daemon, "MEMO_ENTRIES", 4)
+        from repro.cache.hot import HotCache
+        from repro.serve import api
+        memo = HotCache(max_entries=4)
+        monkeypatch.setattr(api, "_SOURCE_MEMO", memo)
         handle = serve_in_thread(ServerConfig(
             port=0, executor="thread", jobs=1, queue_limit=0))
         try:
@@ -415,9 +418,40 @@ class TestBackpressure:
                     _post(handle.url, "/predict",
                           dict(PREDICT_SPEC, source=source))
                 assert exc.value.code == 503
-            assert 0 < len(handle.server._memo) <= 4
+            assert 0 < len(memo) <= 4
         finally:
             handle.stop()
+
+
+class TestSourceMemo:
+    def test_inline_predict_compiles_once(self, source_compiles):
+        """The request key and the evaluation share one compiled
+        module."""
+        handle = serve_in_thread(ServerConfig(
+            port=0, executor="thread", jobs=1, no_cache=True))
+        try:
+            status, _ = _post(handle.url, "/predict", PREDICT_SPEC)
+            assert status == 200
+        finally:
+            handle.stop()
+        assert source_compiles == [SAXPY]
+
+    def test_threads_share_one_module(self, source_compiles):
+        """Threads answering one inline source at once share its module
+        (and the memo on its function) and all give the serial answer."""
+        import sys
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(4) as pool:
+                futures = [pool.submit(predict_payload, PREDICT_SPEC)
+                           for _ in range(8)]
+                results = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [predict_payload(PREDICT_SPEC)] * 8
+        assert set(source_compiles) == {SAXPY}
 
 
 class TestStreaming:
