@@ -30,7 +30,9 @@ The full run adds a catalog-wide section (``catalog``): every catalog
 kernel's default design space swept by a fresh model per kernel (cold)
 and again by the same models (warm), with the seconds spent in the PE
 model, the memory model and the rest of ``FlexCL.predict`` (the
-Eqs. 5–12 composition), and the scheduler work of the cold pass.
+Eqs. 5–12 composition), and the scheduler work of the cold pass.  Its
+``analysis_memory`` gives the MB (tracemalloc) the catalog's analyses
+hold once built and the peak while they are built.
 ``--baseline`` copies the ``catalog`` section of a ``BENCH_dse_perf.json``
 written by this script on another checkout, such as the parent commit on
 the same machine, into ``catalog_baseline``.
@@ -50,6 +52,7 @@ import os
 import platform
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -272,18 +275,28 @@ def _catalog_pass(kernels, models) -> dict:
 
 def catalog_run() -> dict:
     """Cold and warm per-stage seconds over every catalog kernel's
-    default design space (analyses are built first and not timed)."""
+    default design space.  The analyses are built first, untimed but
+    under tracemalloc: ``analysis_memory`` is what they hold once built
+    and the peak while building them."""
     kernels = {}
-    for workload in all_workloads():
-        space = DesignSpace.default_for(workload.global_size)
-        analyze = make_analyzer(workload, VIRTEX7)
-        kernels[workload.qualified_name] = (
-            space, {wg: analyze(wg) for wg in space.work_group_sizes})
+    tracemalloc.start()
+    try:
+        for workload in all_workloads():
+            space = DesignSpace.default_for(workload.global_size)
+            analyze = make_analyzer(workload, VIRTEX7)
+            kernels[workload.qualified_name] = (
+                space, {wg: analyze(wg) for wg in space.work_group_sizes})
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     models = {name: FlexCL(VIRTEX7) for name in kernels}
     cold = _catalog_pass(kernels, models)
     warm = _catalog_pass(kernels, models)
     return {"kernels": len(kernels),
             "points": sum(s.size() for s, _ in kernels.values()),
+            "analysis_memory": {
+                "analyses": sum(len(infos) for _, infos in kernels.values()),
+                "held_mb": held / 2 ** 20, "peak_mb": peak / 2 ** 20},
             "cold": cold, "warm": warm}
 
 
@@ -401,6 +414,9 @@ def main(argv=None) -> int:
     if catalog:
         print(f"catalog ({catalog['kernels']} kernels, "
               f"{catalog['points']} points):")
+        mem = catalog["analysis_memory"]
+        print(f"  {mem['analyses']} analyses: {mem['held_mb']:.1f} MB "
+              f"held, {mem['peak_mb']:.1f} MB peak (tracemalloc)")
         for unit in ("cold", "warm"):
             secs = catalog[unit]["seconds"]
             print(f"  {unit}: " + ", ".join(

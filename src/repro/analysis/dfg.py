@@ -121,7 +121,6 @@ class DFGNode:
     index: int                    # program order
     latency: float = 1.0
     op_class: OpClass = OpClass.INT_ALU
-    weight: float = 1.0           # executions per work-item
     block: str = ""
     preds: List[Tuple[int, int]] = field(default_factory=list)  # (node, dist)
     succs: List[Tuple[int, int]] = field(default_factory=list)
@@ -140,9 +139,9 @@ class DataFlowGraph:
     _index_of: Dict[int, int] = field(default_factory=dict)
 
     def add_node(self, inst: Instruction, latency: float, op_class: OpClass,
-                 weight: float = 1.0, block: str = "") -> DFGNode:
+                 block: str = "") -> DFGNode:
         node = DFGNode(inst=inst, index=len(self.nodes), latency=latency,
-                       op_class=op_class, weight=weight, block=block)
+                       op_class=op_class, block=block)
         self.nodes.append(node)
         self._index_of[id(inst)] = node.index
         return node
@@ -197,23 +196,22 @@ def build_block_dfg(block: BasicBlock, table: OpLatencyTable) -> DataFlowGraph:
     return graph
 
 
-def build_function_dfg(fn: Function, table: OpLatencyTable,
-                       weights: Optional[Dict[str, float]] = None
+def build_function_dfg(fn: Function, table: OpLatencyTable
                        ) -> DataFlowGraph:
     """The whole-work-item dependence graph.
 
-    *weights* maps block names to per-work-item execution frequencies
-    (from the loop nest); defaults to 1.0 everywhere.
+    It depends only on the IR and *table*.  How often each node runs
+    per work-item is profile data: weight a node by its block's entry
+    in :attr:`~repro.analysis.kernel_info.KernelInfo.block_weights`
+    (1.0 for a block the profile never counted).
     """
     _annotate_definers(fn)
     graph = DataFlowGraph()
     order = _reverse_post_order(fn)
     for block in order:
-        w = (weights or {}).get(block.name, 1.0)
         for inst in block.instructions:
             graph.add_node(inst, table.latency(inst),
-                           classify_instruction(inst), weight=w,
-                           block=block.name)
+                           classify_instruction(inst), block=block.name)
     _add_dependence_edges(graph, graph.nodes)
     _add_control_edges(graph, fn)
     return graph

@@ -10,7 +10,8 @@ Analysis" box).
    each size's launch from that run (:class:`SharedProfile`);
 2. discover loops and attach trip counts (static counts win);
 3. build the simplified CDFG artefacts: per-block DFGs and the
-   whole-work-item DFG with profiled recurrence edges;
+   whole-work-item DFG (one per function and latency table, or the
+   analysis's own when profiled recurrence edges join it);
 4. aggregate resource usage (local ports pressure, DSP cost, local
    memory bytes).
 
@@ -71,6 +72,16 @@ def _block_dfgs_for(fn: Function, table: OpLatencyTable
                  for block in fn.reachable_blocks()})
 
 
+def _function_dfg_for(fn: Function, table: OpLatencyTable
+                      ) -> DataFlowGraph:
+    """The function DFG depends only on the IR and the latency table,
+    so every analysis without recurrence edges shares one; node weights
+    are each analysis's ``block_weights``.  ``build_function_dfg`` is
+    looked up in this module when the memo misses."""
+    return function_memo(fn, ("function_dfg", _table_key(table)),
+                         lambda: build_function_dfg(fn, table))
+
+
 #: builtins whose value depends on the work-group size
 _GROUP_GEOMETRY = frozenset({"get_local_id", "get_group_id",
                              "get_local_size", "get_num_groups"})
@@ -116,7 +127,7 @@ class SharedProfile:
     is the largest of *wg_sizes* and that analysis's work-group size.
     Each analysis at a size that divides *width* then slices its
     :class:`LaunchResult` from that run: traces regrouped with
-    group-local lane ids (views of the run's columns), block and trip
+    group-local lane offsets (views of the run's columns), block and trip
     counts of its own prefix, and its group and item tallies.  The
     slice equals a run at that size alone, engine provenance included.
 
@@ -202,7 +213,7 @@ class SharedProfile:
     def _slice(self, fn: Function, wg: int) -> LaunchResult:
         """The launch a lone run at work-group size *wg* (a divisor of
         the width) records: each of its groups is a run of rows of one
-        wide group, taken as views."""
+        wide group, every column a view, with its own lane offsets."""
         width = self._ndrange.local_size[0]
         n_groups = min(self._groups, self._ndrange.global_size[0] // wg)
         items = n_groups * wg
@@ -210,11 +221,11 @@ class SharedProfile:
         for g in range(n_groups):
             wide = self._wide[g * wg // width]
             first = g * wg % width
-            lo, hi = wide.lane_starts[[first, first + wg]]
+            lane_starts = wide.lane_starts[first:first + wg + 1]
+            lo, hi = lane_starts[0], lane_starts[-1]
             groups.append(PackedGroup(
                 wide.site[lo:hi], wide.kind[lo:hi], wide.nbytes[lo:hi],
-                wide.space[lo:hi], wide.buf[lo:hi],
-                (wide.lane[lo:hi] - first).astype(np.int32),
+                wide.space[lo:hi], wide.buf[lo:hi], lane_starts - lo,
                 wide.addr[lo:hi], wide.names, wg))
         counts = {}
         for name, per_item in self._item_counts.items():
@@ -442,8 +453,12 @@ def _build_info(fn: Function, ndrange: NDRange, device,
     trace_analysis = analyze_traces(launch.traces)
 
     block_dfgs = _block_dfgs_for(fn, table)
-    function_dfg = build_function_dfg(fn, table, weights=block_weights)
-    _add_recurrence_edges(function_dfg, trace_analysis)
+    if trace_analysis.recurrences:
+        # Recurrence edges are profile data: this analysis's own graph.
+        function_dfg = build_function_dfg(fn, table)
+        _add_recurrence_edges(function_dfg, trace_analysis)
+    else:
+        function_dfg = _function_dfg_for(fn, table)
 
     return KernelInfo(
         name=fn.name, fn=fn, ndrange=ndrange, device=device, table=table,
@@ -451,7 +466,8 @@ def _build_info(fn: Function, ndrange: NDRange, device,
         loop_nest=loop_nest, traces=trace_analysis,
         function_dfg=function_dfg, block_dfgs=block_dfgs,
         block_weights=block_weights,
-        dsp_cost_per_wi=_dsp_cost_per_wi(function_dfg, table),
+        dsp_cost_per_wi=_dsp_cost_per_wi(function_dfg, table,
+                                         block_weights),
         dsp_static_cost=float(sum(
             table.dsp_cost(node.inst) for node in function_dfg.nodes)),
         local_mem_bytes=_local_mem_bytes(fn),
@@ -477,10 +493,12 @@ def _add_recurrence_edges(graph: DataFlowGraph,
             graph.add_edge(store_node, load_node, distance=rec.distance)
 
 
-def _dsp_cost_per_wi(graph: DataFlowGraph, table: OpLatencyTable) -> float:
+def _dsp_cost_per_wi(graph: DataFlowGraph, table: OpLatencyTable,
+                     block_weights: Dict[str, float]) -> float:
     total = 0.0
     for node in graph.nodes:
-        total += table.dsp_cost(node.inst) * node.weight
+        total += (table.dsp_cost(node.inst)
+                  * block_weights.get(node.block, 1.0))
     return total
 
 

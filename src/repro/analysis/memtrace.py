@@ -81,115 +81,109 @@ class TraceAnalysis:
 
 def analyze_traces(packed: PackedTraces) -> TraceAnalysis:
     """Analyse packed per-work-item traces (work-items in
-    work-group-linear order), column-wise on the flat arrays."""
+    work-group-linear order), column-wise on the flat arrays.
+
+    Memory stays linear in the rows: only the site and address columns
+    and an int32 work-item id are concatenated, one stable sort by site
+    lays each site's rows out as one segment, and each statistic reads
+    its segment in place."""
     result = TraceAnalysis(global_traces=packed.global_view())
     n_wi = len(packed)
     if n_wi == 0:
         return result
+    groups = packed.groups
     wg = packed.wg_size
 
-    # ---- concatenate groups (remapping per-group buffer indices onto a
-    # shared name table) into global row order: work-item-major, each
-    # work-item's rows in program order.
-    names: List[str] = []
-    name_ix: Dict[str, int] = {}
-    sites, kinds, spaces, bufs, nbytes_c, addrs, wis = \
-        [], [], [], [], [], [], []
-    for g, grp in enumerate(packed.groups):
-        remap = np.empty(max(len(grp.names), 1), np.int16)
-        for i, nm in enumerate(grp.names):
-            j = name_ix.get(nm)
-            if j is None:
-                j = name_ix[nm] = len(names)
-                names.append(nm)
-            remap[i] = j
-        sites.append(grp.site)
-        kinds.append(grp.kind)
-        spaces.append(grp.space)
-        bufs.append(remap[grp.buf] if len(grp) else grp.buf)
-        nbytes_c.append(grp.nbytes)
-        addrs.append(grp.addr)
-        wis.append(grp.lane.astype(np.int64) + g * wg)
-    site = np.concatenate(sites)
-    kind = np.concatenate(kinds)
-    space = np.concatenate(spaces)
-    buf = np.concatenate(bufs)
-    nbytes = np.concatenate(nbytes_c)
-    addr = np.concatenate(addrs)
-    wi = np.concatenate(wis)
-    n_rows = site.shape[0]
-
     # ---- aggregate counts ----------------------------------------------
-    code = space.astype(np.intp) * 2 + kind
-    totals = np.bincount(code, minlength=4)
+    totals = np.zeros(4, np.int64)
+    for grp in groups:
+        totals += np.bincount(grp.space * 2 + grp.kind, minlength=4)
     result.global_reads_per_wi = int(totals[0]) / n_wi
     result.global_writes_per_wi = int(totals[1]) / n_wi
     result.local_reads_per_wi = int(totals[2]) / n_wi
     result.local_writes_per_wi = int(totals[3]) / n_wi
-    if n_rows == 0:
+    if not int(totals.sum()):
         return result
 
-    # ---- per-site row segments (site order = first appearance) ---------
-    usites, first = np.unique(site, return_index=True)
-    ordered = usites[np.argsort(first, kind="stable")]
+    # ---- global row order: work-item-major, each work-item's rows in
+    # program order.  A stable sort by site keeps that order within each
+    # site's segment, so every work-item's accesses to a site form one
+    # contiguous run of it.
+    group_ends = np.cumsum([len(grp) for grp in groups])
+    addr = np.concatenate([grp.addr for grp in groups])
+    wi = np.concatenate([
+        np.repeat(np.arange(g * wg, (g + 1) * wg, dtype=np.int32),
+                  np.diff(grp.lane_starts))
+        for g, grp in enumerate(groups)])
+    site = np.concatenate([grp.site for grp in groups])
     order = np.argsort(site, kind="stable")
-    s_sorted = site[order]
-    wi_s = wi[order]
-    addr_s = addr[order]
-    lo_of = {int(s): int(np.searchsorted(s_sorted, s, "left"))
-             for s in usites}
-    hi_of = {int(s): int(np.searchsorted(s_sorted, s, "right"))
-             for s in usites}
+    site = site[order]
+    heads = np.flatnonzero(np.concatenate(([True], site[1:] != site[:-1])))
+    usites = site[heads].tolist()
+    del site
+    bounds = np.append(heads, order.shape[0]).tolist()
+    # Site order = first appearance in global row order.
+    firsts = order[heads]
+    segment = {s: (bounds[i], bounds[i + 1])
+               for i, s in enumerate(usites)}
 
-    site_runs: Dict[int, tuple] = {}
-    for s in ordered.tolist():
-        lo, hi = lo_of[s], hi_of[s]
-        seg_wi = wi_s[lo:hi]
-        seg_addr = addr_s[lo:hi]
-        m = hi - lo
-        # Rows are already work-item-major within the segment (the
-        # stable sort preserves the global row order), so every
-        # work-item's accesses form one contiguous run.
-        run_starts = np.flatnonzero(
-            np.concatenate(([True], seg_wi[1:] != seg_wi[:-1])))
-        run_ends = np.concatenate((run_starts[1:], [m]))
-        run_len = run_ends - run_starts
-        occ = np.arange(m) - np.repeat(run_starts, run_len)
-        # Dense (present-work-item x occurrence) matrices: rows are the
-        # distinct work-items in ascending order, so numerically
-        # adjacent work-items sit in adjacent rows exactly when their
-        # ids differ by one.
-        uw = seg_wi[run_starts]
-        nr = run_starts.shape[0]
-        max_occ = int(run_len.max())
-        rix = np.repeat(np.arange(nr), run_len)
-        M = np.zeros((nr, max_occ), np.int64)
-        V = np.zeros((nr, max_occ), bool)
-        M[rix, occ] = seg_addr
-        V[rix, occ] = True
+    def runs(s: int):
+        """Site *s*'s work-item ids and addresses, and where each
+        work-item's run of them starts."""
+        lo, hi = segment[s]
+        rows = order[lo:hi]
+        seg_wi, seg_addr = wi[rows], addr[rows]
+        run_starts = np.flatnonzero(np.concatenate(
+            ([True], seg_wi[1:] != seg_wi[:-1])))
+        return seg_wi, seg_addr, run_starts
 
-        both = V[1:] & V[:-1] & ((uw[1:] - uw[:-1]) == 1)[:, None]
-        d = (M[1:] - M[:-1])[both]
-        wi_stride = int(d[0]) if d.size and (d == d[0]).all() else None
-        inner = V[:, 1:] & V[:, :-1]
-        d = (M[:, 1:] - M[:, :-1])[inner]
-        inner_stride = int(d[0]) if d.size and (d == d[0]).all() \
-            else None
+    for i in np.argsort(firsts, kind="stable").tolist():
+        s = usites[i]
+        seg_wi, seg_addr, run_starts = runs(s)
+        m = seg_addr.shape[0]
+        run_len = np.diff(np.append(run_starts, m))
+        # The same occurrence of two work-items whose ids differ by one:
+        # for each occurrence k below both runs' lengths, row
+        # run_starts[r] + k of run r against the row run_len[r] further
+        # on, occurrence k of run r + 1.
+        adjacent = (seg_wi[run_starts[1:]] - seg_wi[run_starts[:-1]]) == 1
+        n_pairs = np.where(adjacent,
+                           np.minimum(run_len[:-1], run_len[1:]), 0)
+        total = int(n_pairs.sum())
+        wi_stride = None
+        if total:
+            pair_starts = np.cumsum(n_pairs) - n_pairs
+            a = np.arange(total, dtype=np.intp)
+            a -= np.repeat(pair_starts - run_starts[:-1], n_pairs)
+            d = seg_addr[a + np.repeat(run_len[:-1], n_pairs)]
+            d -= seg_addr[a]
+            del a
+            wi_stride = _common(d)
+            del d
+        # Consecutive occurrences within one work-item's run.
+        inner_stride = None
+        if m > 1:
+            keep = np.ones(m - 1, bool)
+            keep[run_starts[1:] - 1] = False
+            inner_stride = _common(np.diff(seg_addr)[keep])
+        del seg_wi, seg_addr
 
         # Prototype row = the site's first appearance in global row
-        # order (the stable sort keeps it first in the segment).
-        i0 = int(order[lo])
+        # order, read from its group.
+        i0 = int(firsts[i])
+        g = int(np.searchsorted(group_ends, i0, "right"))
+        grp = groups[g]
+        r = i0 - (int(group_ends[g - 1]) if g else 0)
         result.sites[s] = AccessSiteStats(
             site=s,
-            kind=KIND_NAMES[int(kind[i0])],
-            space=SPACE_NAMES[int(space[i0])],
-            buffer=names[int(buf[i0])],
-            nbytes=int(nbytes[i0]),
+            kind=KIND_NAMES[int(grp.kind[r])],
+            space=SPACE_NAMES[int(grp.space[r])],
+            buffer=grp.names[int(grp.buf[r])],
+            nbytes=int(grp.nbytes[r]),
             per_wi_count=m / n_wi,
             wi_stride=wi_stride,
             inner_stride=inner_stride,
         )
-        site_runs[s] = (seg_wi, seg_addr, run_starts, run_ends)
 
     # ---- recurrences ----------------------------------------------------
     # Per-work-item address sets are only needed for (load, store) pairs
@@ -201,15 +195,16 @@ def analyze_traces(packed: PackedTraces) -> TraceAnalysis:
     def sets_of(s: int) -> List[frozenset]:
         sets = site_sets.get(s)
         if sets is None:
-            seg_wi, seg_addr, run_starts, run_ends = site_runs[s]
+            seg_wi, seg_addr, run_starts = runs(s)
+            run_ends = np.append(run_starts[1:], seg_addr.shape[0])
             sets = [_EMPTY_SET] * n_wi
             for a, b in zip(run_starts.tolist(), run_ends.tolist()):
                 sets[int(seg_wi[a])] = frozenset(seg_addr[a:b].tolist())
             site_sets[s] = sets
         return sets
 
-    loads = [s for s in ordered.tolist() if stats[s].kind == "read"]
-    stores = [s for s in ordered.tolist() if stats[s].kind == "write"]
+    loads = [s for s in stats if stats[s].kind == "read"]
+    stores = [s for s in stats if stats[s].kind == "write"]
     for ls in loads:
         lp = stats[ls]
         for ss in stores:
@@ -222,6 +217,14 @@ def analyze_traces(packed: PackedTraces) -> TraceAnalysis:
                     load_site=ls, store_site=ss, space=lp.space,
                     buffer=lp.buffer, distance=dist))
     return result
+
+
+def _common(d: np.ndarray) -> Optional[int]:
+    """The one value every element of *d* holds (None when *d* is
+    empty or holds several)."""
+    if d.size and bool((d == d[0]).all()):
+        return int(d[0])
+    return None
 
 
 def _recurrence_distance(l_sets: List[frozenset],

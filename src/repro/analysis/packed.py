@@ -5,9 +5,10 @@ The scalar interpreter records one ``List[MemAccess]`` per work-item —
 the semantics reference, but far too slow to analyse, extrapolate and
 pickle: a heavy kernel records hundreds of thousands of accesses.
 
-:class:`PackedGroup` stores one work-group's trace as seven flat numpy
-columns in **lane-major canonical order**: rows sorted by lane, each
-lane's rows in its program order.  The trace synthesizer and the
+:class:`PackedGroup` stores one work-group's trace as six flat numpy
+columns in **lane-major canonical order** (rows sorted by lane, each
+lane's rows in its program order) plus one offset per lane where that
+lane's rows start.  The trace synthesizer and the
 vectorized interpreter build it directly; :func:`pack_traces`, called
 once in :mod:`repro.analysis.kernel_info`, converts scalar interpreter
 traces.  Site statistics, stream extrapolation, coalescing, bank
@@ -37,34 +38,37 @@ SPACE_NAMES = ("global", "local")
 class PackedGroup:
     """One work-group's trace as flat columns in canonical order.
 
-    Canonical order: rows sorted by ``lane`` (stable), each lane's rows
-    in that lane's execution order.  All columns share the row axis:
+    Canonical order: rows sorted by lane (stable), each lane's rows in
+    that lane's execution order.  All columns share the row axis:
 
     - ``site``  int32 — static instruction site id
     - ``kind``  uint8 — 0 read, 1 write
     - ``nbytes`` int32
     - ``space`` uint8 — 0 global, 1 local
     - ``buf``   int16 — index into ``names`` ("__local" for local rows)
-    - ``lane``  int32 — work-item index within the group
     - ``addr``  int64 — byte address
+
+    Lanes are not a column: ``lane_starts`` (``wg_size + 1`` offsets)
+    delimits each lane's run of rows, so a group sliced out of a wider
+    run keeps every column a view.  ``lane`` and ``occ`` are derived
+    from the offsets on each read.
     """
 
-    __slots__ = ("site", "kind", "nbytes", "space", "buf", "lane",
-                 "addr", "names", "wg_size", "_lane_starts", "_occ")
+    __slots__ = ("site", "kind", "nbytes", "space", "buf", "lane_starts",
+                 "addr", "names", "wg_size")
 
-    def __init__(self, site, kind, nbytes, space, buf, lane, addr,
+    def __init__(self, site, kind, nbytes, space, buf, lane_starts, addr,
                  names: Tuple[str, ...], wg_size: int) -> None:
         self.site = site
         self.kind = kind
         self.nbytes = nbytes
         self.space = space
         self.buf = buf
-        self.lane = lane
         self.addr = addr
         self.names = names
         self.wg_size = int(wg_size)
-        self._lane_starts: Optional[np.ndarray] = None
-        self._occ: Optional[np.ndarray] = None
+        self.lane_starts = _checked_lane_starts(
+            lane_starts, self.wg_size, len(self))
 
     # -- derived ---------------------------------------------------------
 
@@ -72,22 +76,17 @@ class PackedGroup:
         return int(self.site.shape[0])
 
     @property
-    def lane_starts(self) -> np.ndarray:
-        """``lane_starts[l]:lane_starts[l+1]`` slices lane *l*'s rows."""
-        if self._lane_starts is None:
-            self._lane_starts = np.searchsorted(
-                self.lane, np.arange(self.wg_size + 1))
-        return self._lane_starts
+    def lane(self) -> np.ndarray:
+        """int32 work-item index within the group, one per row."""
+        return np.repeat(np.arange(self.wg_size, dtype=np.int32),
+                         np.diff(self.lane_starts))
 
     @property
     def occ(self) -> np.ndarray:
         """Occurrence index: position of each row within its lane."""
-        if self._occ is None:
-            starts = self.lane_starts
-            n = len(self)
-            self._occ = np.arange(n, dtype=np.int64) \
-                - starts[self.lane.astype(np.int64)]
-        return self._occ
+        starts = self.lane_starts
+        return np.arange(len(self), dtype=np.int64) \
+            - np.repeat(starts[:-1], np.diff(starts))
 
     # -- materialisation -------------------------------------------------
 
@@ -109,25 +108,45 @@ class PackedGroup:
         if not len(self) or bool((self.space == SPACE_GLOBAL).all()):
             return self
         m = self.space == SPACE_GLOBAL
+        kept = np.concatenate(([0], np.cumsum(m)))
         return PackedGroup(self.site[m], self.kind[m], self.nbytes[m],
-                           self.space[m], self.buf[m], self.lane[m],
-                           self.addr[m], self.names, self.wg_size)
+                           self.space[m], self.buf[m],
+                           kept[self.lane_starts], self.addr[m],
+                           self.names, self.wg_size)
 
-    # -- pickling (drop lazily derived caches) ---------------------------
+    # -- pickling ----------------------------------------------------------
 
     def __getstate__(self):
         return (self.site, self.kind, self.nbytes, self.space, self.buf,
-                self.lane, self.addr, self.names, self.wg_size)
+                self.lane_starts, self.addr, self.names, self.wg_size)
 
     def __setstate__(self, state) -> None:
+        # The offsets are checked against the rows, so a state whose
+        # slot holds anything else (an older entry's lane column) is
+        # refused rather than read as a wrong trace.
         (self.site, self.kind, self.nbytes, self.space, self.buf,
-         self.lane, self.addr, self.names, self.wg_size) = state
-        self._lane_starts = None
-        self._occ = None
+         lane_starts, self.addr, self.names, self.wg_size) = state
+        self.lane_starts = _checked_lane_starts(
+            lane_starts, self.wg_size, len(self))
 
     def __repr__(self) -> str:
         return (f"<PackedGroup {len(self)} rows, "
                 f"{self.wg_size} lanes>")
+
+
+def _checked_lane_starts(lane_starts, wg_size: int,
+                         rows: int) -> np.ndarray:
+    """*lane_starts* as an array, or ValueError unless it is
+    ``wg_size + 1`` non-decreasing offsets from 0 to *rows*."""
+    starts = np.asarray(lane_starts)
+    if (starts.ndim != 1 or starts.shape[0] != wg_size + 1
+            or starts.dtype.kind not in "iu" or int(starts[0]) != 0
+            or int(starts[-1]) != rows
+            or bool((starts[1:] < starts[:-1]).any())):
+        raise ValueError(
+            f"lane_starts must be {wg_size + 1} non-decreasing offsets "
+            f"from 0 to {rows}")
+    return starts
 
 
 class PackedTraces(Sequence):
@@ -215,11 +234,12 @@ def pack_group(traces: Sequence[List[MemAccess]],
     nbytes = np.empty(total, np.int32)
     space = np.empty(total, np.uint8)
     buf = np.empty(total, np.int16)
-    lane = np.empty(total, np.int32)
     addr = np.empty(total, np.int64)
+    lane_starts = np.zeros(wg + 1, np.int64)
     name_ix = {n: i for i, n in enumerate(names or ())}
     pos = 0
     for l, trace in enumerate(traces):
+        lane_starts[l + 1] = lane_starts[l] + len(trace)
         for acc in trace:
             b = name_ix.get(acc.buffer)
             if b is None:
@@ -231,11 +251,10 @@ def pack_group(traces: Sequence[List[MemAccess]],
             space[pos] = SPACE_GLOBAL if acc.space == "global" \
                 else SPACE_LOCAL
             buf[pos] = b
-            lane[pos] = l
             addr[pos] = acc.addr
             pos += 1
     ordered = tuple(sorted(name_ix, key=name_ix.get))
-    return PackedGroup(site, kind, nbytes, space, buf, lane, addr,
+    return PackedGroup(site, kind, nbytes, space, buf, lane_starts, addr,
                        ordered, wg)
 
 

@@ -35,7 +35,8 @@ class CoarseModel:
         self.device = device
 
     def estimate(self, info: KernelInfo, design: Design) -> float:
-        ops_per_wi = sum(node.weight for node in info.function_dfg.nodes)
+        ops_per_wi = sum(info.block_weights.get(node.block, 1.0)
+                         for node in info.function_dfg.nodes)
         compute_wi = ops_per_wi * AVERAGE_OP_LATENCY / FIXED_ILP
         if design.work_item_pipeline:
             # Pipelining is modelled as a flat 4x improvement, blind to

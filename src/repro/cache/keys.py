@@ -32,7 +32,7 @@ from repro.ir.function import BasicBlock, function_memo
 #: profiling interpreter records different traces, the PE scheduler
 #: changes its output): old entries become unreachable, not wrong.
 SCHEMA_VERSIONS: Dict[str, int] = {
-    "analysis": 5,   # pickled KernelInfo; one key for every trace engine
+    "analysis": 6,   # pickled KernelInfo; one key for every trace engine
     "pe": 2,         # PEModelResult rows, keyed by model.pe.pe_memo_key
     "memory": 1,     # MemoryModelResult rows spilled from FlexCL's memo
     "table1": 1,     # per-device PatternLatencyTable (Table 1)

@@ -192,8 +192,13 @@ class ArtifactCache:
         """Store *value* under (*layer*, *key*) atomically."""
         path = self._entry_path(layer, key)
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+            try:
+                fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+            except FileNotFoundError:
+                # First entry of its shard (or the store was cleared):
+                # make the directory once and retry.
+                path.parent.mkdir(parents=True, exist_ok=True)
+                fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
             try:
                 with os.fdopen(fd, "wb") as fh:
                     pickle.dump(value, fh, protocol=pickle.HIGHEST_PROTOCOL)

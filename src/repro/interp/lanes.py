@@ -463,22 +463,22 @@ class LaneEngine:
 
     def _finish_groups(self, cols: List[np.ndarray], n_groups: int):
         """Split :meth:`_sorted_events` columns into one
-        :class:`~repro.analysis.packed.PackedGroup` per bound group,
-        with group-local lane ids."""
+        :class:`~repro.analysis.packed.PackedGroup` per bound group:
+        column views plus group-local lane offsets."""
         from repro.analysis.packed import PackedGroup
 
-        # Sorted by absolute lane, groups are contiguous runs.
+        # Sorted by absolute lane, each lane's rows are a contiguous run.
         site, kind, nbytes, space, buf, lane, addr = cols
         names = self._buf_names + ("__local",)
         wg = self._wg
-        cuts = np.searchsorted(lane, np.arange(n_groups + 1) * wg)
+        starts = np.searchsorted(lane, np.arange(n_groups * wg + 1))
         groups = []
         for g in range(n_groups):
-            lo, hi = cuts[g], cuts[g + 1]
+            lane_starts = starts[g * wg:(g + 1) * wg + 1]
+            lo, hi = lane_starts[0], lane_starts[-1]
             groups.append(PackedGroup(
                 site[lo:hi], kind[lo:hi], nbytes[lo:hi], space[lo:hi],
-                buf[lo:hi], (lane[lo:hi] - g * wg).astype(np.int32),
-                addr[lo:hi], names, wg))
+                buf[lo:hi], lane_starts - lo, addr[lo:hi], names, wg))
         return groups
 
     # -- global memory -----------------------------------------------------

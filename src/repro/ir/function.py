@@ -154,7 +154,7 @@ def function_memo(fn: Function, key, build: Callable[[], T]) -> T:
     The IR is immutable after lowering, so anything that depends only
     on it (and on *key*) is built once and shared by every analysis of
     that function object: its fingerprint, access summary, determinism
-    classifier and per-block DFGs.  Nothing a request supplies (buffers,
+    classifier, per-block DFGs and function DFG.  Nothing a request supplies (buffers,
     scalars, the NDRange) belongs here: a shared function would keep it
     alive.  The values live on the function and die with it; they are
     never pickled.  A *fn* that is not a :class:`Function` (a test

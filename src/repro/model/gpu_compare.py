@@ -83,7 +83,9 @@ def estimate_gpu_time(info: KernelInfo,
     clock = gpu.clock_mhz * 1e6
 
     # Instruction throughput bound.
-    ops_per_wi = sum(_GPU_OP_CPI[node.op_class] * node.weight
+    weights = info.block_weights
+    ops_per_wi = sum(_GPU_OP_CPI[node.op_class]
+                     * weights.get(node.block, 1.0)
                      for node in info.function_dfg.nodes)
     total_lane_cycles = ops_per_wi * n
     lanes = gpu.sm_count * gpu.lanes_per_sm

@@ -48,15 +48,14 @@ def synthesize(info: KernelInfo, design: Design, device) -> SynthesizedDesign:
         device, design.effective_pe_slots, design.num_cu)
 
     # Rebuild DFGs with the concrete latencies (same structure as the
-    # analysis DFGs, different node weights).
+    # analysis DFGs, different node latencies).
     block_dfgs = {
         block.name: build_block_dfg(block, concrete_table)
         for block in info.fn.reachable_blocks()
     }
     block_latencies = {name: list_schedule(dfg, budget).latency
                        for name, dfg in block_dfgs.items()}
-    function_dfg = build_function_dfg(info.fn, concrete_table,
-                                      weights=info.block_weights)
+    function_dfg = build_function_dfg(info.fn, concrete_table)
     _copy_recurrence_edges(info.function_dfg, function_dfg)
 
     depth = max(critical_path_depth(info.fn, block_latencies,

@@ -3,11 +3,13 @@
 import dataclasses
 import os
 import pickle
+import shutil
 
 import numpy as np
 import pytest
 
 from repro.analysis import analyze_kernel
+from repro.analysis.packed import PackedGroup
 from repro.cache import (
     SCHEMA_VERSIONS,
     ArtifactCache,
@@ -258,6 +260,27 @@ class TestCorruptionTolerance:
         again = _analyze(cache)   # isinstance guard rejects it silently
         assert isinstance(again, type(info))
 
+    def test_lane_column_where_the_offsets_belong_is_a_miss(
+            self, tmp_path, monkeypatch):
+        # An entry written before lanes became offsets (or crafted onto
+        # today's key) carries a lane column in that state slot: reading
+        # it as offsets would slice wrong lanes, so it must be refused.
+        cache = ArtifactCache(tmp_path)
+        info = _analyze()
+        assert len(info.traces.global_traces.groups[0])
+
+        def lane_column_state(group):
+            return (group.site, group.kind, group.nbytes, group.space,
+                    group.buf, group.lane, group.addr, group.names,
+                    group.wg_size)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(PackedGroup, "__getstate__", lane_column_state)
+            cache.put("analysis", info.fingerprint, info)
+        with pytest.warns(RuntimeWarning, match="unreadable entry"):
+            assert cache.get("analysis", info.fingerprint) == (False, None)
+        assert not list(cache.entries())
+
     def test_unwritable_layer_degrades_to_no_caching(self, tmp_path):
         cache = ArtifactCache(tmp_path)
         # A regular file where the layer directory should go makes every
@@ -358,6 +381,38 @@ class TestStore:
         for _ in range(100):
             roomy.put("pe", key, payload)
         assert roomy._size == roomy.size_bytes()
+
+    def test_puts_into_an_existing_shard_make_no_directory(
+            self, tmp_path, monkeypatch):
+        cache = ArtifactCache(tmp_path)
+        cache.put("pe", "aa" + "0" * 62, 0)
+        made = []
+        mkdir = os.mkdir
+
+        def counting(path, *args, **kwargs):
+            made.append(path)
+            return mkdir(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "mkdir", counting)
+        for i in range(1, 5):
+            cache.put("pe", "aa" + f"{i}" * 62, i)
+        assert made == []
+        # A new shard is made once.
+        cache.put("pe", "ab" + "0" * 62, 5)
+        assert len(made) == 1
+        assert cache.get("pe", "aa" + "4" * 62) == (True, 4)
+        assert cache.stats.puts == {"pe": 6}
+
+    def test_put_after_clear_lands(self, tmp_path):
+        cache = ArtifactCache(tmp_path)
+        cache.put("pe", "aa" + "0" * 62, 1)
+        assert cache.clear() == 1
+        cache.put("pe", "aa" + "0" * 62, 2)
+        assert cache.get("pe", "aa" + "0" * 62) == (True, 2)
+        # Nor does a store whose directories are gone lose the put.
+        shutil.rmtree(tmp_path / "pe")
+        cache.put("pe", "aa" + "0" * 62, 3)
+        assert cache.get("pe", "aa" + "0" * 62) == (True, 3)
 
     def test_clear(self, tmp_path):
         cache = ArtifactCache(tmp_path)

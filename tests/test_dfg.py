@@ -5,6 +5,7 @@ from repro.analysis.dfg import (
     build_function_dfg,
     pointer_root,
 )
+from repro.analysis.kernel_info import _dsp_cost_per_wi
 from repro.frontend import compile_opencl
 from repro.ir.instructions import Barrier, Load, Store
 from repro.latency.optable import OpClass, OpLatencyTable
@@ -71,12 +72,18 @@ class TestFunctionDFG:
         assert any(s == local_load.index for s, d in barrier.succs)
 
     def test_weights_applied(self):
-        fn = fn_of("for (int i = 0; i < 8; i++) { a[i] = 0.0f; }")
-        weights = {"for.body": 8.0}
-        dfg = build_function_dfg(fn, TABLE, weights=weights)
-        body_nodes = [n for n in dfg.nodes if n.block == "for.body"]
-        assert body_nodes
-        assert all(n.weight == 8.0 for n in body_nodes)
+        # The graph carries no weights: the DSP cost per work-item
+        # weights each node by its block's profiled frequency, 1.0 for
+        # a block the profile did not count.
+        fn = fn_of("for (int i = 0; i < 8; i++) { a[i] = a[i] * b[i]; }")
+        dfg = build_function_dfg(fn, TABLE)
+        body = sum(TABLE.dsp_cost(n.inst) for n in dfg.nodes
+                   if n.block == "for.body")
+        assert body > 0
+        unweighted = _dsp_cost_per_wi(dfg, TABLE, {})
+        assert unweighted == sum(TABLE.dsp_cost(n.inst) for n in dfg.nodes)
+        assert _dsp_cost_per_wi(dfg, TABLE, {"for.body": 8.0}) \
+            == unweighted + 7 * body
 
     def test_control_edge_from_branch(self):
         fn = fn_of("if (n > 0) { a[0] = 1.0f; }")

@@ -100,8 +100,14 @@ def _post(url, path, spec, timeout=60):
     req = urllib.request.Request(
         url + path, data=json.dumps(spec).encode("utf-8"),
         headers={"Content-Type": "application/json"})
-    with urllib.request.urlopen(req, timeout=timeout) as resp:
-        return resp.status, resp.read()
+    try:
+        with urllib.request.urlopen(req, timeout=timeout) as resp:
+            return resp.status, resp.read()
+    except urllib.error.HTTPError as exc:
+        # The error holds the response: close its socket; the status
+        # and headers stay readable.
+        exc.close()
+        raise
 
 
 def _get_json(url, path):
@@ -176,7 +182,8 @@ class TestBasics:
                                      data=b"{not json")
         with pytest.raises(urllib.error.HTTPError) as exc:
             urllib.request.urlopen(req, timeout=30)
-        assert exc.value.code == 400
+        with exc.value:
+            assert exc.value.code == 400
 
     @pytest.mark.parametrize("case", sorted(HOSTILE_BODIES))
     def test_hostile_body_is_a_client_error(self, server, case):
@@ -185,8 +192,9 @@ class TestBasics:
                                      data=body.encode("utf-8"))
         with pytest.raises(urllib.error.HTTPError) as exc:
             urllib.request.urlopen(req, timeout=60)
-        assert exc.value.code == 400
-        assert json.loads(exc.value.read())["error"]
+        with exc.value:
+            assert exc.value.code == 400
+            assert json.loads(exc.value.read())["error"]
 
     @pytest.mark.parametrize("spec", [
         {"source": SAXPY, "global_size": MAX_LAUNCH_SIZE + 1},

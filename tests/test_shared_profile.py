@@ -44,22 +44,23 @@ INELIGIBLE = {
 WORKLOADS = {w.qualified_name: w for w in all_workloads()}
 ELIGIBLE = sorted(set(WORKLOADS) - INELIGIBLE)
 
-#: analysis keys (and engines) of two kernels, as computed before the
-#: profile was shared: a store written then must still be read warm
+#: analysis keys of two kernels as lone analyses compute them (before
+#: the profile was shared, re-keyed at analysis schema 6): a store of
+#: lone analyses must still be read warm
 KEYS_BEFORE_SHARING = {
     "rodinia/nn/nn": {
-        16: "11590572268d54d06eabc86aafd2a80536c8f273cb464810121c3d9cd2c30f0a",
-        32: "a91b76fe3eaf62b1f1533c2d5fb0bf226179ea108d955395d739d1a47c2f527f",
-        64: "448f17a0163e77adf83c73caeb28ce8b25e597ff3a56fb33a70ded6aaee35209",
-        128: "0e6924c80773799ae006f948c7457b1b7227c01663873ffe6d94f36d22421d4a",
-        256: "2016dcd28ed6969fab2e4987e768d4a9c9d417d42b351452a4278a9a939aeb73",
+        16: "24bd0ff35b0e8ed0f5274d1d95cd6534fc61cf9f60e280514d7bdf31b514884e",
+        32: "7e38908f7881d0f6ae31b62088d012f91e79cf7dd0e2ded653cf7e6333019c15",
+        64: "a8a1e0f80033726519efa704dabc3504d39da927bc0f4304241599c910d8cd11",
+        128: "e942bdd5957e92768dcfc9d978e05e58c1da1efbc75251a3446c4a4fbb16f3ea",
+        256: "dbe93346ff0d3504ad1ae1d6ccaa59afb86f95cd79d9014d6f28cc3a8eaae828",
     },
     "rodinia/bfs/bfs_1": {
-        16: "0030ec2158071fb5316dd77550b6f51c229918e2a5bd73a3da98d4181639cd95",
-        32: "0a049e01593b061fa44ff79f27f21ead879864dc9632bae16dd287f07284e89f",
-        64: "6ecd7dd74ef43ef011d3b2bae5b0e2c878b212199287eee46e98b05862e1f0dd",
-        128: "10b04744bddbc137d3ad02f109e3393f42d4f332aaf41cf711ed8312146e9365",
-        256: "3fb97600cd699c8ad9023806ad76d02c70bed83cc3879cc83a0a37082fce13b6",
+        16: "8f914718f9f6aff984f2f33bd5797f4e02d063ca281ba726bf5bc2c64c16d74e",
+        32: "a2a9e9fdf4a6fe42f7143770a68a0e9c702a56d38d3b356c3b30f90f15c519c6",
+        64: "044ccbfafac58f0cfdc91ad7153d20baf81b40a366f3709bb656048be2491ad8",
+        128: "827d20f5b641db538c2f4b5534f5e15024b05bdb945950da67052887395ee543",
+        256: "393ba95c7c98d5cf4b0e2052c2737c6ab0c6574d9aacd4c0eca164cb34f877c8",
     },
 }
 
